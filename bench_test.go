@@ -418,5 +418,5 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 		msgs = res.Messages
 	}
-	b.ReportMetric(float64(msgs*int64(cfg.Stages))/b.Elapsed().Seconds()/float64(b.N), "msg-stages/s")
+	b.ReportMetric(float64(msgs*int64(cfg.Stages)*int64(b.N))/b.Elapsed().Seconds(), "msg-stages/s")
 }

@@ -1,0 +1,90 @@
+package simnet
+
+import (
+	"testing"
+
+	"banyan/internal/topology"
+)
+
+// TestTrackStageWaitsAllocsFlat: with per-stage wait tracking on, no
+// engine allocates per delivered message. Each engine runs one
+// configuration at two horizons, the long one delivering four times the
+// messages; a per-message allocation (a covariance vector per finished
+// message, say) would add tens of thousands of allocations to the long
+// run, while per-run scratch, slot growth, histogram buckets and pool
+// misses (the race detector drops pooled arenas at random) stay far
+// below one allocation per sixteen extra messages. The reference engine's schedule
+// buckets churn once per simulated cycle by design (it is the plain
+// differential oracle), so for it the check is that tracking adds
+// nothing to the growth of the untracked run.
+func TestTrackStageWaitsAllocsFlat(t *testing.T) {
+	base := Config{K: 2, Stages: 4, P: 0.5, Warmup: 200, Seed: 0xa11c}
+	engines := []struct {
+		name  string
+		run   func(cfg *Config) (*Result, error)
+		churn bool // allocates per simulated cycle regardless of tracking
+	}{
+		{"kernel", Run, false},
+		{"reference", func(cfg *Config) (*Result, error) {
+			src, err := NewTraceStream(cfg, 0)
+			if err != nil {
+				return nil, err
+			}
+			return RunSource(cfg, src)
+		}, true},
+		{"lanes", func(cfg *Config) (*Result, error) {
+			res, errs := RunLanes([]*Config{cfg})
+			return res[0], errs[0]
+		}, false},
+		{"graph-committed", func(cfg *Config) (*Result, error) {
+			c := *cfg
+			c.Topology = topology.Omega
+			return RunGraph(&c)
+		}, false},
+		{"graph-blocking", func(cfg *Config) (*Result, error) {
+			c := *cfg
+			c.Topology = topology.Omega
+			c.StageBuffers = []int{4, 4, 4, 4}
+			return RunGraph(&c)
+		}, false},
+		{"literal", func(cfg *Config) (*Result, error) {
+			src, err := NewTraceStream(cfg, 0)
+			if err != nil {
+				return nil, err
+			}
+			return RunLiteralSource(cfg, src)
+		}, false},
+	}
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			measure := func(cycles int, track bool) (allocs float64, msgs int64) {
+				cfg := base
+				cfg.Cycles = cycles
+				cfg.TrackStageWaits = track
+				allocs = testing.AllocsPerRun(3, func() {
+					res, err := e.run(&cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					msgs = res.Messages
+				})
+				return allocs, msgs
+			}
+			shortA, shortM := measure(2000, true)
+			longA, longM := measure(8000, true)
+			if longM-shortM < 3*shortM/2 {
+				t.Fatalf("horizons deliver %d and %d messages: too close to tell", shortM, longM)
+			}
+			growth := longA - shortA
+			if e.churn {
+				offShort, _ := measure(2000, false)
+				offLong, _ := measure(8000, false)
+				growth -= offLong - offShort
+			}
+			if growth > float64(longM-shortM)/16 {
+				t.Fatalf("allocations grow with delivered messages: %.0f allocs for %d messages, %.0f for %d",
+					shortA, shortM, longA, longM)
+			}
+		})
+	}
+}

@@ -62,6 +62,7 @@ type arena struct {
 	freeSlots []int32
 
 	rings []kring // rings[s] holds messages scheduled to enter stage s+2
+	rel   kring   // graph wiring only: per-switch residency releases
 	batch []int32 // one (cycle, stage) batch, reused across stages
 
 	free []int64   // per-stage, per-port next-free cycle
@@ -203,6 +204,9 @@ func (a *arena) release() {
 		if len(a.rings[i].buf) > maxRetainRingCycles || a.rings[i].spanCapacity() > maxRetainRingSpan {
 			a.rings[i] = kring{}
 		}
+	}
+	if len(a.rel.buf) > maxRetainRingCycles || a.rel.spanCapacity() > maxRetainRingSpan {
+		a.rel = kring{}
 	}
 	if cap(a.batch) > maxRetainBatch {
 		a.batch = nil

@@ -134,7 +134,7 @@ func RunCtx(ctx context.Context, cfg *Config) (*Result, error) {
 		ar.harvestBlockScratch(src)
 		ar.release()
 	}()
-	return runKernel(ctx, cfg, src, ar)
+	return runKernel(ctx, cfg, src, ar, nil)
 }
 
 // RunTrace executes the fast message-level engine on a prepared

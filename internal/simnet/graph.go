@@ -17,11 +17,12 @@ import (
 //
 //   - Committed mode (all buffers infinite, the default): a message's
 //     service start is committed the moment it is routed, exactly like
-//     the stage model. The loop mirrors RunSourceCtx decision for
-//     decision — same RNG draw sequence, same statistics update order,
-//     same guards — with the routing arithmetic replaced by wiring-table
-//     lookups. Under the omega wiring this engine is byte-identical to
-//     the kernel at every seed: that is the collapse contract the
+//     the stage model. This mode is the batch kernel itself (runKernel
+//     in kernel.go) with the wiring passed in as data: the graphNet
+//     below supplies each stage's next-row table and digit divisor in
+//     place of the omega shift, plus the failure policy and per-switch
+//     telemetry. Under the omega wiring it is byte-identical to the
+//     stage model at every seed: that is the collapse contract the
 //     equivalence battery (TestGraphCollapsesToStageModel, the 5-way
 //     FuzzEngineEquivalence) enforces.
 //
@@ -53,7 +54,15 @@ func RunGraphCtx(ctx context.Context, cfg *Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunGraphSourceCtx(ctx, gcfg, src)
+	// The stream is private to this run, so it borrows the arena's block
+	// scratch, as RunCtx's does.
+	ar := getArena()
+	ar.lendBlockScratch(src)
+	defer func() {
+		ar.harvestBlockScratch(src)
+		ar.release()
+	}()
+	return runGraphSource(ctx, gcfg, src, ar)
 }
 
 // RunGraphTrace executes the graph engine on a prepared materialized
@@ -81,6 +90,14 @@ func graphDefaults(cfg *Config) *Config {
 
 // RunGraphSourceCtx is the graph engine's full entry point.
 func RunGraphSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*Result, error) {
+	ar := getArena()
+	defer ar.release()
+	return runGraphSource(ctx, cfg, src, ar)
+}
+
+// runGraphSource resolves cfg's wiring and runs the graph engine on it,
+// with ar as the committed mode's kernel scratch.
+func runGraphSource(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (*Result, error) {
 	cfg = graphDefaults(cfg)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -89,13 +106,13 @@ func RunGraphSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*Re
 	if err != nil {
 		return nil, err
 	}
-	return runGraphWired(ctx, cfg, src, wir)
+	return runGraphWired(ctx, cfg, src, wir, ar)
 }
 
 // runGraphWired runs the graph engine over an explicit wiring. It is
 // the test seam the switch-relabeling metamorphic suite drives with
 // relabeled (isomorphic) wirings.
-func runGraphWired(ctx context.Context, cfg *Config, src ArrivalSource, wir *topology.Wiring) (*Result, error) {
+func runGraphWired(ctx context.Context, cfg *Config, src ArrivalSource, wir *topology.Wiring, ar *arena) (*Result, error) {
 	meta := src.Meta()
 	if meta.Wrapped || meta.Rows != wir.Size() {
 		return nil, fmt.Errorf("simnet: graph engine needs the full %d-row network, trace has %d rows (wrapped=%v)",
@@ -105,7 +122,7 @@ func runGraphWired(ctx context.Context, cfg *Config, src ArrivalSource, wir *top
 	if cfg.graphBlocking() {
 		return runGraphBlocking(ctx, cfg, src, g)
 	}
-	return runGraphCommitted(ctx, cfg, src, g)
+	return runKernel(ctx, cfg, src, ar, g)
 }
 
 // graphNet is the routing and telemetry state shared by both modes.
@@ -120,9 +137,12 @@ type graphNet struct {
 
 	// Per-switch counters, allocated when tracked (TrackSwitches or a
 	// probe): current backlog, its high-water mark, blocked cycles.
-	load    [][]int32
-	hw      [][]int64
-	blocked [][]int64
+	// load[s] are views of loadFlat, indexed by s·(switches per stage)+id
+	// in the committed mode's release schedule.
+	load     [][]int32
+	loadFlat []int32
+	hw       [][]int64
+	blocked  [][]int64
 
 	swh [][]*stats.Hist // per-(stage, switch) wait hists; may be nil
 }
@@ -152,11 +172,12 @@ func newGraphNet(cfg *Config, wir *topology.Wiring) *graphNet {
 	}
 	if cfg.TrackSwitches || cfg.Probe != nil {
 		sw := g.rows / g.k
+		g.loadFlat = make([]int32, g.n*sw)
 		g.load = make([][]int32, g.n)
 		g.hw = make([][]int64, g.n)
 		g.blocked = make([][]int64, g.n)
 		for s := 0; s < g.n; s++ {
-			g.load[s] = make([]int32, sw)
+			g.load[s] = g.loadFlat[s*sw : (s+1)*sw]
 			g.hw[s] = make([]int64, sw)
 			g.blocked[s] = make([]int64, sw)
 		}
@@ -201,6 +222,22 @@ func (g *graphNet) swLeave(stage int, port int32) {
 	g.load[stage][g.swid[stage][port]]--
 }
 
+// release applies the switch releases r schedules at cycles up to t
+// (flat loadFlat indices; committed mode only), taking each cycle's
+// bucket into scratch, which it returns for reuse.
+func (g *graphNet) release(r *kring, t int64, scratch []int32) []int32 {
+	for r.count > 0 && r.floor <= t {
+		scratch = r.take(r.floor, scratch[:0])
+		for _, id := range scratch {
+			g.loadFlat[id]--
+		}
+	}
+	if r.floor <= t {
+		r.floor = t + 1
+	}
+	return scratch
+}
+
 // swBlock charges one blocked cycle to the switch owning the full (or
 // stalled-into) output port.
 func (g *graphNet) swBlock(stage int, port int32) {
@@ -222,281 +259,6 @@ func (g *graphNet) switchSat(cfg *Config) []SwitchStat {
 		}
 	}
 	return out
-}
-
-// runGraphCommitted is the committed-mode body. It is RunSourceCtx with
-// the omega arithmetic replaced by wiring-table lookups plus the
-// (hash-excluded) per-switch telemetry; every RNG draw, statistics
-// update and guard fires in the identical order, so under the omega
-// wiring it is byte-identical to the stage-model engines at every seed.
-// The failure-policy branches only execute when FailLinks is non-empty.
-func runGraphCommitted(ctx context.Context, cfg *Config, src ArrivalSource, g *graphNet) (*Result, error) {
-	meta := src.Meta()
-	n := g.n
-	res := &Result{
-		Rows:      meta.Rows,
-		Wrapped:   false,
-		StageWait: make([]stats.Welford, n),
-	}
-	if cfg.TrackStageWaits {
-		res.StageCov = stats.NewCovMatrix(n)
-	}
-	if cfg.HotModule > 0 {
-		res.HotWait = make([]stats.Welford, n)
-	}
-	if cfg.TrackSwitches {
-		defer func() { res.SwitchSat = g.switchSat(cfg) }()
-	}
-
-	rng := rand.New(rand.NewPCG(cfg.Seed^0xa5a5a5a5a5a5a5a5, cfg.Seed+1))
-	resample := cfg.serviceSampler()
-	free := make([]int64, n*meta.Rows)
-	pending := make([]*cycleBuckets, n)
-	for s := range pending {
-		pending[s] = newCycleBuckets()
-	}
-	// Per-switch residency bookkeeping: a message joining a port at
-	// cycle t with committed start s occupies the switch over [t, s];
-	// the decrement ring releases it at s+1. Only maintained when the
-	// counters exist.
-	var dec []*cycleBuckets
-	if g.load != nil {
-		dec = make([]*cycleBuckets, n)
-		for s := range dec {
-			dec[s] = newCycleBuckets()
-		}
-	}
-
-	var t int64
-	var pc *runProbe
-	if cfg.Probe != nil {
-		pc = newRunProbe(cfg, n, "graph")
-		pc.switchHW = g.hw
-		pc.switchBlocked = g.blocked
-		defer func() { pc.flush(cfg.Probe, t, res) }()
-	}
-	wh := cfg.WaitHists
-
-	fi := cfg.Fault
-	var slots []fastMsg
-	var freeSlots []int32
-	alloc := func() int32 {
-		if len(freeSlots) > 0 {
-			i := freeSlots[len(freeSlots)-1]
-			freeSlots = freeSlots[:len(freeSlots)-1]
-			if pc != nil {
-				pc.freeHits++
-			}
-			return i
-		}
-		if fi != nil {
-			fi.OnSlotAlloc() // may panic with a typed injected error
-		}
-		slots = append(slots, fastMsg{})
-		if pc != nil {
-			pc.slotAllocs++
-		}
-		return int32(len(slots) - 1)
-	}
-
-	inFlight := int64(0)
-	active := int64(0)
-	exhausted := false
-	covered := int64(0)
-	vec := make([]float64, n)
-	haveFail := g.failed != nil
-	maxInFlight := cfg.maxInFlight()
-	drainLimit := cfg.drainLimit(meta.Horizon)
-
-	for ; ; t++ {
-		if fi != nil {
-			if err := fi.AtCycle(ctx, t); err != nil {
-				res.truncate(t, false)
-				return res, err
-			}
-		}
-		if t&ctxCheckMask == 0 {
-			if pc != nil {
-				pc.tick(cfg.Probe, t)
-			}
-			if err := ctx.Err(); err != nil {
-				res.truncate(t, false)
-				return res, err
-			}
-		}
-		if active > maxInFlight {
-			res.truncate(t, true)
-			return res, nil
-		}
-		if t > drainLimit {
-			res.truncate(t, true)
-			return res, nil
-		}
-		// Release switch residencies expiring this cycle. Runs before the
-		// inFlight==0 skip below: last-stage releases can be pending with
-		// nothing in flight.
-		if dec != nil {
-			for s := 0; s < n; s++ {
-				bk := dec[s].take(t)
-				for _, id := range bk {
-					g.load[s][id]--
-				}
-				dec[s].recycle(bk)
-			}
-		}
-		for !exhausted && covered <= t {
-			blk, err := src.Next()
-			if err != nil {
-				return nil, err
-			}
-			if blk == nil {
-				exhausted = true
-				break
-			}
-			if pc != nil {
-				pc.blockPulls++
-			}
-			covered = int64(blk.End)
-			res.Offered += int64(blk.Len())
-			for i := 0; i < blk.Len(); i++ {
-				si := alloc()
-				m := &slots[si]
-				m.row, m.dest, m.svc, m.meas = blk.In[i], blk.Dest[i], blk.Svc[i], blk.Meas[i]
-				m.wsum = 0
-				if cfg.TrackStageWaits {
-					if cap(m.waits) < n {
-						m.waits = make([]int16, n)
-					}
-					m.waits = m.waits[:n]
-				}
-				pending[0].push(int64(blk.T[i]), si)
-				if pc != nil {
-					pc.enter(0)
-					pc.admit(si, m.meas, int64(blk.T[i]), m.dest)
-				}
-				inFlight++
-			}
-		}
-		if inFlight == 0 {
-			if exhausted {
-				break
-			}
-			continue
-		}
-
-		for stage := 0; stage < n; stage++ {
-			bk := pending[stage].take(t)
-			if len(bk) == 0 {
-				pending[stage].recycle(bk)
-				continue
-			}
-			if pc != nil {
-				pc.leave(stage, int64(len(bk)))
-			}
-			if stage == 0 {
-				active += int64(len(bk))
-				if pc != nil {
-					pc.active(active)
-				}
-			}
-			// Random service order among simultaneous arrivals — the same
-			// single Fisher–Yates draw per non-empty (cycle, stage) batch
-			// as the stage model.
-			rng.Shuffle(len(bk), func(a, b int) { bk[a], bk[b] = bk[b], bk[a] })
-			stageFree := free[stage*meta.Rows : (stage+1)*meta.Rows]
-			nextTbl := g.next[stage]
-			div := int64(g.div[stage])
-			for _, si := range bk {
-				m := &slots[si]
-				digit := int(int64(m.dest)/div) % g.k
-				var port int32
-				if !haveFail {
-					port = nextTbl[int(m.row)*g.k+digit]
-				} else {
-					var dropped, deflected bool
-					port, dropped, deflected = g.resolve(stage, m.row, digit)
-					if dropped {
-						res.Dropped++
-						if pc != nil {
-							pc.dropSpan(si)
-						}
-						freeSlots = append(freeSlots, si)
-						inFlight--
-						active--
-						continue
-					}
-					if deflected {
-						res.Deflected++
-					}
-				}
-				s := t
-				if f := stageFree[port]; f > s {
-					s = f
-				}
-				svc := int64(m.svc)
-				if resample != nil {
-					svc = int64(resample.Sample(rng.Float64(), rng.Float64()))
-				}
-				stageFree[port] = s + svc
-				w := int32(s - t)
-				m.wsum += w
-				if m.meas {
-					res.StageWait[stage].Add(float64(w))
-					if res.HotWait != nil && m.dest == 0 {
-						res.HotWait[stage].Add(float64(w))
-					}
-					if wh != nil {
-						wh[stage].Add(int(w))
-					}
-					if g.swh != nil {
-						g.swh[stage][g.swid[stage][port]].Add(int(w))
-					}
-				}
-				if pc != nil {
-					pc.stageObs(si, stage, m.meas, t, s, s+svc)
-				}
-				if m.waits != nil {
-					m.waits[stage] = int16(w)
-				}
-				if dec != nil {
-					g.swJoin(stage, port)
-					dec[stage].push(s+1, g.swid[stage][port])
-				}
-				if stage+1 < n {
-					m.row = port
-					pending[stage+1].push(s+1, si)
-					if pc != nil {
-						pc.enter(stage + 1)
-					}
-				} else {
-					if haveFail && port != int32(m.dest) {
-						res.Misrouted++
-					}
-					if m.meas {
-						res.Messages++
-						res.TotalWait.Add(int(m.wsum))
-						if res.StageCov != nil {
-							for j := 0; j < n; j++ {
-								vec[j] = float64(m.waits[j])
-							}
-							res.StageCov.Add(vec)
-						}
-					}
-					if pc != nil {
-						pc.finishObs(si, m.meas, int64(m.wsum))
-					}
-					freeSlots = append(freeSlots, si)
-					inFlight--
-					active--
-				}
-			}
-			pending[stage].recycle(bk)
-		}
-	}
-	if res.Messages == 0 {
-		return nil, fmt.Errorf("simnet: no measured messages (p too small or horizon too short)")
-	}
-	return res, nil
 }
 
 // runGraphBlocking is the blocking-mode body: a literal cycle-driven
@@ -637,13 +399,13 @@ func runGraphBlocking(ctx context.Context, cfg *Config, src ArrivalSource, g *gr
 		return entered
 	}
 
+	vec := make([]float64, n) // covariance scratch
 	finish := func(si int32) {
 		m := &slots[si]
 		if m.meas {
 			res.Messages++
 			res.TotalWait.Add(int(m.wsum))
 			if res.StageCov != nil {
-				vec := make([]float64, n)
 				for j := 0; j < n; j++ {
 					vec[j] = float64(m.waits[j])
 				}

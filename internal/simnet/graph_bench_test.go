@@ -4,8 +4,8 @@ import "testing"
 
 // BenchmarkGraphEngine prices the topology-true engine's two execution
 // modes on a 2-ary 8-stage network (256 rows) at ρ=0.5: committed mode
-// (infinite buffers, the kernel-mirroring batch loop) against blocking
-// mode (finite per-stage buffers, the literal-style cycle loop with
+// (infinite buffers, the batch kernel running the wiring tables) against
+// blocking mode (finite per-stage buffers, the literal-style cycle loop with
 // head-of-line backpressure). B/op and allocs/op are deterministic and
 // gated against BENCH_graph.json; ns/op is informational in CI.
 func BenchmarkGraphEngine(b *testing.B) {

@@ -34,6 +34,13 @@ func relabeledWiring(t *testing.T, wir *topology.Wiring, seed int64) *topology.W
 	return out
 }
 
+// runWired drives the runGraphWired seam on a pooled arena.
+func runWired(cfg *Config, src ArrivalSource, wir *topology.Wiring) (*Result, error) {
+	ar := getArena()
+	defer ar.release()
+	return runGraphWired(context.Background(), cfg, src, wir, ar)
+}
+
 // TestGraphRelabelInvariance checks that renaming switch output rows —
 // an isomorphism of the network graph — leaves the committed-mode
 // Result bit-identical: the engine must depend on the wiring's
@@ -69,13 +76,13 @@ func TestGraphRelabelInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := runGraphWired(context.Background(), cfg, tr.Source(), wir)
+			base, err := runWired(cfg, tr.Source(), wir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for rep := int64(0); rep < 3; rep++ {
 				rw := relabeledWiring(t, wir, 1000+rep)
-				got, err := runGraphWired(context.Background(), cfg, tr.Source(), rw)
+				got, err := runWired(cfg, tr.Source(), rw)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,11 +118,11 @@ func TestGraphRelabelInvarianceBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := runGraphWired(context.Background(), cfg, tr.Source(), wir)
+	base, err := runWired(cfg, tr.Source(), wir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runGraphWired(context.Background(), cfg, tr.Source(), relabeledWiring(t, wir, 99))
+	got, err := runWired(cfg, tr.Source(), relabeledWiring(t, wir, 99))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,8 +107,8 @@ func TestGraphCollapsesToStageModel(t *testing.T) {
 
 // checkGraphNoLeaks asserts the graph engine's cycle loop left nothing
 // behind: goroutine count back to baseline (within the polling budget)
-// and no arena blocks live — the graph engine must not borrow from the
-// kernel's arena pool at all.
+// and no arena blocks live — every pooled arena the graph engine checks
+// out (committed mode runs on the kernel's) must be returned.
 func checkGraphNoLeaks(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -371,5 +371,72 @@ func TestGraphKnobsRejectedByStageEngines(t *testing.T) {
 	wrap := Config{K: 2, Stages: 8, P: 0.5, Cycles: 500, Seed: 1, MaxRows: 64, Topology: topology.Omega}
 	if _, err := RunGraph(&wrap); err == nil || !strings.Contains(err.Error(), "MaxRows") {
 		t.Fatalf("graph engine accepted a wrapped network: %v", err)
+	}
+}
+
+// TestGraphSwitchLoadDrains guards committed mode's per-switch release
+// schedule. A message routed at cycle t with committed start s holds its
+// switch until s+1, so a message queued at the last stage still holds
+// its switch after it has left the network; the kernel's idle-cycle skip
+// must apply such releases when it jumps a gap, not lose or delay them.
+// Sparse traffic in short schedule blocks makes the skip fire often with
+// releases pending; on a one-switch network a release applied late
+// shows up directly in the high-water mark. Each run must end with every backlog counter at
+// zero, and must match the same trace pulled one cycle per block — a
+// run that never skips — bit for bit, switch high-water marks included.
+func TestGraphSwitchLoadDrains(t *testing.T) {
+	svc := mustConstSvc(t, 4)
+	cases := map[string]Config{
+		"one-switch": {K: 2, Stages: 1, P: 0.1, Service: svc, Cycles: 20000, Warmup: 200, Seed: 0x10ac},
+		"sparse":     {K: 2, Stages: 2, P: 0.08, Service: svc, Cycles: 20000, Warmup: 200, Seed: 0x10ad},
+		"sparse-deep": {K: 2, Stages: 4, P: 0.02, Service: svc, Cycles: 20000, Warmup: 200, Seed: 0x10ae,
+			Topology: topology.Butterfly},
+		"faillink-drop": {K: 2, Stages: 3, P: 0.05, Service: svc, Cycles: 20000, Warmup: 200, Seed: 0x10af,
+			FailLinks: []LinkFail{{Stage: 2, Row: 3}}, FailPolicy: "drop"},
+	}
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg := cfg
+			if cfg.Topology == "" {
+				cfg.Topology = topology.Omega
+			}
+			cfg.TrackSwitches = true
+			run := func(blockCycles int) *Result {
+				t.Helper()
+				wir, err := topology.WiringFor(cfg.Topology, cfg.K, cfg.Stages)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src, err := NewTraceStream(&cfg, blockCycles)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g := newGraphNet(&cfg, wir)
+				ar := getArena()
+				defer ar.release()
+				res, err := runKernel(context.Background(), &cfg, src, ar, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Truncated {
+					t.Fatalf("run truncated at cycle %d", res.TruncatedAt)
+				}
+				for s, row := range g.load {
+					for id, v := range row {
+						if v != 0 {
+							t.Fatalf("block size %d: stage %d switch %d backlog %d after drain", blockCycles, s+1, id, v)
+						}
+					}
+				}
+				return res
+			}
+			skipping := run(16)
+			if cfg.FailLinks != nil && skipping.Dropped == 0 {
+				t.Fatal("failed link dropped nothing")
+			}
+			if !reflect.DeepEqual(skipping, run(1)) {
+				t.Fatal("idle-cycle skip changed the result or the switch telemetry")
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package simnet
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"banyan/internal/stats"
@@ -37,6 +38,11 @@ import (
 //     is an inlined Fisher–Yates consuming draws exactly like
 //     math/rand/v2's Shuffle.
 //
+// The same kernel runs the graph engine's committed mode (graph.go):
+// the wiring arrives as data — per-stage next-row tables and digit
+// divisors — and replaces the omega arithmetic, with failed-link
+// resolution and per-switch telemetry switched on only when configured.
+//
 // The source must deliver blocks whose messages are ordered by arrival
 // cycle (the ArrivalSource contract); the kernel consumes each block
 // with a cursor instead of re-bucketing its messages.
@@ -52,7 +58,7 @@ func RunKernelSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*R
 	}
 	ar := getArena()
 	defer ar.release()
-	return runKernel(ctx, cfg, src, ar)
+	return runKernel(ctx, cfg, src, ar, nil)
 }
 
 // runKernel is the batch-kernel engine body. It mirrors RunSourceCtx
@@ -60,16 +66,28 @@ func RunKernelSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*R
 // non-empty (cycle, stage) batch, two uniforms per message when service
 // is resampled), every statistics update and every guard fires in the
 // identical order, so the two engines are byte-identical at every seed.
-func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (*Result, error) {
+//
+// With a non-nil g the kernel runs the graph engine's committed mode:
+// each stage's routing comes from the wiring tables (g.next, g.div)
+// instead of the omega shift, failed links go through g.resolve, and the
+// per-switch telemetry (backlog counters, SwitchWaitHists, SwitchSat) is
+// kept alongside. Nothing else changes, so under the omega wiring the
+// graph engine is byte-identical to the stage model by construction.
+func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena, g *graphNet) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.requireStageModel("fast"); err != nil {
-		return nil, err
+	engine := "graph"
+	if g == nil {
+		engine = "fast"
+		if err := cfg.requireStageModel(engine); err != nil {
+			return nil, err
+		}
 	}
 	meta := src.Meta()
 	n := meta.Stages
 	rowsN := meta.Rows
+	k := meta.K
 	res := &Result{
 		Rows:      rowsN,
 		Wrapped:   meta.Wrapped,
@@ -90,15 +108,42 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 	var t int64
 	var pc *runProbe
 	if cfg.Probe != nil {
-		pc = newRunProbe(cfg, n, "fast")
+		pc = newRunProbe(cfg, n, engine)
+		if g != nil {
+			pc.switchHW, pc.switchBlocked = g.hw, g.blocked
+		}
 		defer func() { pc.flush(cfg.Probe, t, res) }()
 	}
 	wh := cfg.WaitHists
 	fi := cfg.Fault
 
+	// Graph wiring: the failure policy, the per-switch wait hists and
+	// the per-switch release schedule. A message routed to a port at
+	// cycle t with committed start s occupies its switch over [t, s]; rel
+	// holds the switch's flat counter index at s+1, when the residency
+	// ends. rel exists only when the per-switch counters do.
+	var swh [][]*stats.Hist
+	var rel *kring
+	haveFail := false
+	if g != nil {
+		swh, haveFail = g.swh, g.failed != nil
+		if cfg.TrackSwitches {
+			defer func() { res.SwitchSat = g.switchSat(cfg) }()
+		}
+		if g.load != nil {
+			rel = &ar.rel
+			rel.reset()
+		}
+	}
+
 	// Routing tables: shift/mask when the radix (hence the row count, a
-	// power of k) is a power of two, the divisor table otherwise.
-	k := meta.K
+	// power of k) is a power of two, the divisor table otherwise. The
+	// graph wiring brings its own digit divisors (flip consumes digits
+	// least-significant first); they are powers of k too.
+	divs := meta.digitDiv
+	if g != nil {
+		divs = g.div
+	}
 	pow2 := k&(k-1) == 0
 	var logk uint
 	var kmask uint32
@@ -111,14 +156,18 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 		shifts = make([]uint, n)
 		for j := 0; j < n; j++ {
 			shifts[j] = logk * uint(n-1-j)
+			if g != nil {
+				shifts[j] = uint(bits.TrailingZeros32(divs[j]))
+			}
 		}
 	}
 
 	// fastBody selects the specialized service loop: nothing optional is
 	// switched on, so the per-message body reduces to routing, port
-	// contention and the two mandatory statistics.
+	// contention and the two mandatory statistics. On a graph wiring that
+	// also means no failed links and no per-switch telemetry.
 	fastBody := pc == nil && resample == nil && !trackWaits &&
-		res.HotWait == nil && wh == nil
+		res.HotWait == nil && wh == nil && !haveFail && rel == nil && swh == nil
 
 	msl := ar.msl
 	waits := ar.waits
@@ -173,6 +222,12 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 			res.truncate(t, true)
 			return res, nil
 		}
+		if rel != nil {
+			// Switch residencies ending by this cycle (including any in a
+			// skipped idle gap) are released before any message joins a
+			// switch at t.
+			ar.batch = g.release(rel, t, ar.batch)
+		}
 		// Pull schedule blocks until cycle t is fully covered.
 		for !exhausted && covered <= t {
 			blk, err := src.Next()
@@ -201,7 +256,11 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 			// idle cycles in one step. The rings are all empty, so their
 			// floors can jump with the clock; no guard below could have
 			// fired during the gap (arrival cycles never exceed the
-			// drain limit, and the backlog is zero).
+			// drain limit, and the backlog is zero). The switch release
+			// schedule is not empty — departed messages can still hold
+			// their last switch — so its floor stays put: the release
+			// call at cycle covered catches up on the gap's cycles
+			// before anything joins a switch.
 			if covered > t+1 {
 				for i := range rings {
 					rings[i].floor = covered
@@ -304,7 +363,55 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 			if pow2 {
 				shift = shifts[stage]
 			} else {
-				div = meta.digitDiv[stage]
+				div = divs[stage]
+			}
+			var nextTbl, swid []int32
+			var swhS []*stats.Hist
+			var relBase int32
+			if g != nil {
+				nextTbl, swid = g.next[stage], g.swid[stage]
+				if swh != nil {
+					swhS = swh[stage]
+				}
+				if rel != nil {
+					relBase = int32(stage * len(g.load[stage]))
+				}
+			}
+			if fastBody && nextTbl != nil {
+				// The specialized loop below, with the port looked up in the
+				// wiring's next-row table instead of the omega shift.
+				for _, si := range bk {
+					m := &msl[si]
+					var port int32
+					if pow2 {
+						port = nextTbl[m.row<<logk|int32((m.dest>>shift)&kmask)]
+					} else {
+						port = nextTbl[int(m.row)*k+int(m.dest/div)%k]
+					}
+					s := t
+					if f := stageFree[port]; f > s {
+						s = f
+					}
+					stageFree[port] = s + int64(m.svc)
+					w := int32(s - t)
+					m.wsum += w
+					if m.meas {
+						sw.Add(float64(w))
+					}
+					if !last {
+						m.row = port
+						rg.push(s+1, si)
+					} else {
+						if m.meas {
+							res.Messages++
+							res.TotalWait.Add(int(m.wsum))
+						}
+						ar.freeSlots = append(ar.freeSlots, si)
+						inFlight--
+						active--
+					}
+				}
+				continue
 			}
 			if fastBody {
 				// Specialized service loop for the plain configuration
@@ -353,7 +460,33 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 				m := &msl[si]
 				dest := m.dest
 				var port int32
-				if pow2 {
+				if nextTbl != nil {
+					var digit int
+					if pow2 {
+						digit = int((dest >> shift) & kmask)
+					} else {
+						digit = int(dest/div) % k
+					}
+					if haveFail {
+						var dropped, deflected bool
+						port, dropped, deflected = g.resolve(stage, m.row, digit)
+						if dropped {
+							res.Dropped++
+							if pc != nil {
+								pc.dropSpan(si)
+							}
+							ar.freeSlots = append(ar.freeSlots, si)
+							inFlight--
+							active--
+							continue
+						}
+						if deflected {
+							res.Deflected++
+						}
+					} else {
+						port = nextTbl[int(m.row)*k+digit]
+					}
+				} else if pow2 {
 					port = (m.row<<logk | int32((dest>>shift)&kmask)) & rowMask
 				} else {
 					digit := int(dest/div) % k
@@ -379,12 +512,19 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 					if whS != nil {
 						whS.Add(int(w))
 					}
+					if swhS != nil {
+						swhS[swid[port]].Add(int(w))
+					}
 				}
 				if pc != nil {
 					pc.stageObs(si, stage, ms, t, s, s+svc)
 				}
 				if trackWaits {
 					waits[int(si)*n+stage] = int16(w)
+				}
+				if rel != nil {
+					g.swJoin(stage, port)
+					rel.push(s+1, relBase+swid[port])
 				}
 				if !last {
 					m.row = port
@@ -393,6 +533,9 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 						pc.enter(stage + 1)
 					}
 				} else {
+					if haveFail && port != int32(dest) {
+						res.Misrouted++
+					}
 					if ms {
 						res.Messages++
 						res.TotalWait.Add(int(m.wsum))
@@ -413,6 +556,11 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (
 				}
 			}
 		}
+	}
+	if rel != nil {
+		// Drained: release the residencies still pending after the last
+		// departure, so every switch backlog counter ends at zero.
+		ar.batch = g.release(rel, math.MaxInt64-1, ar.batch)
 	}
 	if res.Messages == 0 {
 		return nil, fmt.Errorf("simnet: no measured messages (p too small or horizon too short)")

@@ -165,13 +165,13 @@ func RunLiteralSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*
 		return false
 	}
 
+	vec := make([]float64, n) // covariance scratch
 	finish := func(si int32) {
 		m := &slots[si]
 		if m.meas {
 			res.Messages++
 			res.TotalWait.Add(int(m.wsum))
 			if res.StageCov != nil {
-				vec := make([]float64, n)
 				for j := 0; j < n; j++ {
 					vec[j] = float64(m.waits[j])
 				}

@@ -196,8 +196,14 @@ func (m *CovMatrix) Add(x []float64) {
 	// One-pass update: delta before update for i, after update for j.
 	// Using the standard co-moment recurrence
 	// C += (x_i - mean_i^{new}) (x_j - mean_j^{old}) pattern per pair.
-	old := make([]float64, m.dim)
-	copy(old, m.mean)
+	// The old means live on the stack for the usual small dimensions, so
+	// folding an observation allocates nothing.
+	var buf [32]float64
+	old := buf[:0]
+	if m.dim > len(buf) {
+		old = make([]float64, 0, m.dim)
+	}
+	old = append(old, m.mean...)
 	for i := 0; i < m.dim; i++ {
 		m.mean[i] += (x[i] - m.mean[i]) * inv
 	}

@@ -2,7 +2,7 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Kind names a concrete inter-stage wiring pattern for a k-ary n-stage
@@ -135,31 +135,35 @@ func pow32(k, e int) uint32 {
 // the next tables alone: the k rows reachable from input row r form the
 // output side of one switch. Any violation (duplicate edge, sets that
 // overlap without coinciding, uncovered rows) is a structural error.
+//
+// A reachable set that was seen before is recognized by its rows alone:
+// they all already carry one switch id, and since every id is assigned
+// to exactly k distinct rows, k rows sharing it are that switch's set.
 func (w *Wiring) deriveSwitches() error {
 	w.swid = make([][]int32, w.n)
+	set := make([]int32, w.k)
 	for j := 0; j < w.n; j++ {
 		ids := make([]int32, w.size)
 		for i := range ids {
 			ids[i] = -1
 		}
-		seen := make(map[string]int32) // canonical reachable set → switch id
 		var nsw int32
-		set := make([]int32, w.k)
 		for r := 0; r < w.size; r++ {
 			copy(set, w.next[j][r*w.k:(r+1)*w.k])
-			sort.Slice(set, func(a, b int) bool { return set[a] < set[b] })
+			slices.Sort(set)
 			for i := 1; i < w.k; i++ {
 				if set[i] == set[i-1] {
 					return fmt.Errorf("topology: %s k=%d n=%d stage %d: duplicate edge from row %d to row %d",
 						w.kind, w.k, w.n, j+1, r, set[i])
 				}
 			}
-			key := fmt.Sprint(set)
-			id, ok := seen[key]
-			if !ok {
-				id = nsw
+			seen := ids[set[0]] != -1
+			for _, row := range set[1:] {
+				seen = seen && ids[row] == ids[set[0]]
+			}
+			if !seen {
+				id := nsw
 				nsw++
-				seen[key] = id
 				for _, row := range set {
 					if ids[row] != -1 {
 						return fmt.Errorf("topology: %s k=%d n=%d stage %d: row %d reachable from two different switches",
