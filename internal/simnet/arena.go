@@ -70,7 +70,9 @@ type arena struct {
 
 	// Trace-block scratch lent to a kernel-owned TraceStream for the
 	// run's duration and harvested back grown, so back-to-back runs do
-	// not regrow the generator's block arrays either.
+	// not regrow the generator's block arrays either. Blocks hold about
+	// blockMessages messages whatever the network's width, so this stays
+	// far below maxRetainBlk and is always kept.
 	blkT    []int32
 	blkIn   []int32
 	blkDest []uint32

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"testing"
+	"unsafe"
 )
 
 // TestCycleBucketsSpareRetention is the regression test for the spare
@@ -146,5 +147,41 @@ func TestArenaReleaseRetentionCaps(t *testing.T) {
 	b.release()
 	if len(b.msl) != 256 || cap(b.batch) != 1024 {
 		t.Fatal("release dropped ordinarily sized scratch")
+	}
+}
+
+// TestArenaKeepsWideNetworkBlockScratch: the message cap keeps a wide
+// network's trace blocks far below the block retention cap, so the arena
+// keeps the scratch it lent and the next replication's stream fills the
+// same arrays. Cut only at 1024 cycles, this 4096-row network's single
+// block would hold about 1.7M messages, past the cap, and every
+// replication would regrow it.
+func TestArenaKeepsWideNetworkBlockScratch(t *testing.T) {
+	cfg := Config{K: 2, Stages: 12, P: 0.85, Cycles: 400, Warmup: 100, Seed: 5}
+	a := new(arena)
+	var data *int32
+	for rep := 0; rep < 2; rep++ {
+		s, err := NewTraceStream(&cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.lendBlockScratch(s)
+		for {
+			blk, err := s.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if blk == nil {
+				break
+			}
+		}
+		a.harvestBlockScratch(s)
+		if c := cap(a.blkT); c == 0 || c > maxRetainBlk {
+			t.Fatalf("replication %d: block scratch of capacity %d, release keeps at most %d", rep, c, maxRetainBlk)
+		}
+		if rep == 1 && unsafe.SliceData(a.blkT) != data {
+			t.Fatal("second replication regrew the lent block scratch")
+		}
+		data = unsafe.SliceData(a.blkT)
 	}
 }

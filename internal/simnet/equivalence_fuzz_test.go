@@ -123,16 +123,19 @@ func FuzzEngineEquivalence(f *testing.F) {
 			t.Skip()
 		}
 
-		// Both engines consume the schedule with the same block size:
+		// Both engines consume the schedule with the same block size and
+		// the same message cap, drawn small enough to cut blocks short:
 		// statistics are block-size-invariant, but Offered counts every
 		// *pulled* arrival, so on truncated runs it reflects how much
 		// schedule the final pull covered.
 		bc := 1 + int(seed%257)
+		bm := 1 + int(seed/257%1024)
 		kcfg := cfg
 		ksrc, err := NewTraceStream(&kcfg, bc)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ksrc.blockMsgs = bm
 		kres, kerr := RunKernelSource(&kcfg, ksrc)
 
 		rcfg := cfg
@@ -140,6 +143,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rsrc.blockMsgs = bm
 		rres, rerr := RunSource(&rcfg, rsrc)
 
 		if (kerr == nil) != (rerr == nil) {
@@ -156,6 +160,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		wsrc.blockMsgs = bm
 		wres, werr := RunGraphSource(&wcfg, wsrc)
 		if (kerr == nil) != (werr == nil) {
 			t.Fatalf("error mismatch: kernel %v, graph %v (cfg %+v)", kerr, werr, cfg)

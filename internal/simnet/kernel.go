@@ -29,7 +29,9 @@ import (
 //     cycle is one memcpy — no slice churn, no free-list of buckets;
 //   - slots are allocated lazily at the cycle a message enters stage 1,
 //     not when its schedule block is pulled, so pulling a block is O(1)
-//     bookkeeping plus the generator's own work;
+//     bookkeeping plus the generator's own work; blocks are capped at
+//     blockMessages messages, so the block the kernel reads by cursor is
+//     still in cache from its generation, even on a 4096-row network;
 //   - stages with nothing scheduled are skipped by a counter check, so
 //     a cycle costs O(active stages + messages served), and runs of
 //     cycles with an empty network are skipped in one step;

@@ -8,6 +8,16 @@ import (
 // trace generation when none is specified.
 const DefaultBlockCycles = 1024
 
+// blockMessages caps the messages one streamed block holds: a block
+// ends at the first cycle boundary at or past this many messages, so it
+// holds at most blockMessages-1 plus one cycle's worth (rows × bulk).
+// At 15 bytes a message a block stays around 256 KiB, so the generator's
+// writes are still cache-resident when the engine reads them. Without
+// the cap a block's size grows with the row count: 1024 cycles of a
+// 4096-row network at p = 0.85 is 3.6M messages, 53 MB that no cache
+// holds and that the arena's retention cap drops after every run.
+const blockMessages = 1 << 14
+
 // TraceMeta is the fixed context of an arrival schedule: the topology
 // (radix, stages, rows), whether the shuffle wraps, the generation
 // horizon, and the routing-digit divisors. Both the materialized Trace
@@ -83,16 +93,18 @@ type ArrivalSource interface {
 	Next() (*TraceBlock, error)
 }
 
-// TraceStream generates the stage-1 arrival schedule in fixed-size cycle
-// blocks, so an engine can consume arrivals incrementally instead of
-// holding the full trace in memory. A stream and GenerateTrace draw from
-// identical random streams: at the same seed they produce byte-identical
-// schedules, regardless of the block size.
+// TraceStream generates the stage-1 arrival schedule in cycle blocks of
+// at most blockCycles cycles and about 16,384 messages, so an engine can
+// consume arrivals incrementally instead of holding the full trace in
+// memory. A stream and GenerateTrace draw from identical random streams:
+// at the same seed they produce byte-identical schedules, regardless of
+// the block size.
 type TraceStream struct {
 	meta TraceMeta
 	rng  *krand
 
 	blockCycles int
+	blockMsgs   int   // a block ends at the first cycle boundary with this many messages
 	next        int   // next cycle to generate
 	base        int64 // global index of the next message
 
@@ -113,8 +125,9 @@ type TraceStream struct {
 }
 
 // NewTraceStream validates cfg and prepares a chunked generator.
-// blockCycles ≤ 0 selects DefaultBlockCycles. The block size affects
-// peak memory only, never the generated schedule.
+// blockCycles ≤ 0 selects DefaultBlockCycles; whatever the cycle count,
+// a block also ends once it holds 16,384 messages. The block size
+// affects peak memory only, never the generated schedule.
 func NewTraceStream(cfg *Config, blockCycles int) (*TraceStream, error) {
 	return newTraceStreamSampler(cfg, blockCycles, nil)
 }
@@ -140,6 +153,7 @@ func newTraceStreamSampler(cfg *Config, blockCycles int, svcSampler *dist.Sample
 		meta:        meta,
 		rng:         newKrand(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15),
 		blockCycles: blockCycles,
+		blockMsgs:   blockMessages,
 		p:           cfg.P,
 		q:           cfg.Q,
 		hot:         cfg.HotModule,
@@ -191,9 +205,10 @@ func (s *TraceStream) u() float64 {
 	return u
 }
 
-// Next generates the next block of up to blockCycles cycles. It returns
-// nil once the horizon is reached. The returned block reuses the
-// previous block's backing arrays.
+// Next generates the next block: up to blockCycles cycles, cut short at
+// the first cycle boundary where the block holds blockMessages messages.
+// It returns nil once the horizon is reached. The returned block reuses
+// the previous block's backing arrays.
 func (s *TraceStream) Next() (*TraceBlock, error) {
 	if s.next >= s.meta.Horizon {
 		return nil, nil
@@ -203,7 +218,7 @@ func (s *TraceStream) Next() (*TraceBlock, error) {
 		end = s.meta.Horizon
 	}
 	blk := &s.blk
-	blk.Start, blk.End, blk.Base = s.next, end, s.base
+	blk.Start, blk.Base = s.next, s.base
 	blk.T = blk.T[:0]
 	blk.In = blk.In[:0]
 	blk.Dest = blk.Dest[:0]
@@ -222,7 +237,8 @@ func (s *TraceStream) Next() (*TraceBlock, error) {
 	bulk, constSvc := s.bulk, s.constSvc
 	destSpace := s.destSpace
 	anti, sync := s.anti, s.sync
-	for t := s.next; t < end; t++ {
+	t := s.next
+	for ; t < end && len(blk.T) < s.blockMsgs; t++ {
 		meas := t >= s.warmup
 		for in := 0; in < rows; in++ {
 			if s.on != nil {
@@ -308,7 +324,8 @@ func (s *TraceStream) Next() (*TraceBlock, error) {
 			}
 		}
 	}
-	s.next = end
+	blk.End = t
+	s.next = t
 	s.base += int64(blk.Len())
 	return blk, nil
 }

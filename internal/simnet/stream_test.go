@@ -1,9 +1,11 @@
 package simnet
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"banyan/internal/topology"
 	"banyan/internal/traffic"
 )
 
@@ -14,12 +16,22 @@ func collect(t *testing.T, cfg *Config, blockCycles int) *Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr, _ := drain(t, s)
+	return tr
+}
+
+// drain collects a stream's blocks into one materialized trace, checking
+// that they tile the horizon and respect both block caps: at most
+// blockCycles cycles, and no cycle started once the block already holds
+// blockMsgs messages. It also returns the number of blocks.
+func drain(t *testing.T, s *TraceStream) (*Trace, int) {
+	t.Helper()
 	m := s.Meta()
 	tr := &Trace{
 		K: m.K, Stages: m.Stages, Rows: m.Rows, Wrapped: m.Wrapped,
 		Horizon: m.Horizon,
 	}
-	prevEnd := 0
+	prevEnd, blocks := 0, 0
 	for {
 		blk, err := s.Next()
 		if err != nil {
@@ -31,10 +43,30 @@ func collect(t *testing.T, cfg *Config, blockCycles int) *Trace {
 		if blk.Start != prevEnd {
 			t.Fatalf("block starts at %d, want %d (blocks must tile the horizon)", blk.Start, prevEnd)
 		}
-		if blockCycles > 0 && blk.End-blk.Start > blockCycles {
-			t.Fatalf("block spans %d cycles, cap is %d", blk.End-blk.Start, blockCycles)
+		if blk.End-blk.Start > s.blockCycles {
+			t.Fatalf("block spans %d cycles, cap is %d", blk.End-blk.Start, s.blockCycles)
+		}
+		if blk.End <= blk.Start {
+			t.Fatalf("block [%d, %d) covers no cycle", blk.Start, blk.End)
+		}
+		// Messages before the block's last cycle must number fewer than
+		// the cap (else the block should have ended a cycle earlier); a
+		// block cut short of blockCycles before the horizon must have
+		// reached it.
+		before := 0
+		for before < blk.Len() && int(blk.T[before]) < blk.End-1 {
+			before++
+		}
+		if before >= s.blockMsgs {
+			t.Fatalf("block [%d, %d) started its last cycle holding %d messages, cap is %d",
+				blk.Start, blk.End, before, s.blockMsgs)
+		}
+		if blk.End < m.Horizon && blk.End-blk.Start < s.blockCycles && blk.Len() < s.blockMsgs {
+			t.Fatalf("block [%d, %d) ended early with %d messages, cap is %d",
+				blk.Start, blk.End, blk.Len(), s.blockMsgs)
 		}
 		prevEnd = blk.End
+		blocks++
 		// Blocks reuse their backing arrays, so copy out.
 		tr.T = append(tr.T, blk.T...)
 		tr.In = append(tr.In, blk.In...)
@@ -45,7 +77,7 @@ func collect(t *testing.T, cfg *Config, blockCycles int) *Trace {
 	if prevEnd != m.Horizon {
 		t.Fatalf("blocks end at %d, want horizon %d", prevEnd, m.Horizon)
 	}
-	return tr
+	return tr, blocks
 }
 
 func sameTrace(t *testing.T, got, want *Trace, label string) {
@@ -62,7 +94,9 @@ func sameTrace(t *testing.T, got, want *Trace, label string) {
 
 // TestStreamingMatchesMaterialized proves the tentpole identity: the
 // chunked generator produces byte-identical schedules to the
-// materializing wrapper at every block size, including degenerate ones.
+// materializing wrapper at every block size and message cap, including
+// degenerate ones, and the message cap, not the 1024-cycle limit, is what
+// cuts a wide network's schedule into blocks.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	cfgs := map[string]Config{
 		"uniform": {K: 2, Stages: 6, P: 0.5, Cycles: 2000, Warmup: 300, Seed: 42},
@@ -71,15 +105,34 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		"favorite": {K: 2, Stages: 8, P: 0.4, Q: 0.3, Cycles: 1000, Warmup: 100, Seed: 99},
 		"bursty": {K: 2, Stages: 4, P: 0.3, Cycles: 1200, Warmup: 150, Seed: 5,
 			Burst: &BurstParams{POnRate: 0.1, POffRate: 0.1}},
+		"hot, synced": {K: 2, Stages: 6, P: 0.4, HotModule: 0.05, SyncDraws: true,
+			Cycles: 800, Warmup: 100, Seed: 8},
+		// 4096 rows, about 3.5k messages a cycle: the default cap cuts a
+		// block after five cycles.
+		"wide": {K: 2, Stages: 12, P: 0.85, Cycles: 60, Warmup: 20, Seed: 3},
+	}
+	chunkings := [][2]int{ // {blockCycles, message cap}
+		{1, blockMessages}, {7, blockMessages}, {64, blockMessages},
+		{DefaultBlockCycles, blockMessages}, {DefaultBlockCycles, 1},
+		{DefaultBlockCycles, 37}, {7, 37}, {DefaultBlockCycles, 1000},
 	}
 	for name, cfg := range cfgs {
 		want, err := GenerateTrace(&cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, bc := range []int{1, 7, 64, DefaultBlockCycles} {
-			got := collect(t, &cfg, bc)
-			sameTrace(t, got, want, name)
+		for _, ch := range chunkings {
+			s, err := NewTraceStream(&cfg, ch[0])
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			s.blockMsgs = ch[1]
+			got, blocks := drain(t, s)
+			sameTrace(t, got, want, fmt.Sprintf("%s, blocks of %d cycles and %d messages", name, ch[0], ch[1]))
+			if name == "wide" && ch == [2]int{DefaultBlockCycles, blockMessages} && blocks < 10 {
+				t.Fatalf("%d default blocks for %d cycles of a 4096-row network, want the message cap to split them",
+					blocks, cfg.Warmup+cfg.Cycles)
+			}
 		}
 	}
 }
@@ -152,25 +205,47 @@ func TestLiteralStreamingMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestBlockSizeIndependence: the fast engine's statistics cannot depend
-// on how the arrival stream is chunked.
+// TestBlockSizeIndependence: no engine's statistics depend on how the
+// arrival stream is chunked, by cycles or by the message cap.
 func TestBlockSizeIndependence(t *testing.T) {
-	cfg := Config{K: 2, Stages: 6, P: 0.6, Cycles: 2000, Warmup: 300, Seed: 1}
-	var want *Result
-	for _, bc := range []int{1, 3, 100, 0} {
-		src, err := NewTraceStream(&cfg, bc)
-		if err != nil {
-			t.Fatal(err)
+	cases := []struct {
+		name string
+		cfg  Config
+		run  func(*Config, ArrivalSource) (*Result, error)
+	}{
+		{"reference", Config{K: 2, Stages: 6, P: 0.6, Cycles: 2000, Warmup: 300, Seed: 1}, RunSource},
+		{"kernel", Config{K: 4, Stages: 4, P: 0.5, Cycles: 600, Warmup: 100, Seed: 21,
+			TrackStageWaits: true, HotModule: 0.02}, RunKernelSource},
+		{"literal", Config{K: 2, Stages: 5, P: 0.7, Cycles: 600, Warmup: 100, Seed: 22,
+			BufferCap: 2, TrackOccupancy: true}, RunLiteralSource},
+		{"graph committed", Config{K: 2, Stages: 6, P: 0.3, HotModule: 0.01, Cycles: 600,
+			Warmup: 100, Seed: 23, Topology: topology.Butterfly, TrackSwitches: true}, RunGraphSource},
+		{"graph blocking", Config{K: 2, Stages: 5, P: 0.5, Cycles: 600, Warmup: 100, Seed: 24,
+			Topology: topology.Butterfly, StageBuffers: []int{2, 2, 2, 2, 2}}, RunGraphSource},
+	}
+	chunkings := [][2]int{ // {blockCycles, message cap}
+		{0, blockMessages}, {1, blockMessages}, {3, blockMessages}, {100, blockMessages},
+		{0, 1}, {0, 5}, {0, 300},
+	}
+	for _, c := range cases {
+		var want *Result
+		for _, ch := range chunkings {
+			cfg := c.cfg
+			src, err := NewTraceStream(&cfg, ch[0])
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			src.blockMsgs = ch[1]
+			res, err := c.run(&cfg, src)
+			if err != nil {
+				t.Fatalf("%s, blocks of %d cycles and %d messages: %v", c.name, ch[0], ch[1], err)
+			}
+			if want == nil {
+				want = res
+				continue
+			}
+			sameResult(t, res, want, fmt.Sprintf("%s, blocks of %d cycles and %d messages", c.name, ch[0], ch[1]))
 		}
-		res, err := RunSource(&cfg, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = res
-			continue
-		}
-		sameResult(t, res, want, "block size")
 	}
 }
 
