@@ -61,9 +61,10 @@ type arena struct {
 	used      int // slots handed out this run (free list aside)
 	freeSlots []int32
 
-	rings []kring // rings[s] holds messages scheduled to enter stage s+2
-	rel   kring   // graph wiring only: per-switch residency releases
-	batch []int32 // one (cycle, stage) batch, reused across stages
+	rings     []kring // rings[s] holds messages scheduled to enter stage s+2
+	rel       kring   // graph wiring only: per-switch residency releases
+	ringChunk int     // ring chunk size in slots; 0 (ringChunk) outside tests
+	batch     []int32 // one (cycle, stage) batch, reused across stages
 
 	free []int64   // per-stage, per-port next-free cycle
 	vec  []float64 // covariance scratch
@@ -104,7 +105,7 @@ const (
 	maxRetainSlots      = 1 << 17 // in-flight slots kept across runs
 	maxRetainWaits      = 1 << 20 // per-stage wait lanes kept across runs
 	maxRetainRingCycles = 1 << 15 // schedule-ring cycle span kept across runs
-	maxRetainRingSpan   = 1 << 17 // total bucket capacity kept per ring
+	maxRetainRingSpan   = 1 << 17 // chunk storage kept per ring, in slots
 	maxRetainBatch      = 1 << 17 // batch scratch kept across runs
 	maxRetainPorts      = 1 << 17 // port free-time entries kept across runs
 	maxRetainBlk        = 1 << 20 // trace-block entries kept across runs
@@ -132,21 +133,26 @@ func (a *arena) prepare(n, rows int, trackWaits bool) {
 		a.rings = append(a.rings, kring{})
 	}
 	for i := 0; i < n-1; i++ {
-		a.rings[i].reset()
+		a.rings[i].reset(a.ringChunk)
 	}
+	a.freeSlots = growFree(a.freeSlots, len(a.msl))
 	if trackWaits && len(a.waits) < len(a.msl)*n {
 		a.waits = make([]int16, len(a.msl)*n)
 	}
 }
 
 // growSlots doubles the slot store, preserving live slots. stride is
-// the run's stage count (the waits lane width).
+// the run's stage count (the waits lane width). The free list can never
+// hold more entries than there are slots, so it is sized to the store
+// here and the kernel's appends to it never regrow it past the store —
+// or past the retention cap the store itself meets.
 func (a *arena) growSlots(stride int, trackWaits bool) {
 	nc := 2 * len(a.msl)
 	if nc == 0 {
 		nc = 256
 	}
 	a.msl = growCopy(a.msl, nc)
+	a.freeSlots = growFree(a.freeSlots, nc)
 	if trackWaits {
 		a.waits = growCopy(a.waits, nc*stride)
 	}
@@ -154,6 +160,17 @@ func (a *arena) growSlots(stride int, trackWaits bool) {
 
 func growCopy[T any](s []T, n int) []T {
 	ns := make([]T, n)
+	copy(ns, s)
+	return ns
+}
+
+// growFree returns free list s with capacity for n entries, keeping its
+// contents.
+func growFree(s []int32, n int) []int32 {
+	if cap(s) >= n {
+		return s
+	}
+	ns := make([]int32, len(s), n)
 	copy(ns, s)
 	return ns
 }
@@ -191,6 +208,12 @@ func (a *arena) release() {
 		a.checkedOut = false
 		arenaLive.Add(-1)
 	}
+	a.trim()
+	arenaPool.Put(a)
+}
+
+// trim drops the scratch a run grew past the retention caps.
+func (a *arena) trim() {
 	if len(a.msl) > maxRetainSlots {
 		a.msl = nil
 		a.freeSlots = nil
@@ -203,13 +226,9 @@ func (a *arena) release() {
 		a.freeSlots = nil
 	}
 	for i := range a.rings {
-		if len(a.rings[i].buf) > maxRetainRingCycles || a.rings[i].spanCapacity() > maxRetainRingSpan {
-			a.rings[i] = kring{}
-		}
+		a.rings[i].trim()
 	}
-	if len(a.rel.buf) > maxRetainRingCycles || a.rel.spanCapacity() > maxRetainRingSpan {
-		a.rel = kring{}
-	}
+	a.rel.trim()
 	if cap(a.batch) > maxRetainBatch {
 		a.batch = nil
 	}
@@ -219,7 +238,6 @@ func (a *arena) release() {
 	if cap(a.blkT) > maxRetainBlk {
 		a.blkT, a.blkIn, a.blkDest, a.blkSvc, a.blkMeas = nil, nil, nil, nil, nil
 	}
-	arenaPool.Put(a)
 }
 
 // lanesArena is the laned kernel's counterpart of arena: pooled
@@ -240,6 +258,7 @@ type lanesArena struct {
 
 	freeSlots [][]int32 // per-lane recycled slots
 	rings     []kring   // rings[l·(n-1)+s] holds lane l's messages for stage s+2
+	ringChunk int       // ring chunk size in slots; 0 (ringChunk) outside tests
 	laneBatch [][]int32 // per-lane (cycle, stage) batch scratch
 
 	free []int64   // per-lane, per-stage, per-port next-free cycle
@@ -272,7 +291,7 @@ func (a *lanesArena) prepare(w, n, rows int, trackWaits bool) {
 		a.blks = append(a.blks, TraceBlock{})
 	}
 	for l := 0; l < w; l++ {
-		a.freeSlots[l] = a.freeSlots[l][:0]
+		a.freeSlots[l] = growFree(a.freeSlots[l][:0], len(a.msl[l]))
 		a.laneBatch[l] = a.laneBatch[l][:0]
 		if trackWaits && len(a.waits[l]) < len(a.msl[l])*n {
 			a.waits[l] = make([]int16, len(a.msl[l])*n)
@@ -294,19 +313,23 @@ func (a *lanesArena) prepare(w, n, rows int, trackWaits bool) {
 		a.rings = append(a.rings, kring{})
 	}
 	for i := 0; i < w*(n-1); i++ {
-		a.rings[i].reset()
+		a.rings[i].reset(a.ringChunk)
 	}
 }
 
 // growSlots doubles lane l's slot store, preserving its live slots,
 // exactly as arena.growSlots does for a scalar run. stride is the
-// run's stage count (the waits lane width).
+// run's stage count (the waits lane width). The lane's free list is
+// sized to the grown store as well; the laned kernel grows a store only
+// when the lane's free list is empty, and then resumes from
+// a.freeSlots[l].
 func (a *lanesArena) growSlots(l, stride int, trackWaits bool) {
 	nc := 2 * len(a.msl[l])
 	if nc == 0 {
 		nc = 256
 	}
 	a.msl[l] = growCopy(a.msl[l], nc)
+	a.freeSlots[l] = growFree(a.freeSlots[l][:0], nc)
 	if trackWaits {
 		a.waits[l] = growCopy(a.waits[l], nc*stride)
 	}
@@ -363,9 +386,7 @@ func (a *lanesArena) release() {
 		}
 	}
 	for i := range a.rings {
-		if len(a.rings[i].buf) > maxRetainRingCycles || a.rings[i].spanCapacity() > maxRetainRingSpan {
-			a.rings[i] = kring{}
-		}
+		a.rings[i].trim()
 	}
 	for l := range a.laneBatch {
 		if cap(a.laneBatch[l]) > maxRetainBatch {
@@ -383,88 +404,154 @@ func (a *lanesArena) release() {
 	lanesArenaPool.Put(a)
 }
 
-// kring is the kernel's flat schedule ring for one stage: a growable
-// power-of-two ring indexed by absolute cycle, where each cell is a
-// contiguous bucket of slot indices whose capacity is retained across
-// cycles — and, via the arena pool, across runs — so the steady state
-// pushes into pre-grown storage and never allocates. It replaces
-// cycleBuckets' take-ownership/recycle free-list protocol: a take
-// memcpys the cycle's bucket into the caller's batch and resets it in
-// place, so the cell can immediately accept pushes for the aliased
-// future cycle t+size. Buckets append in push order, so the kernel's
-// shuffle consumes the same RNG draws over the same sequence as the
-// reference engine.
+// kring is the kernel's schedule ring for one stage: a growable
+// power-of-two ring of cells indexed by absolute cycle, where each cell
+// is a linked list of fixed-size chunks holding the slot indices
+// scheduled for that cycle, in push order. Every chunk comes from one
+// flat data array shared by all cells and returns to the ring's free
+// list when its cell is taken, so the storage a ring retains — across
+// cycles and, via the arena pool, across runs — is bounded by the
+// messages scheduled at once plus one part-filled chunk per live cell,
+// not by the ring's size times the largest batch. A push writes into
+// the cell's tail chunk (linking a free chunk when it is full); a take
+// copies the cell's chunks into the caller's batch in push order and
+// frees them, so the next push reuses the last chunk drained, which is
+// still in cache; growing the ring re-homes only the cells' head and
+// tail indices. Push order per cell is all the kernel's shuffle sees,
+// so its RNG draws are the reference engine's.
 type kring struct {
-	buf   [][]int32
+	cells []kcell
 	mask  int64
 	floor int64 // cycles below floor have been taken already
 	count int64 // messages currently scheduled in this ring
+
+	data  []int32 // chunk c holds data[c·chunk : (c+1)·chunk]
+	next  []int32 // next[c]: the chunk after c in its cell
+	free  []int32 // drained chunk ids, the most recently drained last
+	chunk int32   // slots per chunk: ringChunk unless a test shrinks it
 }
 
-func (r *kring) reset() {
-	if r.buf == nil {
-		r.buf = make([][]int32, 64)
+// kcell is one cycle's list of chunks: every chunk but the tail one is
+// full. The zero value is an empty cell; a cell with chunks has end > 0.
+type kcell struct {
+	head int32 // first chunk
+	pos  int32 // data index of the next push
+	end  int32 // data index one past the tail chunk
+}
+
+// ringChunk is the default chunk size in slots. Small networks hold a
+// handful of messages per cell, so a small chunk keeps their rings
+// compact; a 4096-row network's busy cells span a few dozen chunks.
+const ringChunk = 64
+
+// reset empties the ring for a new run with chunks of the given size
+// (0 selects ringChunk), keeping every backing array's capacity.
+func (r *kring) reset(chunk int) {
+	if chunk <= 0 {
+		chunk = ringChunk
+	}
+	if r.cells == nil {
+		r.cells = make([]kcell, 64)
 		r.mask = 63
+	} else {
+		clear(r.cells)
 	}
-	for i := range r.buf {
-		if b := r.buf[i]; len(b) > 0 {
-			r.buf[i] = b[:0]
-		}
-	}
+	r.chunk = int32(chunk)
+	r.data = r.data[:0]
+	r.next = r.next[:0]
+	r.free = r.free[:0]
 	r.floor = 0
 	r.count = 0
 }
 
 // push schedules slot si for cycle t.
 func (r *kring) push(t int64, si int32) {
-	if t-r.floor >= int64(len(r.buf)) {
+	if t-r.floor >= int64(len(r.cells)) {
 		r.grow(t)
 	}
-	i := t & r.mask
-	r.buf[i] = append(r.buf[i], si)
+	c := &r.cells[t&r.mask]
+	if c.pos == c.end {
+		r.link(c)
+	}
+	r.data[c.pos] = si
+	c.pos++
 	r.count++
+}
+
+// link appends a chunk to c's list: the most recently drained one, or a
+// fresh one at the end of data.
+func (r *kring) link(c *kcell) {
+	cs := r.chunk
+	var id int32
+	if f := len(r.free); f > 0 {
+		id = r.free[f-1]
+		r.free = r.free[:f-1]
+	} else {
+		id = int32(len(r.next))
+		r.data = append(r.data, make([]int32, cs)...)
+		r.next = append(r.next, 0)
+	}
+	if c.end == 0 {
+		c.head = id
+	} else {
+		r.next[c.end/cs-1] = id
+	}
+	c.pos = id * cs
+	c.end = c.pos + cs
 }
 
 // grow re-homes the ring so that cycle t fits alongside r.floor.
 func (r *kring) grow(t int64) {
-	old := int64(len(r.buf))
+	old := int64(len(r.cells))
 	size := old
 	for t-r.floor >= size {
 		size *= 2
 	}
-	nb := make([][]int32, size)
+	nc := make([]kcell, size)
 	nm := size - 1
 	// Cycles [floor, floor+old) cover every old cell exactly once, so
-	// this moves each bucket — and its retained capacity — to its new
-	// home.
+	// this moves each cell's chunk list to its new home.
 	for c := r.floor; c < r.floor+old; c++ {
-		nb[c&nm] = r.buf[c&r.mask]
+		nc[c&nm] = r.cells[c&r.mask]
 	}
-	r.buf, r.mask = nb, nm
+	r.cells, r.mask = nc, nm
 }
 
-// take copies the bucket scheduled for cycle t (which must be ≥ the
-// previous take's cycle) into batch, in push order, and resets the
-// bucket for reuse.
+// take copies the cell scheduled for cycle t (which must be ≥ the
+// previous take's cycle) into batch, in push order, and frees its
+// chunks.
 func (r *kring) take(t int64, batch []int32) []int32 {
 	r.floor = t + 1
-	i := t & r.mask
-	b := r.buf[i]
-	if len(b) == 0 {
+	c := &r.cells[t&r.mask]
+	if c.end == 0 {
 		return batch
 	}
-	batch = append(batch, b...)
-	r.buf[i] = b[:0]
-	r.count -= int64(len(b))
+	cs := r.chunk
+	n0 := len(batch)
+	for id := c.head; ; id = r.next[id] {
+		r.free = append(r.free, id)
+		off := id * cs
+		if off+cs == c.end {
+			batch = append(batch, r.data[off:c.pos]...)
+			break
+		}
+		batch = append(batch, r.data[off:off+cs]...)
+	}
+	r.count -= int64(len(batch) - n0)
+	*c = kcell{}
 	return batch
 }
 
-// spanCapacity reports the total bucket capacity retained by the ring,
-// the figure bounded by the arena's release trimming.
-func (r *kring) spanCapacity() int {
-	c := 0
-	for _, b := range r.buf {
-		c += cap(b)
+// trim drops the ring's storage when a run grew it past the retention
+// caps.
+func (r *kring) trim() {
+	if len(r.cells) > maxRetainRingCycles || r.spanCapacity() > maxRetainRingSpan {
+		*r = kring{}
 	}
-	return c
+}
+
+// spanCapacity reports the chunk storage retained by the ring, in
+// slots: the figure bounded by the arena's release trimming.
+func (r *kring) spanCapacity() int {
+	return cap(r.data)
 }

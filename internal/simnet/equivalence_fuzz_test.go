@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -85,6 +86,13 @@ func fuzzLaneWidth(seed uint64) (w, slot int) {
 	return w, slot
 }
 
+// fuzzRingChunk draws the schedule rings' chunk size for a fuzz
+// execution from seed bits nothing else consumes: one slot, three
+// slots, or the default.
+func fuzzRingChunk(seed uint64) int {
+	return [...]int{1, 3, 0}[(seed>>41)%3]
+}
+
 // FuzzEngineEquivalence cross-checks the five engines on arbitrary
 // bounded configurations: the batch kernel must match the scalar
 // reference engine bit for bit (the determinism contract); the
@@ -97,8 +105,9 @@ func fuzzLaneWidth(seed uint64) (w, slot int) {
 // engine on the measured population and, statistically, on the mean
 // wait. The seed corpus covers the edge regimes: saturation and
 // truncation (with AllowUnstable draws past ρ = 1), bulk batches,
-// favorite outputs, hot modules, resampled service, bursty sources, and
-// lane widths across 1..8 including odd group sizes.
+// favorite outputs, hot modules, resampled service, bursty sources,
+// lane widths across 1..8 including odd group sizes, and schedule rings
+// with one-slot, three-slot and default chunks.
 func FuzzEngineEquivalence(f *testing.F) {
 	//        k  n svc  p‰   q‰  bulk cyc  seed  resample burst hot
 	f.Add(uint8(0), uint8(3), uint8(0), uint16(400), uint16(0), uint8(0), uint16(600), uint64(1), false, false, false)  // plain uniform
@@ -115,6 +124,10 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(0), uint16(999), uint16(0), uint8(0), uint16(1100), uint64(2)<<33|10, false, false, false) // W=3 (odd) group, truncating
 	f.Add(uint8(0), uint8(2), uint8(1), uint16(999), uint16(0), uint8(1), uint16(500), uint64(4)<<33|11, false, false, false)  // W=5 group past ρ=1 (AllowUnstable)
 	f.Add(uint8(1), uint8(2), uint8(3), uint16(500), uint16(0), uint8(0), uint16(700), uint64(7)<<37|12, false, false, false)  // W=8 group, non-pow2 radix, off-zero slot
+	// Ring-chunk seeds: bits 41+ select the schedule rings' chunk size
+	// (the seeds above all draw one-slot chunks).
+	f.Add(uint8(0), uint8(3), uint8(1), uint16(900), uint16(0), uint8(1), uint16(900), uint64(1)<<41|13, false, false, false) // three-slot chunks, bulk near saturation
+	f.Add(uint8(1), uint8(3), uint8(2), uint16(999), uint16(0), uint8(0), uint16(1100), uint64(2)<<41|14, true, false, true)  // default chunks, truncating
 
 	f.Fuzz(func(t *testing.T, k, n, svcKind uint8, pMille, qMille uint16, bulk uint8,
 		cycles uint16, seed uint64, resample, burst, hot bool) {
@@ -130,13 +143,17 @@ func FuzzEngineEquivalence(f *testing.F) {
 		// schedule the final pull covered.
 		bc := 1 + int(seed%257)
 		bm := 1 + int(seed/257%1024)
+		// The kernel, graph and lanes legs also run on schedule rings with
+		// a drawn chunk size, so cells spill across chunk boundaries even
+		// on these small networks; push order must survive the chunking.
+		rc := fuzzRingChunk(seed)
 		kcfg := cfg
 		ksrc, err := NewTraceStream(&kcfg, bc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ksrc.blockMsgs = bm
-		kres, kerr := RunKernelSource(&kcfg, ksrc)
+		kres, kerr := runKernel(context.Background(), &kcfg, ksrc, &arena{ringChunk: rc}, nil)
 
 		rcfg := cfg
 		rsrc, err := NewTraceStream(&rcfg, bc)
@@ -161,7 +178,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		wsrc.blockMsgs = bm
-		wres, werr := RunGraphSource(&wcfg, wsrc)
+		wres, werr := runGraphSource(context.Background(), &wcfg, wsrc, &arena{ringChunk: rc})
 		if (kerr == nil) != (werr == nil) {
 			t.Fatalf("error mismatch: kernel %v, graph %v (cfg %+v)", kerr, werr, cfg)
 		}
@@ -191,7 +208,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			}
 			lcfgs[i] = &c
 		}
-		gres, gerrs := RunLanes(lcfgs)
+		gres, gerrs := runLanes(context.Background(), lcfgs, &lanesArena{ringChunk: rc})
 		var slotRes *Result
 		var slotErr error
 		for i := range lcfgs {

@@ -23,10 +23,13 @@ import (
 //     in-flight population rather than the schedule block, so the
 //     working set stays cache-resident and is reused across
 //     replications;
-//   - per-stage schedules are flat power-of-two rings whose per-cycle
-//     buckets retain their capacity across cycles and runs, so
-//     scheduling a message is one in-capacity append and draining a
-//     cycle is one memcpy — no slice churn, no free-list of buckets;
+//   - per-stage schedules are power-of-two rings of per-cycle cells,
+//     each a list of fixed 64-slot chunks drawn from one flat array per
+//     ring, so scheduling a message is one store into its cell's tail
+//     chunk and draining a cycle is one memcpy per chunk; a drained
+//     chunk goes straight to the next push, so a ring retains the
+//     messages scheduled at once, not a whole batch per cell, and is
+//     kept across runs even on a 4096-row network;
 //   - slots are allocated lazily at the cycle a message enters stage 1,
 //     not when its schedule block is pulled, so pulling a block is O(1)
 //     bookkeeping plus the generator's own work; blocks are capped at
@@ -134,7 +137,7 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena, g
 		}
 		if g.load != nil {
 			rel = &ar.rel
-			rel.reset()
+			rel.reset(ar.ringChunk)
 		}
 	}
 

@@ -92,6 +92,13 @@ func RunLanes(cfgs []*Config) ([]*Result, []error) {
 // early exit never perturbs its siblings — they keep running to their
 // own completions.
 func RunLanesCtx(ctx context.Context, cfgs []*Config) ([]*Result, []error) {
+	la := getLanesArena()
+	defer la.release()
+	return runLanes(ctx, cfgs, la)
+}
+
+// runLanes is RunLanesCtx on the scratch of la.
+func runLanes(ctx context.Context, cfgs []*Config, la *lanesArena) ([]*Result, []error) {
 	nl := len(cfgs)
 	results := make([]*Result, nl)
 	errs := make([]error, nl)
@@ -112,9 +119,6 @@ func RunLanesCtx(ctx context.Context, cfgs []*Config) ([]*Result, []error) {
 			return failAll(err)
 		}
 	}
-
-	la := getLanesArena()
-	defer la.release()
 
 	lanes := make([]laneRun, nl)
 	streams := make([]*TraceStream, nl)
@@ -386,6 +390,7 @@ func RunLanesCtx(ctx context.Context, cfgs []*Config) ([]*Result, []error) {
 							if ln.used == len(lmsl) {
 								la.growSlots(l, n, trackWaits)
 								lmsl = la.msl[l]
+								ln.freeSlots = la.freeSlots[l]
 							}
 							si = int32(ln.used)
 							ln.used++

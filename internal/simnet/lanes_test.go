@@ -46,21 +46,29 @@ func scalarReps(t *testing.T, base *Config, w int) ([]*Result, []*Config) {
 // lock-step run produces a Result bit-identical to a scalar run of the
 // same replication, across the full differential matrix (non-pow2
 // radix, bulk, favorite, hot, resampled, bursty, wrapped, tracked
-// stage waits, saturation truncation).
+// stage waits, saturation truncation) — and whatever the chunk size of
+// the lanes' schedule rings: an even and an odd group also run on one-
+// and three-slot chunks, so their cells spill across chunks.
 func TestLanesMatchScalarExact(t *testing.T) {
 	widths := []int{1, 2, 3, 4, 8}
 	for _, c := range kernelIdentityCases(t) {
 		cfg := c.cfg
 		want, _ := scalarReps(t, &cfg, 8)
 		for _, w := range widths {
-			got, errs := RunLanes(laneCfgs(&cfg, w))
-			for l := 0; l < w; l++ {
-				if errs[l] != nil {
-					t.Fatalf("%s W=%d lane %d: %v", c.name, w, l, errs[l])
-				}
-				if !reflect.DeepEqual(got[l], want[l]) {
-					t.Errorf("%s W=%d lane %d diverges from scalar\nlane   %+v\nscalar %+v",
-						c.name, w, l, got[l], want[l])
+			ringChunks := []int{0}
+			if w == 2 || w == 3 {
+				ringChunks = []int{0, 1, 3}
+			}
+			for _, rc := range ringChunks {
+				got, errs := runLanes(context.Background(), laneCfgs(&cfg, w), &lanesArena{ringChunk: rc})
+				for l := 0; l < w; l++ {
+					if errs[l] != nil {
+						t.Fatalf("%s W=%d ring chunks %d lane %d: %v", c.name, w, rc, l, errs[l])
+					}
+					if !reflect.DeepEqual(got[l], want[l]) {
+						t.Errorf("%s W=%d ring chunks %d lane %d diverges from scalar\nlane   %+v\nscalar %+v",
+							c.name, w, rc, l, got[l], want[l])
+					}
 				}
 			}
 		}
@@ -242,7 +250,10 @@ func TestLanesArenaReleaseRetentionCaps(t *testing.T) {
 	a.freeSlots = [][]int32{make([]int32, 0, maxRetainSlots+1), nil}
 	a.laneBatch = [][]int32{make([]int32, 0, maxRetainBatch+1), nil}
 	a.blks = []TraceBlock{{T: make([]int32, 0, maxRetainBlk+1)}}
-	a.rings = []kring{{buf: make([][]int32, 2*maxRetainRingCycles), mask: 2*maxRetainRingCycles - 1}}
+	a.rings = []kring{
+		{cells: make([]kcell, 2*maxRetainRingCycles), mask: 2*maxRetainRingCycles - 1},
+		{cells: make([]kcell, 64), mask: 63, data: make([]int32, 0, maxRetainRingSpan+1)},
+	}
 	a.release()
 	if a.msl[0] != nil || a.waits[0] != nil || a.free != nil {
 		t.Fatal("release retained oversized scratch past the caps")
@@ -253,7 +264,7 @@ func TestLanesArenaReleaseRetentionCaps(t *testing.T) {
 	if a.freeSlots[0] != nil || a.laneBatch[0] != nil || a.blks[0].T != nil {
 		t.Fatal("release retained per-lane scratch past the caps")
 	}
-	if a.rings[0].buf != nil {
+	if a.rings[0].cells != nil || a.rings[1].data != nil {
 		t.Fatal("release retained an oversized ring")
 	}
 

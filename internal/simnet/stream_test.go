@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -206,45 +207,69 @@ func TestLiteralStreamingMatchesMaterialized(t *testing.T) {
 }
 
 // TestBlockSizeIndependence: no engine's statistics depend on how the
-// arrival stream is chunked, by cycles or by the message cap.
+// arrival stream is chunked, by cycles or by the message cap, nor — for
+// the engines that schedule through kernel rings — on the rings' chunk
+// size.
 func TestBlockSizeIndependence(t *testing.T) {
+	ctx := context.Background()
 	cases := []struct {
 		name string
 		cfg  Config
 		run  func(*Config, ArrivalSource) (*Result, error)
+		// onArena, when set, replaces run for an engine that schedules
+		// through the arena's rings, so the rings' chunk size is crossed.
+		onArena func(*Config, ArrivalSource, *arena) (*Result, error)
 	}{
-		{"reference", Config{K: 2, Stages: 6, P: 0.6, Cycles: 2000, Warmup: 300, Seed: 1}, RunSource},
+		{"reference", Config{K: 2, Stages: 6, P: 0.6, Cycles: 2000, Warmup: 300, Seed: 1}, RunSource, nil},
 		{"kernel", Config{K: 4, Stages: 4, P: 0.5, Cycles: 600, Warmup: 100, Seed: 21,
-			TrackStageWaits: true, HotModule: 0.02}, RunKernelSource},
+			TrackStageWaits: true, HotModule: 0.02}, nil,
+			func(cfg *Config, src ArrivalSource, ar *arena) (*Result, error) {
+				return runKernel(ctx, cfg, src, ar, nil)
+			}},
 		{"literal", Config{K: 2, Stages: 5, P: 0.7, Cycles: 600, Warmup: 100, Seed: 22,
-			BufferCap: 2, TrackOccupancy: true}, RunLiteralSource},
+			BufferCap: 2, TrackOccupancy: true}, RunLiteralSource, nil},
 		{"graph committed", Config{K: 2, Stages: 6, P: 0.3, HotModule: 0.01, Cycles: 600,
-			Warmup: 100, Seed: 23, Topology: topology.Butterfly, TrackSwitches: true}, RunGraphSource},
+			Warmup: 100, Seed: 23, Topology: topology.Butterfly, TrackSwitches: true}, nil,
+			func(cfg *Config, src ArrivalSource, ar *arena) (*Result, error) {
+				return runGraphSource(ctx, cfg, src, ar)
+			}},
 		{"graph blocking", Config{K: 2, Stages: 5, P: 0.5, Cycles: 600, Warmup: 100, Seed: 24,
-			Topology: topology.Butterfly, StageBuffers: []int{2, 2, 2, 2, 2}}, RunGraphSource},
+			Topology: topology.Butterfly, StageBuffers: []int{2, 2, 2, 2, 2}}, RunGraphSource, nil},
 	}
 	chunkings := [][2]int{ // {blockCycles, message cap}
 		{0, blockMessages}, {1, blockMessages}, {3, blockMessages}, {100, blockMessages},
 		{0, 1}, {0, 5}, {0, 300},
 	}
 	for _, c := range cases {
+		ringChunks := []int{0}
+		if c.onArena != nil {
+			ringChunks = []int{0, 1, 3}
+		}
 		var want *Result
 		for _, ch := range chunkings {
-			cfg := c.cfg
-			src, err := NewTraceStream(&cfg, ch[0])
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
+			for _, rc := range ringChunks {
+				cfg := c.cfg
+				src, err := NewTraceStream(&cfg, ch[0])
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				src.blockMsgs = ch[1]
+				what := fmt.Sprintf("%s, blocks of %d cycles and %d messages, ring chunks of %d", c.name, ch[0], ch[1], rc)
+				var res *Result
+				if c.onArena != nil {
+					res, err = c.onArena(&cfg, src, &arena{ringChunk: rc})
+				} else {
+					res, err = c.run(&cfg, src)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if want == nil {
+					want = res
+					continue
+				}
+				sameResult(t, res, want, what)
 			}
-			src.blockMsgs = ch[1]
-			res, err := c.run(&cfg, src)
-			if err != nil {
-				t.Fatalf("%s, blocks of %d cycles and %d messages: %v", c.name, ch[0], ch[1], err)
-			}
-			if want == nil {
-				want = res
-				continue
-			}
-			sameResult(t, res, want, fmt.Sprintf("%s, blocks of %d cycles and %d messages", c.name, ch[0], ch[1]))
 		}
 	}
 }
