@@ -87,7 +87,7 @@ func main() {
 		reps        = flag.Int("replications", 0, "run N independent replications (fast engine) and report confidence intervals")
 
 		simStats  = flag.Bool("sim-stats", false, "collect simulator-internal statistics and print a summary at exit")
-		debugAddr = flag.String("debug-addr", "", "serve live /metrics, /debug/vars, /debug/hist, /debug/trace and /debug/pprof on this address while the simulation runs")
+		debugAddr = flag.String("debug-addr", "", "serve live /metrics, /debug/hist, /debug/ts, /debug/trace and /debug/pprof on this address while the simulation runs")
 		debugHold = flag.Bool("debug-hold", false, "with -debug-addr: keep the debug server up after the run until SIGINT/SIGTERM")
 
 		traceOut    = flag.String("trace-out", "", "sample per-message trace spans and dump them as JSON lines to this file at exit")
@@ -197,7 +197,6 @@ func main() {
 		probe.Hists = obs.NewHistSet()
 		probe.Hists.Register(reg, "wait")
 		obs.RegisterRuntimeMetrics(reg)
-		reg.PublishExpvar("banyan")
 		tsdb := obs.NewTSDB(reg, 120)
 		tsdb.Start(time.Second)
 		defer tsdb.Stop()
@@ -213,7 +212,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug: serving /metrics, /debug/vars, /debug/hist, /debug/ts, /debug/trace and /debug/pprof on http://%s\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "debug: serving /metrics, /debug/hist, /debug/ts, /debug/trace and /debug/pprof on http://%s\n", srv.Addr())
 		if *debugHold {
 			// Runs before srv.Close (LIFO): the populated endpoints stay
 			// scrapeable after the run — the CI smoke test relies on it.

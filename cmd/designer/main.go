@@ -9,7 +9,8 @@
 //	designer -pes 256 -p 0.5 [-m 1] [-slo 30] [-radices 2,4,8] [-debug-addr :6060]
 //
 // designer is purely analytic (no simulation), so -debug-addr exposes
-// only expvar and pprof — useful when profiling wide radix/SLO grids.
+// only process read-outs and pprof — useful when profiling wide
+// radix/SLO grids.
 package main
 
 import (
@@ -34,7 +35,7 @@ func main() {
 	m := flag.Int("m", 1, "message size in packets")
 	slo := flag.Float64("slo", 30, "p99 transit objective, cycles")
 	radixList := flag.String("radices", "2,4,8", "candidate switch radices")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/ts and /debug/pprof on this address while the study runs")
+	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/ts and /debug/pprof on this address while the study runs")
 	flag.Parse()
 
 	if *debugAddr != "" {
@@ -50,7 +51,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug: serving /metrics, /debug/vars, /debug/ts and /debug/pprof on http://%s\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "debug: serving /metrics, /debug/ts and /debug/pprof on http://%s\n", srv.Addr())
 	}
 
 	var radices []int

@@ -247,10 +247,9 @@ func render(client *http.Client, base string, width int) (string, error) {
 	}
 
 	// Fault counters.
-	fmt.Fprintf(&b, "\nretries %.0f  watchdog %.0f  degraded %.0f  truncated %.0f  dropped %.0f\n",
+	fmt.Fprintf(&b, "\nretries %.0f  watchdog %.0f  truncated %.0f  dropped %.0f\n",
 		v("banyan_sweep_retries"), v("banyan_sweep_watchdog_fired"),
-		v("banyan_sweep_degrade_lane_to_scalar"), v("banyan_sweep_truncated"),
-		v("banyan_sweep_dropped"))
+		v("banyan_sweep_truncated"), v("banyan_sweep_dropped"))
 	return b.String(), nil
 }
 

@@ -1,19 +1,19 @@
 // Package faultinject is a zero-dependency, deterministic fault-injection
 // layer for the sweep engine and its journal. A seeded Schedule arms named
-// injection points — a replication panic at cycle N, a lane-group failure
-// mid-flight, a context-style cancellation, an arena allocation failure, a
-// journal torn/short write or CRC corruption on record K, disk-full on
-// checkpoint compaction, an artificial stall — and an Injector turns the
-// schedule into per-replication fault plans that are pure functions of
-// (schedule seed, fault class, point key, replication index). Which worker
-// or lane happens to execute a replication never changes which faults it
-// receives, so a chaos run reproduces exactly from its schedule spec.
+// injection points — a replication panic at cycle N, a context-style
+// cancellation, an arena allocation failure, a journal torn/short write or
+// CRC corruption on record K, disk-full on checkpoint compaction, an
+// artificial stall — and an Injector turns the schedule into
+// per-replication fault plans that are pure functions of (schedule seed,
+// fault class, point key, replication index). Which worker happens to
+// execute a replication never changes which faults it receives, so a chaos
+// run reproduces exactly from its schedule spec.
 //
 // Injection points follow the same contract as the obs probes: a nil
 // *RepFault (or *JournalFault) is a no-op the engines pay one pointer
 // comparison for, the fields are excluded from canonical config hashes,
 // and every armed fault fires at most once per replication plan — so a
-// retried or degraded replication converges back to the fault-free result
+// retried replication converges back to the fault-free result
 // bit for bit.
 package faultinject
 
@@ -46,11 +46,6 @@ const (
 	// ArenaAlloc panics at the Nth fresh slot allocation, modelling
 	// resource exhaustion inside the arena.
 	ArenaAlloc Class = "arena.alloc"
-	// LaneFail fails a whole lock-step lane group mid-flight, exercising
-	// the degrade-to-scalar path. Only the lanes engine has this seam, so
-	// scalar (W=1) runs are immune — which is exactly why degradation
-	// recovers.
-	LaneFail Class = "lane.fail"
 	// JournalTorn truncates an append mid-record and reports a write
 	// error, the footprint of a crash during an append.
 	JournalTorn Class = "journal.torn"
@@ -67,7 +62,7 @@ const (
 
 // Classes lists every injection point, engine classes first.
 var Classes = []Class{
-	RepPanic, RepCancel, RepStall, ArenaAlloc, LaneFail,
+	RepPanic, RepCancel, RepStall, ArenaAlloc,
 	JournalTorn, JournalShort, JournalCRC, JournalDiskFull,
 }
 
@@ -374,7 +369,7 @@ func (in *Injector) ordinalFor(f Fault, key uint64, rep int) int64 {
 // Rep returns the fault plan for replication rep of the point with
 // canonical hash key, or nil when the schedule arms nothing for it. The
 // same (key, rep) always returns the same plan instance, so one-shot
-// faults stay fired across retries and degradation.
+// faults stay fired across retries.
 func (in *Injector) Rep(key uint64, rep int) *RepFault {
 	if in == nil {
 		return nil
@@ -391,7 +386,7 @@ func (in *Injector) Rep(key uint64, rep int) *RepFault {
 			continue
 		}
 		if f == nil {
-			f = &RepFault{in: in, panicAt: -1, cancelAt: -1, stallAt: -1, laneAt: -1, allocAt: -1}
+			f = &RepFault{in: in, panicAt: -1, cancelAt: -1, stallAt: -1, allocAt: -1}
 		}
 		switch fa.Class {
 		case RepPanic:
@@ -400,8 +395,6 @@ func (in *Injector) Rep(key uint64, rep int) *RepFault {
 			f.cancelAt = in.cycleFor(fa, key, rep)
 		case RepStall:
 			f.stallAt = in.cycleFor(fa, key, rep)
-		case LaneFail:
-			f.laneAt = in.cycleFor(fa, key, rep)
 		case ArenaAlloc:
 			f.allocAt = in.ordinalFor(fa, key, rep)
 		}
@@ -449,17 +442,17 @@ func (in *Injector) Journal() *JournalFault {
 
 // RepFault is one replication's armed fault plan. The engines consult it
 // from exactly one goroutine at a time (a replication runs on one
-// worker), but firing is guarded by atomics so a plan shared across a
-// retry or a lane→scalar degradation fires each fault at most once.
+// worker), but firing is guarded by atomics so a plan shared across
+// retries fires each fault at most once.
 // All methods are nil-receiver safe.
 type RepFault struct {
 	in *Injector
 
-	panicAt, cancelAt, stallAt, laneAt int64 // fire cycle, -1 = disarmed
-	allocAt                            int64 // fresh-slot ordinal, -1 = disarmed
+	panicAt, cancelAt, stallAt int64 // fire cycle, -1 = disarmed
+	allocAt                    int64 // fresh-slot ordinal, -1 = disarmed
 
-	allocs                                                    atomic.Int64
-	panicFired, cancelFired, stallFired, laneFired, allocOnce atomic.Bool
+	allocs                                         atomic.Int64
+	panicFired, cancelFired, stallFired, allocOnce atomic.Bool
 }
 
 // AtCycle is the engines' per-cycle injection point. It may panic
@@ -486,18 +479,6 @@ func (f *RepFault) AtCycle(ctx context.Context, t int64) error {
 		return e
 	}
 	return nil
-}
-
-// LaneGroup is the lanes engine's group-failure injection point: the
-// first armed live lane to reach its fire cycle fails the whole group.
-// Scalar engines never call it, so degraded replications run clean.
-func (f *RepFault) LaneGroup(t int64) error {
-	if f == nil || f.laneAt < 0 || t < f.laneAt || !f.laneFired.CompareAndSwap(false, true) {
-		return nil
-	}
-	e := &Error{Class: LaneFail, Cycle: t}
-	f.in.note(*e)
-	return e
 }
 
 // OnSlotAlloc is the arena's fresh-slot allocation injection point: the

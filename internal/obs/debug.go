@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"math"
 	"net"
@@ -17,8 +16,7 @@ import (
 // DebugServer serves live observability over HTTP while a sweep runs:
 //
 //	/metrics        OpenMetrics exposition (counters, gauges, le-bucketed
-//	                histograms); ?format=legacy for the old "name value" text
-//	/debug/vars     expvar JSON (including registries published there)
+//	                histograms)
 //	/debug/events   the RingSink's recent events as JSONL
 //	/debug/hist     live waiting-time histograms as JSON (with sparklines;
 //	                ?width= sets the sparkline width, 8…512)
@@ -157,12 +155,7 @@ func StartDebugServer(addr string, opts DebugOptions) (*DebugServer, error) {
 	mux := http.NewServeMux()
 	if opts.Registry != nil {
 		reg, hists := opts.Registry, opts.Hists
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Query().Get("format") == "legacy" {
-				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-				reg.WriteText(w)
-				return
-			}
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 			WriteOpenMetrics(w, reg, histFamilies(hists))
 		})
@@ -223,7 +216,6 @@ func StartDebugServer(addr string, opts DebugOptions) (*DebugServer, error) {
 			tracer.WriteJSONL(w)
 		})
 	}
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -99,16 +99,15 @@ func TestDebugTraceEndpoint(t *testing.T) {
 // empty data that looks real.
 func TestDebugEndpointsAbsent(t *testing.T) {
 	srv := startTestServer(t, DebugOptions{})
-	for _, path := range []string{"/metrics", "/debug/events", "/debug/hist", "/debug/trace", "/debug/ts"} {
+	for _, path := range []string{"/metrics", "/debug/events", "/debug/hist", "/debug/trace", "/debug/ts", "/debug/vars"} {
 		if code, _ := get(t, srv, path); code != http.StatusNotFound {
 			t.Fatalf("GET %s with nil backing: status %d, want 404", path, code)
 		}
 	}
 }
 
-// TestMetricsOpenMetricsDefault: /metrics serves OpenMetrics by default
-// (correct content type, parseable, histogram family from live Hist
-// data) with ?format=legacy preserving the old text.
+// TestMetricsOpenMetricsDefault: /metrics serves OpenMetrics (correct
+// content type, parseable, histogram family from live Hist data).
 func TestMetricsOpenMetricsDefault(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("points.done").Add(5)
@@ -137,10 +136,6 @@ func TestMetricsOpenMetricsDefault(t *testing.T) {
 	}
 	if !sawHist {
 		t.Fatal("live histogram family missing from /metrics")
-	}
-
-	if code, body := get(t, srv, "/metrics?format=legacy"); code != http.StatusOK || !strings.Contains(body, "points.done 5\n") {
-		t.Fatalf("legacy format broken: %d\n%s", code, body)
 	}
 }
 
@@ -235,7 +230,7 @@ func TestDebugConcurrentScrape(t *testing.T) {
 		}
 	}()
 
-	paths := []string{"/metrics", "/debug/vars", "/debug/events", "/debug/hist", "/debug/trace"}
+	paths := []string{"/metrics", "/debug/events", "/debug/hist", "/debug/trace"}
 	var readers sync.WaitGroup
 	for _, p := range paths {
 		for w := 0; w < 2; w++ {

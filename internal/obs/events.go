@@ -22,10 +22,9 @@ const (
 	EventPointStopped   = "point_stopped"   // adaptive point met its CI target before the replication cap
 	EventDrift          = "drift"           // empirical waits diverged from the analytic model
 
-	// Fault-tolerance events (chaos runs and supervised degradation).
+	// Fault-tolerance events (chaos runs and the watchdog).
 	EventFaultInjected = "fault_injected" // a deterministic injection point fired
 	EventWatchdogFired = "watchdog_fired" // the watchdog cancelled a stalled replication
-	EventPointDegraded = "point_degraded" // a lane group failed and reran as scalar replications
 )
 
 // StageQuantiles is a compact per-stage waiting-time digest attached to

@@ -81,8 +81,8 @@ func TestMultiSink(t *testing.T) {
 	}
 }
 
-// TestDebugServer drives the whole -debug-addr surface: metrics text,
-// expvar JSON, the event ring and the pprof index.
+// TestDebugServer drives the whole -debug-addr surface: OpenMetrics,
+// the event ring and the pprof index.
 func TestDebugServer(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("points.done").Add(5)
@@ -112,17 +112,11 @@ func TestDebugServer(t *testing.T) {
 		return string(body)
 	}
 
-	if body := get("/metrics?format=legacy"); !strings.Contains(body, "points.done 5") {
-		t.Fatalf("/metrics?format=legacy missing counter:\n%s", body)
-	}
 	if body := get("/metrics"); !strings.Contains(body, "banyan_points_done_total 5") {
 		t.Fatalf("/metrics missing OpenMetrics counter:\n%s", body)
 	}
 	if body := get("/debug/events"); !strings.Contains(body, `"label":"x"`) {
 		t.Fatalf("/debug/events missing event:\n%s", body)
-	}
-	if body := get("/debug/vars"); !strings.Contains(body, "cmdline") {
-		t.Fatalf("/debug/vars not expvar:\n%s", body)
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Fatalf("/debug/pprof/ not the pprof index:\n%s", body)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -240,12 +239,10 @@ func TestHistRegister(t *testing.T) {
 	h.Record(10)
 	h.Record(20)
 	h.Register(reg, "wait.total")
-	var sb strings.Builder
-	reg.WriteText(&sb)
-	out := sb.String()
-	for _, want := range []string{"wait.total.count 2", "wait.total.mean 15", "wait.total.max 20", "wait.total.p50 10", "wait.total.p99 20"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, out)
+	snap := reg.Snapshot()
+	for name, want := range map[string]float64{"wait.total.count": 2, "wait.total.mean": 15, "wait.total.max": 20, "wait.total.p50": 10, "wait.total.p99": 20} {
+		if got, ok := snap[name]; !ok || got != want {
+			t.Fatalf("metric %s = %v (registered %v), want %v", name, got, ok, want)
 		}
 	}
 }
@@ -267,12 +264,10 @@ func TestHistSet(t *testing.T) {
 	if st2[0] != st[0] || st2[1] != st[1] {
 		t.Fatalf("Stages must return stable per-stage histograms")
 	}
-	var sb strings.Builder
-	reg.WriteText(&sb)
-	out := sb.String()
-	for _, want := range []string{"wait.total.count 1", "wait.stage1.p50 1", "wait.stage2.p50 3", "wait.stage3.count 0"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("hist-set metrics missing %q:\n%s", want, out)
+	snap := reg.Snapshot()
+	for name, want := range map[string]float64{"wait.total.count": 1, "wait.stage1.p50": 1, "wait.stage2.p50": 3, "wait.stage3.count": 0} {
+		if got, ok := snap[name]; !ok || got != want {
+			t.Fatalf("hist-set metric %s = %v (registered %v), want %v", name, got, ok, want)
 		}
 	}
 }

@@ -1,11 +1,7 @@
 package obs
 
 import (
-	"expvar"
-	"fmt"
-	"io"
 	"runtime/metrics"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -250,23 +246,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
-// WriteText renders the registry as sorted "name value" lines — the
-// /metrics wire format.
-func (r *Registry) WriteText(w io.Writer) error {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "%s %v\n", n, snap[n]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RegisterRuntimeMetrics exposes a small set of process-level read-outs
 // under the proc.* namespace — goroutines, live heap, cumulative
 // allocations, GC cycles and user CPU seconds — so any binary serving a
@@ -301,28 +280,4 @@ func RegisterRuntimeMetrics(reg *Registry) {
 		reg.Func(m.name, read(m.key))
 		reg.Describe(m.name, m.kind, m.help)
 	}
-}
-
-// expvarHolders lets PublishExpvar be called more than once per process
-// (expvar.Publish panics on duplicate names): the published expvar
-// reads through an indirection that later calls re-point.
-var (
-	expvarMu      sync.Mutex
-	expvarHolders = map[string]*atomic.Pointer[Registry]{}
-)
-
-// PublishExpvar exposes the registry's snapshot as a single expvar
-// (visible at /debug/vars) under the given name. Publishing another
-// registry under the same name re-points the existing expvar.
-func (r *Registry) PublishExpvar(name string) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if h, ok := expvarHolders[name]; ok {
-		h.Store(r)
-		return
-	}
-	h := &atomic.Pointer[Registry]{}
-	h.Store(r)
-	expvarHolders[name] = h
-	expvar.Publish(name, expvar.Func(func() any { return h.Load().Snapshot() }))
 }

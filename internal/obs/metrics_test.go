@@ -203,8 +203,8 @@ func TestRegistryDescribe(t *testing.T) {
 	}
 }
 
-// TestRegistrySnapshotDuringRegistration races Snapshot/Names/WriteText
-// against concurrent registration — the scrape-during-startup path.
+// TestRegistrySnapshotDuringRegistration races Snapshot/Names and the
+// OpenMetrics rendering against concurrent registration — the scrape-during-startup path.
 func TestRegistrySnapshotDuringRegistration(t *testing.T) {
 	reg := NewRegistry()
 	var wg sync.WaitGroup
@@ -231,10 +231,6 @@ func TestRegistrySnapshotDuringRegistration(t *testing.T) {
 				reg.Snapshot()
 				reg.Names()
 				var sb strings.Builder
-				if err := reg.WriteText(&sb); err != nil {
-					t.Error(err)
-					return
-				}
 				if err := WriteOpenMetrics(&sb, reg, nil); err != nil {
 					t.Error(err)
 					return
@@ -260,21 +256,14 @@ func TestRegistryTextAndSnapshot(t *testing.T) {
 		t.Fatalf("snapshot %v", snap)
 	}
 	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
+	if err := WriteOpenMetrics(&sb, reg, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"points.done 7\n", "inflight 3\n", "custom.ratio 0.5\n"} {
+	for _, want := range []string{"banyan_points_done_total 7\n", "banyan_inflight 3\n", "banyan_custom_ratio 0.5\n"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("text output missing %q:\n%s", want, sb.String())
 		}
 	}
-
-	// Re-publishing under one expvar name must not panic and must
-	// re-point to the newest registry.
-	reg.PublishExpvar("obs_test")
-	reg2 := NewRegistry()
-	reg2.Counter("other").Inc()
-	reg2.PublishExpvar("obs_test")
 }
 
 func TestSimProbeAggregation(t *testing.T) {

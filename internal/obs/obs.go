@@ -16,9 +16,9 @@
 //
 //   - Metrics (metrics.go): a small registry of named read-out
 //     functions backed by Counter, Gauge and windowed-rate Meter
-//     primitives. The registry renders as plain "name value" text (the
-//     /metrics endpoint) and can publish itself as one expvar under
-//     /debug/vars.
+//     primitives. The registry renders as OpenMetrics text (the /metrics
+//     endpoint, openmetrics.go) and feeds the metric-history ring
+//     (tsdb.go).
 //
 //   - Engine instrumentation (probe.go): a SimProbe accumulates cheap
 //     per-run simulator internals — cycles, schedule-block pulls,
@@ -41,10 +41,9 @@
 //
 // debug.go ties the pieces to a live HTTP endpoint (the -debug-addr
 // flag of the sweep binaries): net/http/pprof for CPU/heap profiling of
-// an in-flight sweep, /debug/vars for expvar, /metrics for the
-// registry, /debug/events for the recent event ring, /debug/hist for
-// live waiting-time quantiles and sparklines, /debug/trace for the
-// retained spans.
+// an in-flight sweep, /metrics for the registry, /debug/events for the recent event ring, /debug/hist for
+// live waiting-time quantiles and sparklines, /debug/ts for the metric
+// history, /debug/trace for the retained spans.
 //
 // Everything here is observational. Nothing in this package is hashed
 // into sweep point keys, journaled, or allowed to influence engine

@@ -32,10 +32,6 @@ func TestTrackStageWaitsAllocsFlat(t *testing.T) {
 			}
 			return RunSource(cfg, src)
 		}, true},
-		{"lanes", func(cfg *Config) (*Result, error) {
-			res, errs := RunLanes([]*Config{cfg})
-			return res[0], errs[0]
-		}, false},
 		{"graph-committed", func(cfg *Config) (*Result, error) {
 			c := *cfg
 			c.Topology = topology.Omega

@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// arenaLive counts arenas currently checked out of the pools — scalar
-// and laned. Every engine entry point increments it at checkout and
-// release decrements it on every exit path (release runs deferred, so
-// panics and cancellations are covered too). The chaos battery asserts
+// arenaLive counts arenas currently checked out of the pool. Every
+// engine entry point increments it at checkout and release decrements
+// it on every exit path (release runs deferred, so panics and
+// cancellations are covered too). The chaos battery asserts
 // it returns to zero after every scenario: a non-zero residue means an
 // exit path leaked pooled scratch.
 var arenaLive atomic.Int64
@@ -17,17 +17,9 @@ var arenaLive atomic.Int64
 // now. Zero when no engine invocation is in flight.
 func ArenaLive() int64 { return arenaLive.Load() }
 
-// getArena checks a scalar arena out of the pool.
+// getArena checks an arena out of the pool.
 func getArena() *arena {
 	a := arenaPool.Get().(*arena)
-	a.checkedOut = true
-	arenaLive.Add(1)
-	return a
-}
-
-// getLanesArena checks a laned arena out of the pool.
-func getLanesArena() *lanesArena {
-	a := lanesArenaPool.Get().(*lanesArena)
 	a.checkedOut = true
 	arenaLive.Add(1)
 	return a
@@ -238,170 +230,6 @@ func (a *arena) trim() {
 	if cap(a.blkT) > maxRetainBlk {
 		a.blkT, a.blkIn, a.blkDest, a.blkSvc, a.blkMeas = nil, nil, nil, nil, nil
 	}
-}
-
-// lanesArena is the laned kernel's counterpart of arena: pooled
-// scratch serving W lock-step replications (lanes) of the same
-// configuration. Every array that carries per-replication state is per
-// lane — the slot store, the wait lanes, the free lists, the schedule
-// rings, the batch scratch and the trace-block scratch — so each
-// lane's memory layout is exactly a scalar run's: dense lane-local
-// slot indices packed by its own free list, dense stride-Stages wait
-// lanes, its own rings in push order. Keeping slot stores dense per
-// lane (rather than interleaving lanes into one shared store) is what
-// keeps the per-message cache traffic at the scalar kernel's level;
-// lanes share only the pool round-trip, the lane-segmented free-time
-// table and the covariance scratch.
-type lanesArena struct {
-	msl   [][]mrec  // per-lane slot stores, indexed by lane-local slot
-	waits [][]int16 // per-lane stride-Stages waits (TrackStageWaits only)
-
-	freeSlots [][]int32 // per-lane recycled slots
-	rings     []kring   // rings[l·(n-1)+s] holds lane l's messages for stage s+2
-	ringChunk int       // ring chunk size in slots; 0 (ringChunk) outside tests
-	laneBatch [][]int32 // per-lane (cycle, stage) batch scratch
-
-	free []int64   // per-lane, per-stage, per-port next-free cycle
-	vec  []float64 // covariance scratch
-
-	blks []TraceBlock // per-lane trace-block scratch (lend/harvest)
-
-	checkedOut bool // set by getLanesArena, cleared by release (ArenaLive accounting)
-}
-
-var lanesArenaPool = sync.Pool{New: func() any { return new(lanesArena) }}
-
-// prepare resets the arena for a W-lane run over n stages and rows
-// ports per stage, reusing every backing array that is already large
-// enough.
-func (a *lanesArena) prepare(w, n, rows int, trackWaits bool) {
-	for len(a.msl) < w {
-		a.msl = append(a.msl, nil)
-	}
-	for len(a.waits) < w {
-		a.waits = append(a.waits, nil)
-	}
-	for len(a.freeSlots) < w {
-		a.freeSlots = append(a.freeSlots, nil)
-	}
-	for len(a.laneBatch) < w {
-		a.laneBatch = append(a.laneBatch, nil)
-	}
-	for len(a.blks) < w {
-		a.blks = append(a.blks, TraceBlock{})
-	}
-	for l := 0; l < w; l++ {
-		a.freeSlots[l] = growFree(a.freeSlots[l][:0], len(a.msl[l]))
-		a.laneBatch[l] = a.laneBatch[l][:0]
-		if trackWaits && len(a.waits[l]) < len(a.msl[l])*n {
-			a.waits[l] = make([]int16, len(a.msl[l])*n)
-		}
-	}
-	need := w * n * rows
-	if cap(a.free) < need {
-		a.free = make([]int64, need)
-	} else {
-		a.free = a.free[:need]
-		clear(a.free)
-	}
-	if cap(a.vec) < n {
-		a.vec = make([]float64, n)
-	} else {
-		a.vec = a.vec[:n]
-	}
-	for len(a.rings) < w*(n-1) {
-		a.rings = append(a.rings, kring{})
-	}
-	for i := 0; i < w*(n-1); i++ {
-		a.rings[i].reset(a.ringChunk)
-	}
-}
-
-// growSlots doubles lane l's slot store, preserving its live slots,
-// exactly as arena.growSlots does for a scalar run. stride is the
-// run's stage count (the waits lane width). The lane's free list is
-// sized to the grown store as well; the laned kernel grows a store only
-// when the lane's free list is empty, and then resumes from
-// a.freeSlots[l].
-func (a *lanesArena) growSlots(l, stride int, trackWaits bool) {
-	nc := 2 * len(a.msl[l])
-	if nc == 0 {
-		nc = 256
-	}
-	a.msl[l] = growCopy(a.msl[l], nc)
-	a.freeSlots[l] = growFree(a.freeSlots[l][:0], nc)
-	if trackWaits {
-		a.waits[l] = growCopy(a.waits[l], nc*stride)
-	}
-}
-
-// lendBlockScratch hands lane l's retained trace-block arrays to that
-// lane's freshly created stream, mirroring arena.lendBlockScratch.
-func (a *lanesArena) lendBlockScratch(l int, s *TraceStream) {
-	if s.next != 0 || s.blk.T != nil {
-		return
-	}
-	b := &a.blks[l]
-	s.blk.T = b.T[:0]
-	s.blk.In = b.In[:0]
-	s.blk.Dest = b.Dest[:0]
-	s.blk.Svc = b.Svc[:0]
-	s.blk.Meas = b.Meas[:0]
-}
-
-// harvestBlockScratch takes lane l's (possibly regrown) block arrays
-// back from its stream.
-func (a *lanesArena) harvestBlockScratch(l int, s *TraceStream) {
-	b := &a.blks[l]
-	b.T = s.blk.T[:0]
-	b.In = s.blk.In[:0]
-	b.Dest = s.blk.Dest[:0]
-	b.Svc = s.blk.Svc[:0]
-	b.Meas = s.blk.Meas[:0]
-	s.blk.T, s.blk.In, s.blk.Dest, s.blk.Svc, s.blk.Meas = nil, nil, nil, nil, nil
-}
-
-// release returns the arena to the pool, dropping scratch grown past
-// the same retention caps arena.release applies: the caps bound total
-// retained bytes, so they apply to the shared arrays as a whole and to
-// each per-lane array individually.
-func (a *lanesArena) release() {
-	if a.checkedOut {
-		a.checkedOut = false
-		arenaLive.Add(-1)
-	}
-	for l := range a.msl {
-		if len(a.msl[l]) > maxRetainSlots {
-			a.msl[l] = nil
-		}
-	}
-	for l := range a.waits {
-		if len(a.waits[l]) > maxRetainWaits {
-			a.waits[l] = nil
-		}
-	}
-	for l := range a.freeSlots {
-		if cap(a.freeSlots[l]) > maxRetainSlots {
-			a.freeSlots[l] = nil
-		}
-	}
-	for i := range a.rings {
-		a.rings[i].trim()
-	}
-	for l := range a.laneBatch {
-		if cap(a.laneBatch[l]) > maxRetainBatch {
-			a.laneBatch[l] = nil
-		}
-	}
-	if cap(a.free) > maxRetainPorts {
-		a.free = nil
-	}
-	for l := range a.blks {
-		if cap(a.blks[l].T) > maxRetainBlk {
-			a.blks[l] = TraceBlock{}
-		}
-	}
-	lanesArenaPool.Put(a)
 }
 
 // kring is the kernel's schedule ring for one stage: a growable

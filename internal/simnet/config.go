@@ -95,7 +95,7 @@ type Config struct {
 	// Antithetic mirrors every trace-generation draw: uniforms u become
 	// 1-u and uniform destinations d become destSpace-1-d, at the
 	// TraceStream level, so every engine (fast, reference, literal,
-	// lanes) sees the same mirrored schedule. A run with Antithetic set
+	// graph) sees the same mirrored schedule. A run with Antithetic set
 	// has exactly the simulator's marginal distribution — mirroring is
 	// measure-preserving — but is negatively correlated with the run at
 	// the same Seed without it; averaging such a pair cancels the

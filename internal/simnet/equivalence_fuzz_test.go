@@ -76,16 +76,6 @@ func fuzzConfig(k, n, svcKind uint8, pMille, qMille uint16, bulk uint8,
 	return cfg, cfg.P * float64(cfg.Bulk) * m, true
 }
 
-// fuzzLaneWidth derives the lock-step lane count for a fuzz execution
-// from seed bits fuzzConfig does not consume: 1..8, covering odd widths
-// and the degenerate W=1 group. The fuzz config itself rides at a
-// seed-chosen lane so every lane position gets exercised.
-func fuzzLaneWidth(seed uint64) (w, slot int) {
-	w = 1 + int((seed>>33)%8)
-	slot = int((seed >> 37) % uint64(w))
-	return w, slot
-}
-
 // fuzzRingChunk draws the schedule rings' chunk size for a fuzz
 // execution from seed bits nothing else consumes: one slot, three
 // slots, or the default.
@@ -93,37 +83,32 @@ func fuzzRingChunk(seed uint64) int {
 	return [...]int{1, 3, 0}[(seed>>41)%3]
 }
 
-// FuzzEngineEquivalence cross-checks the five engines on arbitrary
+// FuzzEngineEquivalence cross-checks the four engines on arbitrary
 // bounded configurations: the batch kernel must match the scalar
 // reference engine bit for bit (the determinism contract); the
 // topology-true graph engine, under its default omega wiring with
 // unlimited buffers, must collapse to the kernel bit for bit (the
-// graph-collapse contract); the laned kernel — running the same configuration as one lane of a lock-step
-// group of seed-derived width, and again as a degenerate W=1 group —
-// must match the scalar kernel bit for bit on every lane; and, when the
-// run is not truncated, all must agree with the cycle-driven literal
-// engine on the measured population and, statistically, on the mean
-// wait. The seed corpus covers the edge regimes: saturation and
-// truncation (with AllowUnstable draws past ρ = 1), bulk batches,
-// favorite outputs, hot modules, resampled service, bursty sources,
-// lane widths across 1..8 including odd group sizes, and schedule rings
-// with one-slot, three-slot and default chunks.
+// graph-collapse contract); and, when the run is not truncated, all must
+// agree with the cycle-driven literal engine on the measured population
+// and, statistically, on the mean wait. The seed corpus covers the edge
+// regimes: saturation and truncation (with AllowUnstable draws past
+// ρ = 1), bulk batches, favorite outputs, hot modules, resampled
+// service, bursty sources, and schedule rings with one-slot, three-slot
+// and default chunks.
 func FuzzEngineEquivalence(f *testing.F) {
 	//        k  n svc  p‰   q‰  bulk cyc  seed  resample burst hot
-	f.Add(uint8(0), uint8(3), uint8(0), uint16(400), uint16(0), uint8(0), uint16(600), uint64(1), false, false, false)  // plain uniform
-	f.Add(uint8(0), uint8(2), uint8(1), uint16(950), uint16(0), uint8(1), uint16(500), uint64(2), false, false, false)  // bulk + const svc near saturation
-	f.Add(uint8(0), uint8(3), uint8(0), uint16(999), uint16(0), uint8(0), uint16(1100), uint64(3), false, false, false) // saturated → truncation
-	f.Add(uint8(0), uint8(2), uint8(0), uint16(300), uint16(99), uint8(0), uint16(700), uint64(4), false, false, false) // favorite outputs
-	f.Add(uint8(0), uint8(2), uint8(0), uint16(300), uint16(200), uint8(0), uint16(700), uint64(5), false, false, true) // hot module
-	f.Add(uint8(0), uint8(2), uint8(2), uint16(350), uint16(0), uint8(0), uint16(800), uint64(6), true, false, false)   // resampled multi-size service
-	f.Add(uint8(0), uint8(1), uint8(0), uint16(400), uint16(1), uint8(0), uint16(900), uint64(7), false, true, false)   // bursty source
-	f.Add(uint8(1), uint8(1), uint8(3), uint16(500), uint16(0), uint8(0), uint16(400), uint64(8), false, false, false)  // non-pow2 radix + geometric svc
-	// Lane-focused seeds: high seed bits select the lane width (1..8)
-	// and the fuzz config's lane position.
-	f.Add(uint8(0), uint8(3), uint8(0), uint16(400), uint16(0), uint8(0), uint16(600), uint64(1)<<33|9, false, false, false)   // W=2 group
-	f.Add(uint8(0), uint8(3), uint8(0), uint16(999), uint16(0), uint8(0), uint16(1100), uint64(2)<<33|10, false, false, false) // W=3 (odd) group, truncating
-	f.Add(uint8(0), uint8(2), uint8(1), uint16(999), uint16(0), uint8(1), uint16(500), uint64(4)<<33|11, false, false, false)  // W=5 group past ρ=1 (AllowUnstable)
-	f.Add(uint8(1), uint8(2), uint8(3), uint16(500), uint16(0), uint8(0), uint16(700), uint64(7)<<37|12, false, false, false)  // W=8 group, non-pow2 radix, off-zero slot
+	f.Add(uint8(0), uint8(3), uint8(0), uint16(400), uint16(0), uint8(0), uint16(600), uint64(1), false, false, false)         // plain uniform
+	f.Add(uint8(0), uint8(2), uint8(1), uint16(950), uint16(0), uint8(1), uint16(500), uint64(2), false, false, false)         // bulk + const svc near saturation
+	f.Add(uint8(0), uint8(3), uint8(0), uint16(999), uint16(0), uint8(0), uint16(1100), uint64(3), false, false, false)        // saturated → truncation
+	f.Add(uint8(0), uint8(2), uint8(0), uint16(300), uint16(99), uint8(0), uint16(700), uint64(4), false, false, false)        // favorite outputs
+	f.Add(uint8(0), uint8(2), uint8(0), uint16(300), uint16(200), uint8(0), uint16(700), uint64(5), false, false, true)        // hot module
+	f.Add(uint8(0), uint8(2), uint8(2), uint16(350), uint16(0), uint8(0), uint16(800), uint64(6), true, false, false)          // resampled multi-size service
+	f.Add(uint8(0), uint8(1), uint8(0), uint16(400), uint16(1), uint8(0), uint16(900), uint64(7), false, true, false)          // bursty source
+	f.Add(uint8(1), uint8(1), uint8(3), uint16(500), uint16(0), uint8(0), uint16(400), uint64(8), false, false, false)         // non-pow2 radix + geometric svc
+	f.Add(uint8(0), uint8(3), uint8(0), uint16(400), uint16(0), uint8(0), uint16(600), uint64(1)<<33|9, false, false, false)   // plain uniform, other block sizes
+	f.Add(uint8(0), uint8(3), uint8(0), uint16(999), uint16(0), uint8(0), uint16(1100), uint64(2)<<33|10, false, false, false) // truncating, other block sizes
+	f.Add(uint8(0), uint8(2), uint8(1), uint16(999), uint16(0), uint8(1), uint16(500), uint64(4)<<33|11, false, false, false)  // bulk past ρ=1 (AllowUnstable)
+	f.Add(uint8(1), uint8(2), uint8(3), uint16(500), uint16(0), uint8(0), uint16(700), uint64(7)<<37|12, false, false, false)  // non-pow2 radix, geometric svc
 	// Ring-chunk seeds: bits 41+ select the schedule rings' chunk size
 	// (the seeds above all draw one-slot chunks).
 	f.Add(uint8(0), uint8(3), uint8(1), uint16(900), uint16(0), uint8(1), uint16(900), uint64(1)<<41|13, false, false, false) // three-slot chunks, bulk near saturation
@@ -143,7 +128,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 		// schedule the final pull covered.
 		bc := 1 + int(seed%257)
 		bm := 1 + int(seed/257%1024)
-		// The kernel, graph and lanes legs also run on schedule rings with
+		// The kernel and graph legs also run on schedule rings with
 		// a drawn chunk size, so cells spill across chunk boundaries even
 		// on these small networks; push order must survive the chunking.
 		rc := fuzzRingChunk(seed)
@@ -191,49 +176,6 @@ func FuzzEngineEquivalence(f *testing.F) {
 		}
 		if !reflect.DeepEqual(kres, wres) {
 			t.Fatalf("kernel and graph engine diverge (cfg %+v)\nkernel %+v\ngraph  %+v", cfg, kres, wres)
-		}
-
-		// Laned cross-check: the fuzz config runs as one lane of a
-		// lock-step group of seed-derived width, siblings at split seeds.
-		// Every lane is held bit-identical to a scalar run of its own
-		// configuration at the lanes' default block size — Offered counts
-		// pulled schedule, so truncated runs are block-size-sensitive and
-		// the oracle must pull the same blocks the lanes do.
-		w, slot := fuzzLaneWidth(seed)
-		lcfgs := make([]*Config, w)
-		for i := range lcfgs {
-			c := cfg
-			if i != slot {
-				c.Seed = SplitSeed(seed, uint64(i)+1)
-			}
-			lcfgs[i] = &c
-		}
-		gres, gerrs := runLanes(context.Background(), lcfgs, &lanesArena{ringChunk: rc})
-		var slotRes *Result
-		var slotErr error
-		for i := range lcfgs {
-			oc := *lcfgs[i]
-			ores, oerr := Run(&oc)
-			if i == slot {
-				slotRes, slotErr = ores, oerr
-			}
-			if (gerrs[i] == nil) != (oerr == nil) {
-				t.Fatalf("lane %d/%d error mismatch: lanes %v, scalar %v (cfg %+v)", i, w, gerrs[i], oerr, cfg)
-			}
-			if !reflect.DeepEqual(gres[i], ores) {
-				t.Fatalf("lane %d/%d diverges from scalar (cfg %+v)\nlane   %+v\nscalar %+v", i, w, cfg, gres[i], ores)
-			}
-		}
-		if w > 1 {
-			// Degenerate W=1 group: the lane machinery with no siblings.
-			scfg := cfg
-			sres, serrs := RunLanes([]*Config{&scfg})
-			if (serrs[0] == nil) != (slotErr == nil) {
-				t.Fatalf("W=1 lane error mismatch: lane %v, scalar %v (cfg %+v)", serrs[0], slotErr, cfg)
-			}
-			if !reflect.DeepEqual(sres[0], slotRes) {
-				t.Fatalf("W=1 lane diverges from scalar (cfg %+v)\nlane   %+v\nscalar %+v", cfg, sres[0], slotRes)
-			}
 		}
 
 		// The literal engine shares no scheduling code; compare it

@@ -137,6 +137,21 @@ func RunCtx(ctx context.Context, cfg *Config) (*Result, error) {
 	return runKernel(ctx, cfg, src, ar, nil)
 }
 
+// RunLanes runs each configuration through RunCtx in turn and returns
+// one (Result, error) pair per configuration, index-aligned with cfgs.
+// Like every stage-model entry point, it rejects a graph Topology.
+//
+// Deprecated: lock-step lanes are gone and every replication runs on
+// the batch kernel; call Run once per configuration instead.
+func RunLanes(cfgs []*Config) ([]*Result, []error) {
+	results := make([]*Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	for i, cfg := range cfgs {
+		results[i], errs[i] = RunCtx(context.Background(), cfg)
+	}
+	return results, errs
+}
+
 // RunTrace executes the fast message-level engine on a prepared
 // materialized trace (e.g. to drive both engines from identical
 // traffic). Run and RunTrace produce identical statistics at the same

@@ -360,7 +360,7 @@ func TestGraphKnobsRejectedByStageEngines(t *testing.T) {
 		t.Fatalf("literal engine accepted Topology: %v", err)
 	}
 	if _, errs := RunLanes([]*Config{&cfg}); errs[0] == nil || !strings.Contains(errs[0].Error(), "graph engine") {
-		t.Fatalf("lanes accepted Topology: %v", errs[0])
+		t.Fatalf("deprecated RunLanes accepted Topology: %v", errs[0])
 	}
 	// Graph-only knobs without a Topology fail validation everywhere.
 	buf := Config{K: 2, Stages: 3, P: 0.5, Cycles: 500, Seed: 1, StageBuffers: []int{2, 2, 2}}

@@ -129,15 +129,6 @@ type TraceStream struct {
 // a block also ends once it holds 16,384 messages. The block size
 // affects peak memory only, never the generated schedule.
 func NewTraceStream(cfg *Config, blockCycles int) (*TraceStream, error) {
-	return newTraceStreamSampler(cfg, blockCycles, nil)
-}
-
-// newTraceStreamSampler is NewTraceStream with an optional pre-built
-// service sampler. The sampler is a function of the service
-// distribution alone and is consulted read-only, so lock-step lanes
-// running the same configuration share one alias table instead of
-// rebuilding it per lane. A nil svcSampler builds the table as usual.
-func newTraceStreamSampler(cfg *Config, blockCycles int, svcSampler *dist.Sampler) (*TraceStream, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -167,8 +158,6 @@ func newTraceStreamSampler(cfg *Config, blockCycles int, svcSampler *dist.Sample
 	}
 	if sup := svcPMF.SortedSupport(0); len(sup) == 1 {
 		s.constSvc = sup[0]
-	} else if svcSampler != nil {
-		s.sampler = svcSampler
 	} else {
 		s.sampler = cfg.service().Sampler()
 	}

@@ -21,25 +21,9 @@ func benchGrid() []Point {
 	return pts
 }
 
-// benchGridReps is benchGrid at 8 replications per point — the shape
-// where lock-step lanes reach full width.
-func benchGridReps() []Point {
-	g := Grid{
-		Ks: []int{2}, Ns: []int{6},
-		Ps:     []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85},
-		Cycles: 2000, Warmup: 300,
-		Reps: 8,
-	}
-	pts, err := g.Points()
-	if err != nil {
-		panic(err)
-	}
-	return pts
-}
-
-func runBench(b *testing.B, pts []Point, parallelism, lanes int) {
+func runBench(b *testing.B, pts []Point, parallelism int) {
 	run := func() {
-		r := &Runner{Parallelism: parallelism, Lanes: lanes, RootSeed: 0x5eed}
+		r := &Runner{Parallelism: parallelism, RootSeed: 0x5eed}
 		if _, err := r.Run(pts); err != nil {
 			b.Fatal(err)
 		}
@@ -60,18 +44,8 @@ func runBench(b *testing.B, pts []Point, parallelism, lanes int) {
 }
 
 // BenchmarkSweepSequential is the headline single-core number: one
-// worker, auto lane width (W=2 on this grid's 2 replications).
-func BenchmarkSweepSequential(b *testing.B) { runBench(b, benchGrid(), 1, 0) }
-
-// BenchmarkSweepSequentialScalar pins the pre-lane configuration —
-// Lanes=1 forces the scalar kernel — so the laned/scalar ratio can be
-// read off one machine's run.
-func BenchmarkSweepSequentialScalar(b *testing.B) { runBench(b, benchGrid(), 1, 1) }
-
-// BenchmarkSweepLanes8 runs the 8-replication grid at full lane width;
-// BenchmarkSweepLanes8Scalar is the same batch on the scalar kernel.
-func BenchmarkSweepLanes8(b *testing.B)       { runBench(b, benchGridReps(), 1, 8) }
-func BenchmarkSweepLanes8Scalar(b *testing.B) { runBench(b, benchGridReps(), 1, 1) }
+// worker running every replication on the batch kernel.
+func BenchmarkSweepSequential(b *testing.B) { runBench(b, benchGrid(), 1) }
 
 // BenchmarkSweepParallel uses all cores; on an N-core machine the
 // speedup over BenchmarkSweepSequential should approach min(N, jobs)
@@ -79,5 +53,5 @@ func BenchmarkSweepLanes8Scalar(b *testing.B) { runBench(b, benchGridReps(), 1, 
 // granularity.
 func BenchmarkSweepParallel(b *testing.B) {
 	b.Logf("GOMAXPROCS=%d", runtime.GOMAXPROCS(0))
-	runBench(b, benchGrid(), 0, 0)
+	runBench(b, benchGrid(), 0)
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -58,7 +57,7 @@ func assertChaosTyped(t *testing.T, err error) {
 // or fails typed — and in both cases a fault-free rerun against the
 // surviving journal converges to the golden results, the repaired
 // journal compacts cleanly, and nothing leaks.
-func runChaosScenario(t *testing.T, sched *faultinject.Schedule, pts []Point, golden []byte, par, lanes int, expectFire bool) {
+func runChaosScenario(t *testing.T, sched *faultinject.Schedule, pts []Point, golden []byte, par int, expectFire bool) {
 	t.Helper()
 	baseline := runtime.NumGoroutine()
 	path := filepath.Join(t.TempDir(), "chaos.jsonl")
@@ -68,7 +67,7 @@ func runChaosScenario(t *testing.T, sched *faultinject.Schedule, pts []Point, go
 	}
 	inj := faultinject.New(sched)
 	r := &Runner{
-		RootSeed: 7, Parallelism: par, Lanes: lanes,
+		RootSeed: 7, Parallelism: par,
 		MaxRetries: 3, RetryBackoff: time.Millisecond,
 		Watchdog: chaosWatchdog(),
 		Journal:  j, Fault: inj,
@@ -94,7 +93,7 @@ func runChaosScenario(t *testing.T, sched *faultinject.Schedule, pts []Point, go
 	if err != nil {
 		t.Fatalf("reopen after chaos run: %v", err)
 	}
-	r2 := &Runner{RootSeed: 7, Parallelism: par, Lanes: lanes, Journal: j2}
+	r2 := &Runner{RootSeed: 7, Parallelism: par, Journal: j2}
 	prs2, err := r2.Run(pts)
 	if err != nil {
 		t.Fatalf("fault-free resume: %v", err)
@@ -116,8 +115,7 @@ func runChaosScenario(t *testing.T, sched *faultinject.Schedule, pts []Point, go
 	checkNoLeaks(t, baseline)
 }
 
-// TestChaosBattery sweeps every fault class across parallelism × lane
-// width: each run must complete bit-identical to the fault-free golden
+// TestChaosBattery sweeps every fault class across parallelism: each run must complete bit-identical to the fault-free golden
 // or fail typed and resume byte-identically — no hangs, no leaks, no
 // silent corruption.
 func TestChaosBattery(t *testing.T) {
@@ -130,22 +128,17 @@ func TestChaosBattery(t *testing.T) {
 
 	for _, class := range faultinject.Classes {
 		for _, par := range []int{1, 4} {
-			for _, lanes := range []int{1, 4} {
-				class, par, lanes := class, par, lanes
-				t.Run(fmt.Sprintf("%s/par=%d/lanes=%d", class, par, lanes), func(t *testing.T) {
-					sched := &faultinject.Schedule{
-						Seed:   42,
-						Faults: []faultinject.Fault{{Class: class, Prob: 1}},
-					}
-					// The lane-group fault has no injection point in the
-					// scalar kernel, so at width 1 it must stay silent; the
-					// disk-full fault only fires on an explicit Checkpoint
-					// (see TestChaosDiskFull).
-					expectFire := (class != faultinject.LaneFail || lanes > 1) &&
-						class != faultinject.JournalDiskFull
-					runChaosScenario(t, sched, pts, golden, par, lanes, expectFire)
-				})
-			}
+			class, par := class, par
+			t.Run(fmt.Sprintf("%s/par=%d", class, par), func(t *testing.T) {
+				sched := &faultinject.Schedule{
+					Seed:   42,
+					Faults: []faultinject.Fault{{Class: class, Prob: 1}},
+				}
+				// The disk-full fault only fires on an explicit
+				// Checkpoint (see TestChaosDiskFull).
+				expectFire := class != faultinject.JournalDiskFull
+				runChaosScenario(t, sched, pts, golden, par, expectFire)
+			})
 		}
 	}
 }
@@ -164,49 +157,8 @@ func TestChaosSeededSchedules(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			sched := faultinject.FromSeed(seed)
-			runChaosScenario(t, sched, pts, golden, 4, 4, false)
+			runChaosScenario(t, sched, pts, golden, 4, false)
 		})
-	}
-}
-
-// TestChaosLaneDegradation: a failed lane group must rerun as scalar
-// replications without consuming the per-replication retry budget
-// (MaxRetries=0 here) and still converge to the fault-free results.
-func TestChaosLaneDegradation(t *testing.T) {
-	pts := quickPoints(2)
-	clean, err := (&Runner{RootSeed: 7}).Run(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := &faultinject.Schedule{
-		Seed:   3,
-		Faults: []faultinject.Fault{{Class: faultinject.LaneFail, Prob: 1}},
-	}
-	r := &Runner{
-		RootSeed: 7, Lanes: 4, MaxRetries: 0,
-		Fault: faultinject.New(sched),
-	}
-	prs, err := r.Run(pts)
-	if err != nil {
-		t.Fatalf("degraded run must complete: %v", err)
-	}
-	if !reflect.DeepEqual(resultsOf(prs), resultsOf(clean)) {
-		t.Fatal("degraded results diverged from the fault-free run")
-	}
-	snap := r.Counters().Snapshot()
-	if snap.Degraded < 1 {
-		t.Fatalf("want at least one lane-to-scalar degradation, got %+v", snap)
-	}
-	for _, pr := range prs {
-		found := false
-		for _, note := range pr.Recovery {
-			if note == "degrade.lane_to_scalar" {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("point %q missing the degradation recovery note: %v", pr.Point.Label, pr.Recovery)
-		}
 	}
 }
 

@@ -36,7 +36,7 @@ type journalRecord struct {
 	Batch string           `json:"batch,omitempty"` // header: batch hash, %016x
 	Key   uint64           `json:"key,omitempty"`
 	Label string           `json:"label,omitempty"`
-	Notes []string         `json:"notes,omitempty"` // recovery annotations (retries, degradation, watchdog)
+	Notes []string         `json:"notes,omitempty"` // recovery annotations (retries, watchdog)
 	Runs  []*simnet.Result `json:"runs,omitempty"`
 }
 

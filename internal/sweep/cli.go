@@ -34,9 +34,6 @@ type RunOptions struct {
 	Resume bool
 	// MaxRetries is the per-replication retry budget.
 	MaxRetries int
-	// Lanes is the lock-step lane width for Fast-engine replications
-	// (0 = auto, 1 = scalar kernel). Result-neutral; see Runner.Lanes.
-	Lanes int
 	// VR is the comma-separated variance-reduction technique list:
 	// "crn", "cv", "anti" ("" or "off" = none). See vr.Parse.
 	VR string
@@ -70,10 +67,10 @@ type RunOptions struct {
 	// rendition to stderr ("" = off). "-" writes the JSON to stdout.
 	LedgerOut string
 	// DebugAddr serves live observability over HTTP while the run
-	// executes — /metrics (OpenMetrics), /debug/vars (expvar),
-	// /debug/events (recent event ring), /debug/hist (live waiting-time
-	// histograms), /debug/ts (sampled metric history), /debug/trace and
-	// /debug/pprof — on this address ("" = off).
+	// executes — /metrics (OpenMetrics), /debug/events (recent event
+	// ring), /debug/hist (live waiting-time histograms), /debug/ts
+	// (sampled metric history), /debug/trace and /debug/pprof — on this
+	// address ("" = off).
 	DebugAddr string
 	// TSInterval is the metric-history sampling cadence for /debug/ts
 	// (0 = 1s). Only meaningful with DebugAddr.
@@ -111,7 +108,7 @@ func (o *RunOptions) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.Checkpoint, "checkpoint", "", "journal completed points to this file so an interrupted run can be resumed with -resume")
 	fs.BoolVar(&o.Resume, "resume", false, "reuse the completed points already in the -checkpoint journal")
 	fs.IntVar(&o.MaxRetries, "max-retries", 1, "retries per replication after a panic or simulation error")
-	fs.IntVar(&o.Lanes, "lanes", 0, "lock-step lane width: run this many replications of a point through one kernel invocation (0 = auto, 1 = scalar); never affects results")
+	fs.Int("lanes", 0, "deprecated and ignored: lock-step lanes were removed and every replication runs on the batch kernel; the flag is accepted for one more release")
 	fs.StringVar(&o.VR, "vr", "", "variance-reduction techniques, comma-separated: crn (common random numbers across points), cv (control variates), anti (antithetic replication pairs)")
 	fs.Float64Var(&o.TargetCI, "target-ci", 0, "run each point until the 95% CI half-width of its mean wait is at most this many cycles (0 = fixed replication count)")
 	fs.IntVar(&o.VRMaxReps, "vr-max-reps", 0, "replication cap per point for -target-ci (0 = the point's configured count)")
@@ -120,7 +117,7 @@ func (o *RunOptions) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.CheckpointFsync, "checkpoint-fsync", 0, "fsync the -checkpoint journal after every N appended points (0 = only at close)")
 	fs.StringVar(&o.EventsPath, "events", "", "append structured sweep events as JSON lines to this file (\"-\" = stderr)")
 	fs.StringVar(&o.LedgerOut, "ledger-out", "", "write the end-of-run accounting ledger as JSON to this file (\"-\" = stdout) and print its text table to stderr")
-	fs.StringVar(&o.DebugAddr, "debug-addr", "", "serve live /metrics (OpenMetrics), /debug/vars, /debug/events, /debug/hist, /debug/ts, /debug/trace and /debug/pprof on this address (e.g. :6060) while the run executes")
+	fs.StringVar(&o.DebugAddr, "debug-addr", "", "serve live /metrics (OpenMetrics), /debug/events, /debug/hist, /debug/ts, /debug/trace and /debug/pprof on this address (e.g. :6060) while the run executes")
 	fs.DurationVar(&o.TSInterval, "ts-interval", 0, "with -debug-addr: sampling cadence of the /debug/ts metric history (0 = 1s)")
 	fs.BoolVar(&o.SimStats, "sim-stats", false, "collect simulator-internal statistics (free-list hit rate, per-stage backlog high water) and print a summary at exit")
 	fs.StringVar(&o.TraceOut, "trace-out", "", "sample per-message trace spans and dump them as JSON lines to this file at exit")
@@ -140,7 +137,6 @@ func (o *RunOptions) Apply(r *Runner) (context.Context, func(), error) {
 	}
 	r.PointBudget = o.PointBudget
 	r.MaxRetries = o.MaxRetries
-	r.Lanes = o.Lanes
 	plan, err := vr.Parse(o.VR)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sweep: -vr: %w", err)
@@ -232,7 +228,6 @@ func (o *RunOptions) Apply(r *Runner) (context.Context, func(), error) {
 		// history ride along with the live endpoint; both are
 		// hash-excluded and result-neutral.
 		obs.RegisterRuntimeMetrics(reg)
-		reg.PublishExpvar("banyan")
 		interval := o.TSInterval
 		if interval <= 0 {
 			interval = time.Second
@@ -256,7 +251,7 @@ func (o *RunOptions) Apply(r *Runner) (context.Context, func(), error) {
 			return fail(fmt.Errorf("sweep: debug server: %w", err))
 		}
 		srv, o.srv = s, s
-		fmt.Fprintf(os.Stderr, "debug: serving /metrics, /debug/vars, /debug/events, /debug/hist, /debug/ts, /debug/trace and /debug/pprof on http://%s\n", s.Addr())
+		fmt.Fprintf(os.Stderr, "debug: serving /metrics, /debug/events, /debug/hist, /debug/ts, /debug/trace and /debug/pprof on http://%s\n", s.Addr())
 	} else if o.TSInterval > 0 {
 		return fail(fmt.Errorf("sweep: -ts-interval requires -debug-addr"))
 	}

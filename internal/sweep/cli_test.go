@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -33,25 +34,53 @@ func TestResumeRequiresCheckpoint(t *testing.T) {
 }
 
 // TestRegisterFlags: the observability flags parse and land in the
-// options.
+// options, and the deprecated -lanes flag still parses but changes
+// neither the options nor the run.
 func TestRegisterFlags(t *testing.T) {
-	var o RunOptions
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	o.RegisterFlags(fs)
-	err := fs.Parse([]string{
-		"-timeout", "10m", "-max-retries", "3", "-lanes", "4",
+	parse := func(args ...string) RunOptions {
+		t.Helper()
+		var o RunOptions
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		o.RegisterFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	args := []string{
+		"-timeout", "10m", "-max-retries", "3",
 		"-events", "ev.jsonl", "-debug-addr", ":6060", "-sim-stats",
 		"-trace-out", "spans.jsonl", "-trace-sample", "32",
 		"-drift-check", "-drift-threshold", "0.2",
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if o.EventsPath != "ev.jsonl" || o.DebugAddr != ":6060" || !o.SimStats || o.MaxRetries != 3 || o.Lanes != 4 {
+	o := parse(append(args, "-lanes", "4")...)
+	if o.EventsPath != "ev.jsonl" || o.DebugAddr != ":6060" || !o.SimStats || o.MaxRetries != 3 {
 		t.Fatalf("flags not applied: %+v", o)
 	}
 	if o.TraceOut != "spans.jsonl" || o.TraceSample != 32 || !o.DriftCheck || o.DriftThreshold != 0.2 {
 		t.Fatalf("tracing/drift flags not applied: %+v", o)
+	}
+	if without := parse(args...); !reflect.DeepEqual(o, without) {
+		t.Fatalf("-lanes changed the options:\nwith    %+v\nwithout %+v", o, without)
+	}
+
+	// The run itself: a batch under -lanes 4 matches one without it.
+	run := func(o RunOptions) []*PointResult {
+		t.Helper()
+		r := &Runner{RootSeed: 7}
+		ctx, cleanup, err := o.Apply(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cleanup()
+		prs, err := r.RunCtx(ctx, quickPoints(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prs
+	}
+	if a, b := run(parse("-lanes", "4")), run(parse()); !reflect.DeepEqual(resultsOf(a), resultsOf(b)) {
+		t.Fatal("-lanes 4 changed the run's results")
 	}
 }
 
@@ -85,14 +114,8 @@ func TestApplyObservabilityWiring(t *testing.T) {
 		}
 		return string(body)
 	}
-	metrics := get("/metrics?format=legacy")
-	for _, want := range []string{"sweep.points.done 3", "sweep.points.total 3", "sim.runs 3"} {
-		if !strings.Contains(metrics, want) {
-			t.Fatalf("/metrics?format=legacy missing %q:\n%s", want, metrics)
-		}
-	}
 	om := get("/metrics")
-	for _, want := range []string{"# TYPE banyan_sweep_points_done gauge", "banyan_sweep_points_done 3", "banyan_sim_runs 3", "# EOF"} {
+	for _, want := range []string{"# TYPE banyan_sweep_points_done gauge", "banyan_sweep_points_done 3", "banyan_sweep_points_total 3", "banyan_sim_runs 3", "# EOF"} {
 		if !strings.Contains(om, want) {
 			t.Fatalf("/metrics missing OpenMetrics %q:\n%s", want, om)
 		}
@@ -269,10 +292,10 @@ func TestApplyTraceAndDriftWiring(t *testing.T) {
 	if hist.Total.Count == 0 || len(hist.Stages) == 0 {
 		t.Fatalf("/debug/hist empty after a run: %+v", hist)
 	}
-	if !strings.Contains(get("/metrics?format=legacy"), "wait.total.p99 ") {
+	if !strings.Contains(get("/metrics"), "\nbanyan_wait_total_p99 ") {
 		t.Fatal("/metrics missing wait quantile gauges")
 	}
-	if !strings.Contains(get("/metrics?format=legacy"), "drift.points_checked 1") {
+	if !strings.Contains(get("/metrics"), "\nbanyan_drift_points_checked 1\n") {
 		t.Fatal("/metrics missing drift counters")
 	}
 	if !strings.Contains(get("/metrics"), `banyan_wait_cycles_bucket{le="+Inf",stage="total"}`) {

@@ -28,7 +28,7 @@ import (
 // totals are still exact for the run as a whole.
 
 // PointCost is the resource cost attributed to one sweep point across
-// every attempt it took (including retries and degraded reruns).
+// every attempt it took (including retries).
 type PointCost struct {
 	WallNS       int64 `json:"wall_ns"`
 	CPUNS        int64 `json:"cpu_ns"`

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"strings"
 	"testing"
 
 	"banyan/internal/dist"
@@ -68,12 +67,13 @@ func TestDriftCalibratedPointPasses(t *testing.T) {
 			t.Fatalf("stage %d digest N %d, messages %d", w.Stage, w.N, prs[0].Result().Messages)
 		}
 	}
-	var sb strings.Builder
-	reg.WriteText(&sb)
-	out := sb.String()
-	for _, want := range []string{"drift.points_checked 1", "drift.points_drifted 0", "drift.stage1.ks ", "drift.stage3.ks "} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, out)
+	snap := reg.Snapshot()
+	if snap["drift.points_checked"] != 1 || snap["drift.points_drifted"] != 0 {
+		t.Fatalf("drift counters wrong: %v", snap)
+	}
+	for _, name := range []string{"drift.stage1.ks", "drift.stage3.ks"} {
+		if _, ok := snap[name]; !ok {
+			t.Fatalf("metrics missing %q: %v", name, snap)
 		}
 	}
 }
@@ -195,10 +195,8 @@ func TestDriftSkipsUnmodelledTraffic(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	mon.Register(reg)
-	var sb strings.Builder
-	reg.WriteText(&sb)
-	if !strings.Contains(sb.String(), "drift.points_skipped 2") {
-		t.Fatalf("skip counter wrong:\n%s", sb.String())
+	if got := reg.Snapshot()["drift.points_skipped"]; got != 2 {
+		t.Fatalf("skip counter %v, want 2", got)
 	}
 }
 

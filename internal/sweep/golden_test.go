@@ -87,64 +87,6 @@ func TestGoldenSweepAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestGoldenSweepAcrossLanes: the pinned sweep values hold at every
-// lock-step lane width, at every worker count — lane grouping must never
-// leak into results, keys, or pooled statistics. Lanes=4 with Reps=2
-// exercises the clamp to the replication count; Lanes=0 the auto
-// heuristic; Lanes=1 the forced-scalar path the other golden tests
-// already pin implicitly.
-func TestGoldenSweepAcrossLanes(t *testing.T) {
-	for _, lanes := range []int{0, 1, 2, 4} {
-		for _, par := range []int{1, 4, 16} {
-			r := &Runner{Parallelism: par, Lanes: lanes, RootSeed: 0x5eed}
-			prs, err := r.Run(goldenSweepPoints())
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkSweepGolden(t, fmt.Sprintf("lanes=%d/parallelism=%d", lanes, par), prs)
-		}
-	}
-}
-
-// TestGoldenSweepLanedCheckpoint: a laned sweep journals the same
-// checkpoint a scalar sweep does, and a laned runner resumes a scalar
-// checkpoint (and vice versa) without resimulating — lane width is
-// invisible to the journal format and its keys.
-func TestGoldenSweepLanedCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	j1, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := &Runner{Parallelism: 4, Lanes: 2, RootSeed: 0x5eed, Journal: j1}
-	prs, err := r1.Run(goldenSweepPoints())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSweepGolden(t, "laned journaled run", prs)
-	if err := j1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Loaded() != len(sweepGolden) {
-		t.Fatalf("journal recovered %d points, want %d", j2.Loaded(), len(sweepGolden))
-	}
-	r2 := &Runner{Parallelism: 1, Lanes: 1, RootSeed: 0x5eed, Journal: j2}
-	resumed, err := r2.Run(goldenSweepPoints())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSweepGolden(t, "scalar resume of laned checkpoint", resumed)
-	if snap := r2.Counters().Snapshot(); snap.RepsDone != 0 {
-		t.Fatalf("resume resimulated %d replications, want all served from disk", snap.RepsDone)
-	}
-}
-
 // TestGoldenSweepThroughCheckpoint: a sweep journaled to a checkpoint and
 // then replayed from disk in a fresh runner reproduces the same pinned
 // values — the serialization round-trip preserves every golden field.

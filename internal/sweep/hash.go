@@ -127,8 +127,8 @@ func SeedFor(p Point, rootSeed uint64) uint64 {
 // key, in batch order, under the root seed. The journal binds itself to
 // this hash (see Journal.bind): a resume whose flags hash differently
 // is rejected with a typed error instead of silently re-running every
-// point. Labels, probes and lane widths are excluded for the same
-// reason they are excluded from pointKey.
+// point. Labels and probes are excluded for the same reason they are
+// excluded from pointKey.
 func BatchKey(points []Point, rootSeed uint64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -156,7 +156,6 @@ type RunLedger struct {
 	Faults struct {
 		Retries       int64 `json:"retries"`
 		WatchdogFired int64 `json:"watchdog_fired"`
-		Degraded      int64 `json:"degraded"`
 	} `json:"faults"`
 
 	// Cost is the attributed spend; BusyNS is the runner's busy
@@ -230,7 +229,6 @@ func (r *Runner) BuildLedger() *RunLedger {
 
 	led.Faults.Retries = p.Retries
 	led.Faults.WatchdogFired = p.WatchdogFired
-	led.Faults.Degraded = p.Degraded
 
 	led.Cost.WallNS = p.CostWallNS
 	led.Cost.CPUNS = p.CostCPUNS
@@ -402,10 +400,10 @@ func (led *RunLedger) WriteText(w io.Writer) error {
 		return err
 	}
 	if err := textplot.Table(w, "savings / faults",
-		[]string{"cached", "resumed", "aliased", "reps avoided", "est saved", "retries", "watchdog", "degraded"},
+		[]string{"cached", "resumed", "aliased", "reps avoided", "est saved", "retries", "watchdog"},
 		[][]string{{i(led.Savings.CachedPoints), i(led.Savings.ResumedPoints), i(led.Savings.AliasedPoints),
 			i(led.Savings.RepsAvoided), d(led.Savings.EstSavedWallNS),
-			i(led.Faults.Retries), i(led.Faults.WatchdogFired), i(led.Faults.Degraded)}}); err != nil {
+			i(led.Faults.Retries), i(led.Faults.WatchdogFired)}}); err != nil {
 		return err
 	}
 	if led.VR != nil {

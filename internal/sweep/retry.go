@@ -141,97 +141,6 @@ func (r *Runner) attempt(ctx context.Context, pr *PointResult, rep int, cfg *sim
 	}
 }
 
-// safeRunLanes executes one lock-step lane group with panic isolation
-// and the wall-clock budget. The budget applies per engine invocation,
-// and a group is one invocation: W replications advance through one
-// cycle loop, so they share one clock and one budget.
-func (r *Runner) safeRunLanes(ctx context.Context, cfgs []*simnet.Config) (results []*simnet.Result, errs []error, panicErr error) {
-	if r.PointBudget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.PointBudget)
-		defer cancel()
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			panicErr = &PanicError{Value: p, Stack: debug.Stack()}
-		}
-	}()
-	results, errs = simnet.RunLanesCtx(ctx, cfgs)
-	return results, errs, nil
-}
-
-// attemptLanes runs one lane group of consecutive replications to a
-// final outcome, index-aligned with cfgs. The group gets exactly one
-// lock-step try; any retryable failure — a panic, a lane error, a
-// watchdog stall — degrades the whole group to scalar replications,
-// each with its full independent retry budget. Degradation is the
-// recovery path, not a penalty: the engines are deterministic and the
-// fault plans are cached per replication, so the healthy lanes
-// reproduce their results bit for bit at width 1, and only the actually
-// faulty replication spends retries. Cancellation and deadline overruns
-// are never retried, exactly as in the scalar attempt.
-func (r *Runner) attemptLanes(ctx context.Context, pr *PointResult, rep0 int, cfgs []*simnet.Config) ([]*simnet.Result, []error) {
-	wctx, finish := r.withWatchdog(ctx, pr, rep0)
-	before := readCostSample()
-	start := time.Now()
-	results, errs, panicErr := r.safeRunLanes(wctx, cfgs)
-	wall := time.Since(start)
-	if panicErr != nil {
-		// The panic unwound the whole group: no lane has a usable
-		// outcome, every replication carries the panic.
-		results = make([]*simnet.Result, len(cfgs))
-		errs = make([]error, len(cfgs))
-		for i := range errs {
-			errs[i] = panicErr
-		}
-	}
-	// One group invocation, one attribution: the whole group belongs to
-	// one point, so its cost needs no per-lane split.
-	var cycles int64
-	for i, res := range results {
-		cycles += runCycles(cfgs[i], res)
-	}
-	r.addCost(pr, costDelta(before, readCostSample(), wall, cycles))
-	var groupErr error
-	for _, err := range errs {
-		if err != nil {
-			groupErr = err
-			break
-		}
-	}
-	// finish converts a watchdog-cancelled group error into a retryable
-	// *StallError; it must run even on success to stop the timer.
-	groupErr = finish(groupErr)
-	if groupErr == nil {
-		// One group invocation advanced len(cfgs) replications through a
-		// shared clock, so the per-replication cost is the group wall
-		// time split evenly.
-		r.noteRepWall(wall / time.Duration(len(cfgs)))
-		return results, errs
-	}
-	if errors.Is(groupErr, context.Canceled) || errors.Is(groupErr, context.DeadlineExceeded) || ctx.Err() != nil {
-		return results, errs
-	}
-	// Degrade: rerun every lane as a scalar replication. WaitHists are
-	// reset first — the failed group partially filled them, and each
-	// scalar attempt refills its lane's from scratch.
-	r.ctr.laneDegraded()
-	r.noteRecovery(pr, "degrade.lane_to_scalar")
-	ev := pointEvent(obs.EventPointDegraded, pr)
-	ev.Rep = rep0
-	ev.Err = groupErr.Error()
-	r.emit(ev)
-	for _, cfg := range cfgs {
-		for i := range cfg.WaitHists {
-			cfg.WaitHists[i] = &stats.Hist{}
-		}
-	}
-	for i, cfg := range cfgs {
-		results[i], errs[i] = r.attempt(ctx, pr, rep0+i, cfg)
-	}
-	return results, errs
-}
-
 // engine returns the replication executor: the test hook when set, the
 // real simulators otherwise.
 func (r *Runner) engine() func(context.Context, Engine, *simnet.Config) (*simnet.Result, error) {

@@ -119,9 +119,9 @@ type PointResult struct {
 	Err error
 
 	// Recovery lists the recovery actions the point survived on its way
-	// to completion — "retry", "watchdog", "degrade.lane_to_scalar" —
-	// in the order they happened. Journaled alongside the results, so a
-	// resumed sweep knows which of its points needed help.
+	// to completion — "retry", "watchdog" — in the order they happened.
+	// Journaled alongside the results, so a resumed sweep knows which of
+	// its points needed help.
 	Recovery []string
 
 	// Cost is the resource cost this run actually paid for the point,
@@ -163,15 +163,6 @@ func (pr *PointResult) Truncated() bool {
 type Runner struct {
 	// Parallelism bounds the worker pool; 0 means GOMAXPROCS.
 	Parallelism int
-	// Lanes selects the lock-step lane width for Fast-engine points:
-	// each group of up to Lanes consecutive replications of a point runs
-	// as one multi-replication kernel invocation (simnet.RunLanes), every
-	// lane bit-identical to the scalar path at the same seed. 0 picks an
-	// automatic width (simnet.DefaultLaneWidth, clamped to the point's
-	// replication count); 1 forces the scalar kernel. Lane width never
-	// affects results, keys, seeds, caching, or journaling — only how
-	// many replications share one cycle loop.
-	Lanes int
 	// RootSeed is the seed every per-point seed is derived from.
 	RootSeed uint64
 	// VR selects the variance-reduction plan: common random numbers,
@@ -259,27 +250,6 @@ func (r *Runner) parallelism() int {
 		return r.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// laneWidth picks the lock-step group width for a point's jobs. Only
-// Fast-engine points run laned — the other engines have no lane path,
-// and the fault-injection hook replaces engines one replication at a
-// time — and a group is never wider than the point's replication count.
-func (r *Runner) laneWidth(p *Point) int {
-	if p.Engine != Fast || r.runRep != nil {
-		return 1
-	}
-	lw := r.Lanes
-	if lw == 0 {
-		lw = simnet.DefaultLaneWidth(&p.Cfg, p.reps())
-	}
-	if lw < 1 {
-		lw = 1
-	}
-	if lw > p.reps() {
-		lw = p.reps()
-	}
-	return lw
 }
 
 // pointCap returns how many replication slots a point may consume: its
@@ -407,22 +377,13 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 	}
 	states := make([]pointState, len(points))
 	byKey := make(map[uint64]int, len(points))
-	// A job is a contiguous group of w replications of one point,
-	// starting at rep. Fast-engine points are chunked into lock-step
-	// lane groups; everything else (and the fault-injection hook) runs
-	// one replication per job.
-	type job struct{ pi, rep, w int }
-	// chunk cuts replications [from, to) of a point into lane-group
-	// jobs, with a narrower group on a non-divisible tail.
-	chunk := func(pi, from, to int, p *Point) []job {
-		lw := r.laneWidth(p)
-		var out []job
-		for rep := from; rep < to; rep += lw {
-			w := lw
-			if rep+w > to {
-				w = to - rep
-			}
-			out = append(out, job{pi: pi, rep: rep, w: w})
+	// A job is one replication of one point.
+	type job struct{ pi, rep int }
+	// repJobs lists replications [from, to) of point pi as jobs.
+	repJobs := func(pi, from, to int) []job {
+		out := make([]job, 0, to-from)
+		for rep := from; rep < to; rep++ {
+			out = append(out, job{pi: pi, rep: rep})
 		}
 		return out
 	}
@@ -518,7 +479,7 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 				states[i].swHists = make([][][]*stats.Hist, repCap)
 			}
 		}
-		jobs = append(jobs, chunk(i, 0, states[i].sched, p)...)
+		jobs = append(jobs, repJobs(i, 0, states[i].sched)...)
 	}
 
 	// Bounded worker pool over (point, replication) jobs: replication
@@ -546,106 +507,85 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 		} else {
 			mu.Unlock()
 		}
-		var results []*simnet.Result
-		var lerrs []error
-		if err := ctx.Err(); err != nil || skip {
-			// Cancelled or a sibling already failed the point: the
-			// group's replications resolve without running.
-			results = make([]*simnet.Result, j.w)
-			lerrs = make([]error, j.w)
-			for i := range lerrs {
-				lerrs[i] = err // nil when merely skipped
-			}
-		} else {
+		var res *simnet.Result
+		err := ctx.Err()
+		if err == nil && !skip {
 			// Each replication re-derives its seed from the point's
 			// canonical key, so the result cannot depend on worker
-			// scheduling, retries, lane grouping, or batch
-			// composition. The VR plan may redirect the derivation
-			// (CRN base, antithetic pair sharing) — still a pure
-			// function of (plan, point, rep).
-			cfgs := make([]*simnet.Config, j.w)
-			for i := range cfgs {
-				cfg := st.pr.Point.Cfg
-				cfg.Seed, cfg.Antithetic = r.VR.RepSeed(st.pr.Seed, crnBase, j.rep+i)
-				cfg.SyncDraws = r.VR.Synchronized()
-				if r.Probe != nil {
-					cfg.Probe = r.Probe
-				}
-				if r.Fault != nil {
-					// The fault plan is a pure function of (schedule
-					// seed, point key, rep) and is cached per
-					// replication, so retries and degraded reruns
-					// share its one-shot state.
-					cfg.Fault = r.Fault.Rep(st.pr.Key, j.rep+i)
-				}
-				if st.hists != nil {
-					// Drift data path: exact per-stage waiting-time
-					// histograms, filled by the engine, hash-excluded
-					// and result-neutral. Each replication slot is
-					// owned by exactly one worker, like Runs.
-					wh := make([]*stats.Hist, cfg.Stages)
-					for s := range wh {
-						wh[s] = &stats.Hist{}
-					}
-					cfg.WaitHists = wh
-					st.hists[j.rep+i] = wh
-				}
-				if st.swHists != nil {
-					// Per-switch drift data path (graph engine only):
-					// one histogram per (stage, switch), same ownership
-					// discipline as WaitHists.
-					swh := make([][]*stats.Hist, cfg.Stages)
-					for s := range swh {
-						swh[s] = make([]*stats.Hist, switchCount(&cfg))
-						for id := range swh[s] {
-							swh[s][id] = &stats.Hist{}
-						}
-					}
-					cfg.SwitchWaitHists = swh
-					st.swHists[j.rep+i] = swh
-				}
-				cfgs[i] = &cfg
+			// scheduling, retries, or batch composition. The VR plan
+			// may redirect the derivation (CRN base, antithetic pair
+			// sharing) — still a pure function of (plan, point, rep).
+			cfg := st.pr.Point.Cfg
+			cfg.Seed, cfg.Antithetic = r.VR.RepSeed(st.pr.Seed, crnBase, j.rep)
+			cfg.SyncDraws = r.VR.Synchronized()
+			if r.Probe != nil {
+				cfg.Probe = r.Probe
 			}
-			if j.w == 1 {
-				res, err := r.attempt(ctx, st.pr, j.rep, cfgs[0])
-				results, lerrs = []*simnet.Result{res}, []error{err}
-			} else {
-				results, lerrs = r.attemptLanes(ctx, st.pr, j.rep, cfgs)
+			if r.Fault != nil {
+				// The fault plan is a pure function of (schedule seed,
+				// point key, rep) and is cached per replication, so
+				// retries share its one-shot state.
+				cfg.Fault = r.Fault.Rep(st.pr.Key, j.rep)
+			}
+			if st.hists != nil {
+				// Drift data path: exact per-stage waiting-time
+				// histograms, filled by the engine, hash-excluded and
+				// result-neutral. Each replication slot is owned by
+				// exactly one worker, like Runs.
+				wh := make([]*stats.Hist, cfg.Stages)
+				for s := range wh {
+					wh[s] = &stats.Hist{}
+				}
+				cfg.WaitHists = wh
+				st.hists[j.rep] = wh
+			}
+			if st.swHists != nil {
+				// Per-switch drift data path (graph engine only): one
+				// histogram per (stage, switch), same ownership
+				// discipline as WaitHists.
+				swh := make([][]*stats.Hist, cfg.Stages)
+				for s := range swh {
+					swh[s] = make([]*stats.Hist, switchCount(&cfg))
+					for id := range swh[s] {
+						swh[s][id] = &stats.Hist{}
+					}
+				}
+				cfg.SwitchWaitHists = swh
+				st.swHists[j.rep] = swh
+			}
+			res, err = r.attempt(ctx, st.pr, j.rep, &cfg)
+		}
+		// A cancelled or skipped replication (a sibling already failed
+		// the point) resolves without running; err is nil when merely
+		// skipped.
+		if res != nil {
+			st.pr.Runs[j.rep] = res // partial truncated results kept for inspection
+			if err == nil {
+				r.ctr.repDone(res)
+				if res.Truncated {
+					ev := pointEvent(obs.EventPointTruncated, st.pr)
+					ev.Rep = j.rep
+					ev.Cycles = res.TruncatedAt
+					ev.Messages = res.Messages
+					r.emit(ev)
+				}
 			}
 		}
-		var last, failed bool
-		var startedAt time.Time
-		for i := 0; i < j.w; i++ {
-			rep, res, err := j.rep+i, results[i], lerrs[i]
-			if res != nil {
-				st.pr.Runs[rep] = res // partial truncated results kept for inspection
-				if err == nil {
-					r.ctr.repDone(res)
-					if res.Truncated {
-						ev := pointEvent(obs.EventPointTruncated, st.pr)
-						ev.Rep = rep
-						ev.Cycles = res.TruncatedAt
-						ev.Messages = res.Messages
-						r.emit(ev)
-					}
-				}
-			}
-			if err != nil || res == nil {
-				r.ctr.repSettled()
-			}
-			mu.Lock()
-			if err != nil {
-				st.failed = true
-				if st.pr.Err == nil {
-					st.pr.Err = fmt.Errorf("sweep: point %q rep %d: %w", st.pr.Point.Label, rep, err)
-				}
-			}
-			st.pending--
-			last = st.pending == 0
-			failed = st.failed
-			startedAt = st.startedAt
-			mu.Unlock()
+		if err != nil || res == nil {
+			r.ctr.repSettled()
 		}
+		mu.Lock()
+		if err != nil {
+			st.failed = true
+			if st.pr.Err == nil {
+				st.pr.Err = fmt.Errorf("sweep: point %q rep %d: %w", st.pr.Point.Label, j.rep, err)
+			}
+		}
+		st.pending--
+		last := st.pending == 0
+		failed := st.failed
+		startedAt := st.startedAt
+		mu.Unlock()
 		if !last {
 			return nil
 		}
@@ -690,7 +630,7 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 				st.sched = next
 				st.pending = next - prev
 				mu.Unlock()
-				return chunk(j.pi, prev, next, &st.pr.Point)
+				return repJobs(j.pi, prev, next)
 			}
 			est.Stopped = met
 			st.pr.VR = est
@@ -982,7 +922,6 @@ type Counters struct {
 	messages      int64
 	dropped       int64
 	watchdog      int64 // replications the watchdog converted to StallError
-	degraded      int64 // lane groups degraded to scalar replications
 
 	// Attributed resource-cost totals (see PointCost): every attempt's
 	// delta lands both on its point and here, so the ledger's per-point
@@ -1012,7 +951,6 @@ type Progress struct {
 	Messages      int64 // measured messages over all completed replications
 	Dropped       int64 // messages lost to full buffers
 	WatchdogFired int64 // stalled replications the watchdog cancelled (typed retryable)
-	Degraded      int64 // lane groups that fell back to scalar replications
 	// Attributed resource-cost totals over every simulation attempt this
 	// runner executed (retries included): wall and user-CPU nanoseconds,
 	// heap allocation deltas, and simulated cycles. Wall cost is exact
@@ -1158,14 +1096,6 @@ func (c *Counters) watchdogFired() {
 	c.watchdog++
 }
 
-// laneDegraded accounts a failed lane group falling back to scalar
-// replications.
-func (c *Counters) laneDegraded() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.degraded++
-}
-
 // addCost folds one attempt's attributed cost into the totals.
 func (c *Counters) addCost(d PointCost) {
 	c.mu.Lock()
@@ -1201,7 +1131,6 @@ func (c *Counters) Snapshot() Progress {
 		Messages:         c.messages,
 		Dropped:          c.dropped,
 		WatchdogFired:    c.watchdog,
-		Degraded:         c.degraded,
 		CostWallNS:       c.costWall,
 		CostCPUNS:        c.costCPU,
 		CostAllocBytes:   c.costAllocB,
@@ -1244,7 +1173,6 @@ func (c *Counters) Register(reg *obs.Registry) {
 	reg.Func("sweep.reps.per_sec", get(func(p Progress) float64 { return p.RepsPerSec }))
 	reg.Func("sweep.retries", get(func(p Progress) float64 { return float64(p.Retries) }))
 	reg.Func("sweep.watchdog.fired", get(func(p Progress) float64 { return float64(p.WatchdogFired) }))
-	reg.Func("sweep.degrade.lane_to_scalar", get(func(p Progress) float64 { return float64(p.Degraded) }))
 	reg.Func("sweep.truncated", get(func(p Progress) float64 { return float64(p.Truncated) }))
 	reg.Func("sweep.messages", get(func(p Progress) float64 { return float64(p.Messages) }))
 	reg.Func("sweep.messages.per_sec", get(func(p Progress) float64 { return p.MessagesPerSec }))

@@ -64,46 +64,44 @@ func TestVROffBitIdentical(t *testing.T) {
 // TestVRSweepDeterministicAcrossScheduling: a full plan — CRN,
 // antithetic pairs, control variates, and CI-targeted stopping — yields
 // identical replication counts, runs, and estimates at every worker
-// count and lane width. Adaptive wave scheduling must not leak
-// scheduling order into results.
+// count. Adaptive wave scheduling must not leak scheduling order into
+// results.
 func TestVRSweepDeterministicAcrossScheduling(t *testing.T) {
 	plan := &vr.Plan{CRN: true, Antithetic: true, ControlVariates: true, TargetCI: 0.4, MaxReps: 32}
 	var want []*PointResult
 	for _, par := range []int{1, 4, 16} {
-		for _, lanes := range []int{1, 4} {
-			r := &Runner{Parallelism: par, Lanes: lanes, RootSeed: 0x5eed, VR: plan}
-			got, err := r.Run(vrBatteryPoints(8))
-			if err != nil {
-				t.Fatal(err)
+		r := &Runner{Parallelism: par, RootSeed: 0x5eed, VR: plan}
+		got, err := r.Run(vrBatteryPoints(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap := r.Counters().Snapshot(); !snap.Settled() {
+			t.Fatalf("par=%d: counters not settled: %+v", par, snap)
+		}
+		if want == nil {
+			want = got
+			for _, pr := range got {
+				if pr.VR == nil {
+					t.Fatalf("point %q has no estimate", pr.Point.Label)
+				}
+				if pr.VR.Reps != len(pr.Runs) {
+					t.Fatalf("point %q: estimate reps %d != runs %d", pr.Point.Label, pr.VR.Reps, len(pr.Runs))
+				}
 			}
-			if snap := r.Counters().Snapshot(); !snap.Settled() {
-				t.Fatalf("par=%d lanes=%d: counters not settled: %+v", par, lanes, snap)
+			continue
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if len(g.Runs) != len(w.Runs) {
+				t.Fatalf("par=%d: point %q stopped at %d reps, want %d",
+					par, g.Point.Label, len(g.Runs), len(w.Runs))
 			}
-			if want == nil {
-				want = got
-				for _, pr := range got {
-					if pr.VR == nil {
-						t.Fatalf("point %q has no estimate", pr.Point.Label)
-					}
-					if pr.VR.Reps != len(pr.Runs) {
-						t.Fatalf("point %q: estimate reps %d != runs %d", pr.Point.Label, pr.VR.Reps, len(pr.Runs))
-					}
-				}
-				continue
+			if !reflect.DeepEqual(g.Runs, w.Runs) {
+				t.Fatalf("par=%d: point %q runs diverged", par, g.Point.Label)
 			}
-			for i := range got {
-				g, w := got[i], want[i]
-				if len(g.Runs) != len(w.Runs) {
-					t.Fatalf("par=%d lanes=%d: point %q stopped at %d reps, want %d",
-						par, lanes, g.Point.Label, len(g.Runs), len(w.Runs))
-				}
-				if !reflect.DeepEqual(g.Runs, w.Runs) {
-					t.Fatalf("par=%d lanes=%d: point %q runs diverged", par, lanes, g.Point.Label)
-				}
-				if g.VR.Mean != w.VR.Mean || g.VR.HalfWidth != w.VR.HalfWidth || g.VR.Stopped != w.VR.Stopped {
-					t.Fatalf("par=%d lanes=%d: point %q estimate diverged: %+v vs %+v",
-						par, lanes, g.Point.Label, g.VR, w.VR)
-				}
+			if g.VR.Mean != w.VR.Mean || g.VR.HalfWidth != w.VR.HalfWidth || g.VR.Stopped != w.VR.Stopped {
+				t.Fatalf("par=%d: point %q estimate diverged: %+v vs %+v",
+					par, g.Point.Label, g.VR, w.VR)
 			}
 		}
 	}
