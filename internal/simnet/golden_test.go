@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"testing"
 
@@ -92,20 +94,62 @@ func TestGoldenFastEngine(t *testing.T) {
 	}
 }
 
+// TestGoldenLiteralEngine pins the drop-policy cycle loop. Beyond the
+// full-row case it covers the wrapped shuffle (MaxRows < k^n, which the
+// wiring tables cannot express) and the per-message options: service
+// resampling, hot-module waits, stage-wait covariance and occupancy.
 func TestGoldenLiteralEngine(t *testing.T) {
 	want := map[string]golden{
-		"literal cap=2": {messages: 14380, offered: 18973, dropped: 2635, meanW: "1.234840056", varW: "0.9884523736", stage1W: "0.3346640883"},
+		"literal cap=2":   {messages: 14380, offered: 18973, dropped: 2635, meanW: "1.234840056", varW: "0.9884523736", stage1W: "0.3346640883"},
+		"literal wrapped": {messages: 24080, offered: 32712, dropped: 5420, meanW: "1.936254153", varW: "1.716077663", stage1W: "0.2633874743"},
+		"literal options": {messages: 11772, offered: 13542, dropped: 192, meanW: "1.086901121", varW: "1.315163112", stage1W: "0.2296221831"},
 	}
-	cfg := Config{K: 2, Stages: 4, P: 0.7, Cycles: 1500, Warmup: 200, Seed: 0x117, BufferCap: 2}
-	src, err := NewTraceStream(&cfg, 0)
+	// The option outputs the snapshot does not cover (HotWait, StageCov,
+	// QueueDepth, MaxQueueDepth) are pinned by an FNV-64a digest of the
+	// whole Result's JSON.
+	wantDigest := map[string]string{
+		"literal options": "f8867805a2ac4e9d",
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"literal cap=2", Config{K: 2, Stages: 4, P: 0.7, Cycles: 1500, Warmup: 200, Seed: 0x117, BufferCap: 2}},
+		{"literal wrapped", Config{K: 2, Stages: 8, MaxRows: 32, P: 0.6, Cycles: 1500, Warmup: 200,
+			Seed: 0x11a, BufferCap: 2}},
+		{"literal options", Config{K: 2, Stages: 4, P: 0.5, Cycles: 1500, Warmup: 200, Seed: 0x11b,
+			BufferCap: 3, ResampleService: true, Service: mustConstSvc(t, 1), HotModule: 0.05,
+			TrackStageWaits: true, TrackOccupancy: true}},
+	}
+	for _, c := range cases {
+		cfg := c.cfg
+		src, err := NewTraceStream(&cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunLiteralSource(&cfg, src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		checkGolden(t, c.name, res, want)
+		if d, ok := wantDigest[c.name]; ok {
+			if got := resultDigest(t, res); got != d {
+				t.Errorf("%s: result digest %s, want %s", c.name, got, d)
+			}
+		}
+	}
+}
+
+// resultDigest is the FNV-64a hash of res's JSON encoding, in hex.
+func resultDigest(t *testing.T, res *Result) string {
+	t.Helper()
+	b, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLiteralSource(&cfg, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "literal cap=2", res, want)
+	h := fnv.New64a()
+	h.Write(b)
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // TestGoldenGraphEngine pins the graph engine's sample paths. The
