@@ -1,20 +1,23 @@
 // Package simnet simulates clocked, buffered, multistage banyan networks —
-// the experimental apparatus of the paper. Two independent engines are
+// the experimental apparatus of the paper. Three simulation loops are
 // provided:
 //
-//   - a fast message-level engine (fastsim.go) that exploits the
-//     infinite-buffer FIFO structure to propagate messages stage by stage
-//     without simulating idle cycles, and
+//   - the batch kernel (kernel.go), which exploits the infinite-buffer
+//     FIFO structure to propagate messages stage by stage without
+//     simulating idle cycles, with the wiring optionally passed in as
+//     data (the graph engine's committed mode, graph.go);
+//   - the scalar reference engine (fastsim.go), the kernel's
+//     independent oracle;
+//   - the finite-buffer cycle loop (cycle.go), which models every queue
+//     each cycle and drops (the literal engine) or blocks (the graph
+//     engine's blocking mode) on overflow — the paper's future-work
+//     extension.
 //
-//   - a literal cycle-driven engine (packetsim.go) that models every
-//     switch and queue each cycle and optionally enforces finite buffers
-//     (the paper's future-work extension).
-//
-// Both engines consume the same pre-generated arrival trace, so they can
-// be cross-validated against each other, and their first-stage statistics
+// All consume the same pre-generated arrival trace, so they can be
+// cross-validated against each other, and their first-stage statistics
 // against the exact analysis in internal/core.
 //
-// Timing conventions (identical in both engines): a message arriving at a
+// Timing conventions (identical in every loop): a message arriving at a
 // queue at cycle t may begin service no earlier than cycle t; consecutive
 // messages at one output port begin service at least m cycles apart
 // (m = the earlier message's service time); a message beginning service at
@@ -135,15 +138,16 @@ type Config struct {
 	// proportional to messages × stages.
 	TrackStageWaits bool
 
-	// TrackOccupancy, for the literal engine only, samples every output
+	// TrackOccupancy, for the cycle loop only, samples every output
 	// queue's occupancy each cycle after warmup (mean and maximum per
 	// stage) — the statistic used to validate analytic buffer sizing.
 	// Costs time proportional to stages × rows per cycle.
 	TrackOccupancy bool
 
-	// BufferCap, for the literal engine only, bounds each output queue
-	// to the given number of queued messages (0 = infinite). Arrivals
-	// to a full queue are dropped and counted.
+	// BufferCap, for the literal engine only, bounds every output queue
+	// to the given number of queued messages (0 = infinite). It is the
+	// uniform per-stage cap of the finite-buffer cycle loop under its
+	// drop policy: arrivals to a full queue are dropped and counted.
 	BufferCap int
 
 	// AllowUnstable permits configurations at or beyond the stability

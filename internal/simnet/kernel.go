@@ -93,18 +93,8 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena, g
 	n := meta.Stages
 	rowsN := meta.Rows
 	k := meta.K
-	res := &Result{
-		Rows:      rowsN,
-		Wrapped:   meta.Wrapped,
-		StageWait: make([]stats.Welford, n),
-	}
+	res := newResult(cfg, meta)
 	trackWaits := cfg.TrackStageWaits
-	if trackWaits {
-		res.StageCov = stats.NewCovMatrix(n)
-	}
-	if cfg.HotModule > 0 {
-		res.HotWait = make([]stats.Welford, n)
-	}
 
 	rng := newKrand(cfg.Seed^0xa5a5a5a5a5a5a5a5, cfg.Seed+1)
 	resample := cfg.serviceSampler()
