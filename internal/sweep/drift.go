@@ -229,7 +229,9 @@ func driftService(cfg *simnet.Config) traffic.Service {
 // driftIneligible reports why a configuration has no analytic reference
 // distribution ("" = checkable). The monitor checks exactly the
 // configurations the paper models; everything else is counted as
-// skipped rather than guessed at.
+// skipped rather than guessed at. That includes finite buffers: the
+// paper's models assume infinite ones, and a point that drops or blocks
+// messages held against them would drift, or pass, for the wrong reason.
 func driftIneligible(cfg *simnet.Config) string {
 	if cfg.Burst != nil {
 		return "bursty arrivals have no analytic waiting-time model"
@@ -239,6 +241,14 @@ func driftIneligible(cfg *simnet.Config) string {
 	}
 	if cfg.ResampleService {
 		return "per-stage service resampling has no analytic waiting-time model"
+	}
+	if cfg.BufferCap > 0 {
+		return "finite buffers that drop messages have no analytic waiting-time model"
+	}
+	for _, b := range cfg.StageBuffers {
+		if b > 0 {
+			return "finite buffers that block messages have no analytic waiting-time model"
+		}
 	}
 	if cfg.Stages > 1 {
 		if driftBulk(cfg) > 1 {
@@ -377,11 +387,6 @@ func switchDriftIneligible(cfg *simnet.Config) string {
 	}
 	if cfg.Q != 0 {
 		return "favorite-output traffic loads switches asymmetrically"
-	}
-	for _, b := range cfg.StageBuffers {
-		if b > 0 {
-			return "finite buffers distort per-switch waits through backpressure"
-		}
 	}
 	if len(cfg.FailLinks) > 0 {
 		return "link failures load the surviving switches asymmetrically"

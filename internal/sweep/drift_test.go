@@ -7,6 +7,7 @@ import (
 	"banyan/internal/obs"
 	"banyan/internal/simnet"
 	"banyan/internal/stats"
+	"banyan/internal/topology"
 	"banyan/internal/traffic"
 )
 
@@ -197,6 +198,47 @@ func TestDriftSkipsUnmodelledTraffic(t *testing.T) {
 	mon.Register(reg)
 	if got := reg.Snapshot()["drift.points_skipped"]; got != 2 {
 		t.Fatalf("skip counter %v, want 2", got)
+	}
+}
+
+// TestDriftSkipsFiniteBuffers: finite-buffer points have no analytic
+// reference, so the monitor must skip them instead of holding them to
+// the infinite-buffer model. Held to it, the first three drift although
+// the engines are correct, and the fourth passes while dropping 7% of
+// its messages.
+func TestDriftSkipsFiniteBuffers(t *testing.T) {
+	lit := func(label string, stages int, p float64, capacity int) Point {
+		return Point{Label: label, Engine: Literal, Cfg: simnet.Config{
+			K: 2, Stages: stages, P: p, Cycles: 20000, Warmup: 1000, BufferCap: capacity}}
+	}
+	pts := []Point{
+		lit("literal n=1 p=0.9 B=1", 1, 0.9, 1),
+		lit("literal n=1 p=0.3 B=1", 1, 0.3, 1),
+		lit("literal n=2 p=0.8 B=2", 2, 0.8, 2),
+		{Label: "graph blocking n=3 p=0.6 B=1", Engine: Graph, Cfg: simnet.Config{
+			K: 2, Stages: 3, P: 0.6, Cycles: 20000, Warmup: 1000,
+			Topology: topology.Omega, StageBuffers: []int{1, 1, 1}}},
+	}
+	ring := obs.NewRingSink(256)
+	mon := &DriftMonitor{}
+	r := &Runner{RootSeed: 5, Events: ring, Drift: mon}
+	prs, err := r.Run(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range prs {
+		if pr.Err != nil || pr.Truncated() {
+			t.Fatalf("%s: err %v, truncated %v", pr.Point.Label, pr.Err, pr.Truncated())
+		}
+		if reason := driftIneligible(&pr.Point.Cfg); reason == "" {
+			t.Errorf("%s: no skip reason", pr.Point.Label)
+		}
+	}
+	if got := mon.Totals(); got != (DriftTotals{Skipped: int64(len(pts))}) {
+		t.Fatalf("drift totals %+v, want all %d points skipped", got, len(pts))
+	}
+	if evs := driftEvents(ring); len(evs) != 0 {
+		t.Fatalf("finite-buffer points emitted drift events: %+v", evs)
 	}
 }
 
