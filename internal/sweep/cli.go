@@ -108,7 +108,6 @@ func (o *RunOptions) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.Checkpoint, "checkpoint", "", "journal completed points to this file so an interrupted run can be resumed with -resume")
 	fs.BoolVar(&o.Resume, "resume", false, "reuse the completed points already in the -checkpoint journal")
 	fs.IntVar(&o.MaxRetries, "max-retries", 1, "retries per replication after a panic or simulation error")
-	fs.Int("lanes", 0, "deprecated and ignored: lock-step lanes were removed and every replication runs on the batch kernel; the flag is accepted for one more release")
 	fs.StringVar(&o.VR, "vr", "", "variance-reduction techniques, comma-separated: crn (common random numbers across points), cv (control variates), anti (antithetic replication pairs)")
 	fs.Float64Var(&o.TargetCI, "target-ci", 0, "run each point until the 95% CI half-width of its mean wait is at most this many cycles (0 = fixed replication count)")
 	fs.IntVar(&o.VRMaxReps, "vr-max-reps", 0, "replication cap per point for -target-ci (0 = the point's configured count)")

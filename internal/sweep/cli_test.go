@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -34,53 +33,25 @@ func TestResumeRequiresCheckpoint(t *testing.T) {
 }
 
 // TestRegisterFlags: the observability flags parse and land in the
-// options, and the deprecated -lanes flag still parses but changes
-// neither the options nor the run.
+// options.
 func TestRegisterFlags(t *testing.T) {
-	parse := func(args ...string) RunOptions {
-		t.Helper()
-		var o RunOptions
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		o.RegisterFlags(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		return o
-	}
-	args := []string{
+	var o RunOptions
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	o.RegisterFlags(fs)
+	err := fs.Parse([]string{
 		"-timeout", "10m", "-max-retries", "3",
 		"-events", "ev.jsonl", "-debug-addr", ":6060", "-sim-stats",
 		"-trace-out", "spans.jsonl", "-trace-sample", "32",
 		"-drift-check", "-drift-threshold", "0.2",
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	o := parse(append(args, "-lanes", "4")...)
 	if o.EventsPath != "ev.jsonl" || o.DebugAddr != ":6060" || !o.SimStats || o.MaxRetries != 3 {
 		t.Fatalf("flags not applied: %+v", o)
 	}
 	if o.TraceOut != "spans.jsonl" || o.TraceSample != 32 || !o.DriftCheck || o.DriftThreshold != 0.2 {
 		t.Fatalf("tracing/drift flags not applied: %+v", o)
-	}
-	if without := parse(args...); !reflect.DeepEqual(o, without) {
-		t.Fatalf("-lanes changed the options:\nwith    %+v\nwithout %+v", o, without)
-	}
-
-	// The run itself: a batch under -lanes 4 matches one without it.
-	run := func(o RunOptions) []*PointResult {
-		t.Helper()
-		r := &Runner{RootSeed: 7}
-		ctx, cleanup, err := o.Apply(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cleanup()
-		prs, err := r.RunCtx(ctx, quickPoints(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return prs
-	}
-	if a, b := run(parse("-lanes", "4")), run(parse()); !reflect.DeepEqual(resultsOf(a), resultsOf(b)) {
-		t.Fatal("-lanes 4 changed the run's results")
 	}
 }
 
