@@ -23,8 +23,8 @@ type Grid struct {
 
 	// Cycles and Warmup apply to every point. Reps is the replication
 	// count per point (0 = 1) and Engine the simulator (points with a
-	// finite Cap are forced onto the literal engine, which is the only
-	// one modelling finite buffers).
+	// finite Cap are forced onto the literal engine: the finite-buffer
+	// cycle loop under its drop policy).
 	Cycles int
 	Warmup int
 	Reps   int
