@@ -342,8 +342,7 @@ func BenchmarkObservability(b *testing.B) {
 // OpenMetrics page (/metrics), one TSDB sampling tick (the /debug/ts
 // cadence), and assembling the end-of-run ledger from a finished sweep.
 // None of these run inside the simulation loop, but all three run
-// concurrently with it, so their cost is gated (BENCH_obs.json)
-// alongside the in-engine probes above.
+// concurrently with it, so their cost is gated against BENCH.json.
 func BenchmarkObsExposition(b *testing.B) {
 	// A registry populated like a mid-sweep scrape: a few dozen series
 	// plus one live waiting-time histogram family.

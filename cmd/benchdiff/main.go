@@ -1,36 +1,30 @@
 // Command benchdiff is the repo's benchmark regression gate: it parses
-// `go test -bench` output (from stdin or a file) and compares every
-// benchmark against a checked-in baseline JSON (BENCH_sweep.json,
-// BENCH_kernel.json, …), failing with exit status 1 when a metric
-// regresses past its tolerance.
+// `go test -bench` output (from stdin or a file) and compares it against
+// the checked-in baseline BENCH.json, failing with exit status 1 when a
+// gated metric regresses more than 20%.
 //
 // Usage:
 //
-//	go test ./internal/sweep/ -bench BenchmarkSweep -benchtime 3x | \
-//	    benchdiff -baseline BENCH_kernel.json -require BenchmarkSweepSequential
+//	go test -run '^$' -bench ... -benchmem -cpu 1 ./... | benchdiff -baseline BENCH.json
 //
-// Flags:
+// The baseline's "go" field holds the exact command that recorded it;
+// CI runs that command and pipes its output here.
 //
-//	-baseline FILE   baseline JSON (required); only its "benchmarks" map is read
-//	-ns-tol F        allowed fractional ns/op regression (default 0.20)
-//	-b-tol F         allowed fractional B/op regression (default 0.20)
-//	-allocs-tol F    allowed fractional allocs/op regression (default 0.20)
-//	-extra-tol F     allowed fractional shortfall of custom metrics (default 0.20)
-//	-require LIST    comma-separated benchmarks that must appear in the input
-//	-gate-ns         gate on ns/op (default true; disable on noisy shared
-//	                 runners, where B/op and allocs/op remain deterministic)
+// Every baseline row must appear in the input, and so must every gated
+// column of it. The gate is fixed:
 //
-// Custom metrics reported with b.ReportMetric (any unit besides ns/op,
-// B/op and allocs/op) land in the baseline's "extra" map and are gated
-// higher-is-better: the gate fails when the measured value falls more
-// than -extra-tol below the baseline. Units ending in "_per_sec" are
-// wall-clock-dependent and follow -gate-ns; all other custom metrics
-// (deterministic ratios like ess_speedup) are always gated.
+//   - B/op and allocs/op are deterministic and fail when the measured
+//     value rises more than 20% above the baseline.
+//   - Custom b.ReportMetric units (the baseline's "extra" map) are
+//     higher-is-better and fail when the measured value falls more than
+//     20% below the baseline, except those ending in "_per_sec".
+//   - ns/op and "_per_sec" units are wall-clock-bound. They are printed
+//     next to their baseline and never gated.
 //
 // Benchmarks present in the input but absent from the baseline are
-// reported and skipped; improvements are reported and pass. Sub-benchmark
-// names keep their path ("BenchmarkStreamingTrace/streaming") and the
-// -cpu suffix ("-8") is stripped, matching the baseline's key style.
+// reported and skipped. Sub-benchmark names keep their path
+// ("BenchmarkGraphEngine/committed") and the -cpu suffix ("-8") is
+// stripped, matching the baseline's key style.
 package main
 
 import (
@@ -46,9 +40,11 @@ import (
 	"strings"
 )
 
-// metrics is one benchmark's measurement triple. ns/op is a float in
-// `go test` output for sub-microsecond benchmarks; keep the parsed
-// precision.
+// tolerance is the allowed fractional worsening of every gated metric.
+const tolerance = 0.20
+
+// metrics is one baseline row. ns/op is a float in `go test` output for
+// sub-microsecond benchmarks; keep the parsed precision.
 type metrics struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
@@ -56,6 +52,18 @@ type metrics struct {
 	// Extra holds custom b.ReportMetric units (e.g. "ess_speedup"),
 	// gated higher-is-better.
 	Extra map[string]float64 `json:"extra,omitempty"`
+}
+
+// row maps a unit ("ns/op", "B/op", "allocs/op", "ess_speedup", …) to
+// its value; a unit absent from a measured row was not reported.
+type row map[string]float64
+
+func (m metrics) row() row {
+	r := row{"ns/op": m.NsPerOp, "B/op": m.BytesPerOp, "allocs/op": m.AllocsPerOp}
+	for unit, v := range m.Extra {
+		r[unit] = v
+	}
+	return r
 }
 
 type baseline struct {
@@ -68,9 +76,10 @@ type baseline struct {
 //	BenchmarkName-8   3   164052734 ns/op   35482 B/op   347 allocs/op
 //
 // where the B/op and allocs/op columns appear only under -benchmem or
-// b.ReportAllocs, and the -N GOMAXPROCS suffix is optional.
-func parseBenchOutput(r io.Reader) (map[string]metrics, error) {
-	out := map[string]metrics{}
+// b.ReportAllocs, and the -N GOMAXPROCS suffix is optional. A column the
+// line lacks is absent from its row, not zero.
+func parseBenchOutput(r io.Reader) (map[string]row, error) {
+	out := map[string]row{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -84,34 +93,19 @@ func parseBenchOutput(r io.Reader) (map[string]metrics, error) {
 				name = name[:i]
 			}
 		}
-		var m metrics
-		seen := false
+		m := row{}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				continue
 			}
-			switch unit := fields[i+1]; unit {
-			case "ns/op":
-				m.NsPerOp, seen = v, true
-			case "B/op":
-				m.BytesPerOp = v
-			case "allocs/op":
-				m.AllocsPerOp = v
-			default:
-				// Custom b.ReportMetric units ride along ("12.4
-				// ess_speedup"); MB/s is go test's own throughput
-				// column and stays out of the gate.
-				if unit == "MB/s" {
-					continue
-				}
-				if m.Extra == nil {
-					m.Extra = map[string]float64{}
-				}
-				m.Extra[unit] = v
+			// MB/s is go test's own throughput column and stays out of
+			// the gate.
+			if unit := fields[i+1]; unit != "MB/s" {
+				m[unit] = v
 			}
 		}
-		if seen {
+		if _, ok := m["ns/op"]; ok {
 			out[name] = m
 		}
 	}
@@ -137,100 +131,80 @@ func shortfall(base, got float64) float64 {
 	return (base - got) / base
 }
 
+// gated reports whether unit fails the gate when it worsens: everything
+// but the wall-clock-bound ns/op and *_per_sec units.
+func gated(unit string) bool {
+	return unit != "ns/op" && !strings.HasSuffix(unit, "_per_sec")
+}
+
+// lowerIsBetter reports the direction of unit: the standard go test
+// columns are costs, custom metrics are higher-is-better.
+func lowerIsBetter(unit string) bool {
+	return unit == "ns/op" || unit == "B/op" || unit == "allocs/op"
+}
+
 // diff compares measured benchmarks against the baseline and returns
-// human-readable failure lines. gateNs disables ns/op gating (for noisy
-// runners); B/op and allocs/op are always gated — they are deterministic.
-func diff(base, got map[string]metrics, nsTol, bTol, allocsTol, extraTol float64,
-	gateNs bool, logf func(string, ...any)) []string {
+// human-readable failure lines: one per baseline row missing from got,
+// per gated column missing from a row, and per gated column worse than
+// its baseline by more than the tolerance.
+func diff(base map[string]metrics, got map[string]row, logf func(string, ...any)) []string {
 	var failures []string
-	for name, g := range got {
-		b, ok := base[name]
+	for _, name := range sortedKeys(base) {
+		g, ok := got[name]
 		if !ok {
-			logf("%s: not in baseline, skipped", name)
+			failures = append(failures, fmt.Sprintf("%s: in the baseline but missing from the input", name))
 			continue
 		}
-		checks := []struct {
-			metric string
-			base   float64
-			got    float64
-			tol    float64
-			gated  bool
-		}{
-			{"ns/op", b.NsPerOp, g.NsPerOp, nsTol, gateNs},
-			{"B/op", b.BytesPerOp, g.BytesPerOp, bTol, true},
-			{"allocs/op", b.AllocsPerOp, g.AllocsPerOp, allocsTol, true},
-		}
-		for _, c := range checks {
-			r := regression(c.base, c.got)
+		b := base[name].row()
+		for _, unit := range sortedKeys(b) {
+			bv := b[unit]
+			gv, ok := g[unit]
 			switch {
-			case r > c.tol && c.gated:
-				failures = append(failures, fmt.Sprintf(
-					"%s %s regressed %.1f%%: %.6g -> %.6g (tolerance %.0f%%)",
-					name, c.metric, 100*r, c.base, c.got, 100*c.tol))
-			case r > c.tol:
-				logf("%s %s regressed %.1f%% (%.6g -> %.6g), not gated",
-					name, c.metric, 100*r, c.base, c.got)
-			case c.got < c.base:
-				logf("%s %s improved: %.6g -> %.6g", name, c.metric, c.base, c.got)
-			}
-		}
-		units := make([]string, 0, len(g.Extra))
-		for unit := range g.Extra {
-			units = append(units, unit)
-		}
-		sort.Strings(units)
-		for _, unit := range units {
-			gv := g.Extra[unit]
-			bv, ok := b.Extra[unit]
-			if !ok {
-				logf("%s %s: not in baseline, skipped", name, unit)
+			case !ok && gated(unit):
+				failures = append(failures, fmt.Sprintf("%s %s: in the baseline but missing from the input", name, unit))
+				continue
+			case !ok:
+				logf("%s %s: missing from the input, not gated", name, unit)
+				continue
+			case !gated(unit):
+				logf("%s %s: %.6g -> %.6g, not gated", name, unit, bv, gv)
 				continue
 			}
-			// Custom metrics are higher-is-better; wall-clock-derived
-			// ones (*_per_sec) follow the ns/op gate switch.
-			gated := gateNs || !strings.HasSuffix(unit, "_per_sec")
-			s := shortfall(bv, gv)
+			worse, better := shortfall(bv, gv), gv > bv
+			if lowerIsBetter(unit) {
+				worse, better = regression(bv, gv), gv < bv
+			}
 			switch {
-			case s > extraTol && gated:
+			case worse > tolerance:
 				failures = append(failures, fmt.Sprintf(
-					"%s %s fell %.1f%%: %.6g -> %.6g (tolerance %.0f%%)",
-					name, unit, 100*s, bv, gv, 100*extraTol))
-			case s > extraTol:
-				logf("%s %s fell %.1f%% (%.6g -> %.6g), not gated",
-					name, unit, 100*s, bv, gv)
-			case gv > bv:
+					"%s %s worsened %.1f%%: %.6g -> %.6g (tolerance %.0f%%)",
+					name, unit, 100*worse, bv, gv, 100*tolerance))
+			case better:
 				logf("%s %s improved: %.6g -> %.6g", name, unit, bv, gv)
 			}
+		}
+	}
+	for _, name := range sortedKeys(got) {
+		if _, ok := base[name]; !ok {
+			logf("%s: not in the baseline, skipped", name)
 		}
 	}
 	return failures
 }
 
-// missing returns the required benchmark names absent from got.
-func missing(required []string, got map[string]metrics) []string {
-	var out []string
-	for _, name := range required {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if _, ok := got[name]; !ok {
-			out = append(out, name)
-		}
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return out
+	sort.Strings(keys)
+	return keys
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchdiff: ")
 	basePath := flag.String("baseline", "", "baseline JSON file (required)")
-	nsTol := flag.Float64("ns-tol", 0.20, "allowed fractional ns/op regression")
-	bTol := flag.Float64("b-tol", 0.20, "allowed fractional B/op regression")
-	allocsTol := flag.Float64("allocs-tol", 0.20, "allowed fractional allocs/op regression")
-	extraTol := flag.Float64("extra-tol", 0.20, "allowed fractional shortfall of custom (higher-is-better) metrics")
-	require := flag.String("require", "", "comma-separated benchmarks that must be present")
-	gateNs := flag.Bool("gate-ns", true, "fail on ns/op regressions (disable on noisy runners)")
 	flag.Parse()
 
 	if *basePath == "" {
@@ -243,6 +217,9 @@ func main() {
 	var base baseline
 	if err := json.Unmarshal(raw, &base); err != nil {
 		log.Fatalf("%s: %v", *basePath, err)
+	}
+	if len(base.Benchmarks) == 0 {
+		log.Fatalf("%s: no benchmarks", *basePath)
 	}
 
 	in := io.Reader(os.Stdin)
@@ -261,17 +238,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ok := true
-	if m := missing(strings.Split(*require, ","), got); len(m) > 0 {
-		ok = false
-		log.Printf("required benchmarks missing from input: %s", strings.Join(m, ", "))
-	}
-	for _, f := range diff(base.Benchmarks, got, *nsTol, *bTol, *allocsTol, *extraTol, *gateNs, log.Printf) {
-		ok = false
+	failures := diff(base.Benchmarks, got, log.Printf)
+	for _, f := range failures {
 		log.Print(f)
 	}
-	if !ok {
+	if len(failures) > 0 {
 		os.Exit(1)
 	}
-	log.Printf("%d benchmarks within tolerance of %s", len(got), *basePath)
+	log.Printf("%d baseline benchmarks within tolerance of %s", len(base.Benchmarks), *basePath)
 }

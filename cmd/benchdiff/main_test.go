@@ -1,6 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -28,24 +32,25 @@ func TestParseBenchOutput(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 4: %+v", len(got), got)
 	}
 	seq := got["BenchmarkSweepSequential"]
-	if seq.NsPerOp != 164052734 || seq.BytesPerOp != 35482 || seq.AllocsPerOp != 347 {
+	if seq["ns/op"] != 164052734 || seq["B/op"] != 35482 || seq["allocs/op"] != 347 {
 		t.Fatalf("sequential metrics wrong: %+v", seq)
 	}
 	// The -8 cpu suffix is stripped; the name keys match baseline style.
 	if _, ok := got["BenchmarkSweepParallel"]; !ok {
 		t.Fatalf("cpu suffix not stripped: %+v", got)
 	}
-	// ns/op-only lines (no -benchmem) still parse, with fractional ns.
-	if tiny := got["BenchmarkTiny"]; tiny.NsPerOp != 1052.5 || tiny.AllocsPerOp != 0 {
+	// ns/op-only lines (no -benchmem) still parse, with fractional ns,
+	// and the columns they lack are absent rather than zero.
+	tiny := got["BenchmarkTiny"]
+	if tiny["ns/op"] != 1052.5 || len(tiny) != 1 {
 		t.Fatalf("tiny metrics wrong: %+v", tiny)
 	}
-	// Custom b.ReportMetric units land in Extra alongside the standard
-	// triple.
+	// Custom b.ReportMetric units ride along with the standard columns.
 	vre := got["BenchmarkVREffectiveness"]
-	if vre.Extra["ess_speedup"] != 12.5 || vre.Extra["ess_per_sec"] != 14.2 {
+	if vre["ess_speedup"] != 12.5 || vre["ess_per_sec"] != 14.2 {
 		t.Fatalf("extra metrics wrong: %+v", vre)
 	}
-	if vre.BytesPerOp != 1024 || vre.AllocsPerOp != 9 {
+	if vre["B/op"] != 1024 || vre["allocs/op"] != 9 {
 		t.Fatalf("standard metrics lost around extras: %+v", vre)
 	}
 }
@@ -58,76 +63,80 @@ func TestDiffGatesRegressions(t *testing.T) {
 	}
 
 	// Within tolerance: pass.
-	got := map[string]metrics{"BenchmarkA": {NsPerOp: 110, BytesPerOp: 1100, AllocsPerOp: 11}}
-	if f := diff(base, got, 0.2, 0.2, 0.2, 0.2, true, discardLogf); len(f) != 0 {
+	got := map[string]row{"BenchmarkA": {"ns/op": 110, "B/op": 1200, "allocs/op": 12}}
+	if f := diff(base, got, discardLogf); len(f) != 0 {
 		t.Fatalf("within-tolerance run failed: %v", f)
 	}
 
-	// Past tolerance on every metric: three failures.
-	got = map[string]metrics{"BenchmarkA": {NsPerOp: 130, BytesPerOp: 1300, AllocsPerOp: 13}}
-	if f := diff(base, got, 0.2, 0.2, 0.2, 0.2, true, discardLogf); len(f) != 3 {
-		t.Fatalf("want 3 failures, got %v", f)
-	}
-
-	// ns/op gating disabled: the time regression logs but does not fail.
-	if f := diff(base, got, 0.2, 0.2, 0.2, 0.2, false, discardLogf); len(f) != 2 {
-		t.Fatalf("want 2 failures with -gate-ns=false, got %v", f)
+	// Past tolerance on every column: B/op and allocs/op fail, ns/op is
+	// printed but never gated.
+	got = map[string]row{"BenchmarkA": {"ns/op": 1000, "B/op": 1300, "allocs/op": 13}}
+	f := diff(base, got, discardLogf)
+	if len(f) != 2 || !strings.Contains(f[0], "B/op") || !strings.Contains(f[1], "allocs/op") {
+		t.Fatalf("want B/op and allocs/op failures, got %v", f)
 	}
 
 	// Improvements never fail.
-	got = map[string]metrics{"BenchmarkA": {NsPerOp: 50, BytesPerOp: 500, AllocsPerOp: 5}}
-	if f := diff(base, got, 0.2, 0.2, 0.2, 0.2, true, discardLogf); len(f) != 0 {
+	got = map[string]row{"BenchmarkA": {"ns/op": 50, "B/op": 500, "allocs/op": 5}}
+	if f := diff(base, got, discardLogf); len(f) != 0 {
 		t.Fatalf("improvement flagged as regression: %v", f)
 	}
 
-	// Unknown benchmarks are skipped, not failed.
-	got = map[string]metrics{"BenchmarkNew": {NsPerOp: 1e9}}
-	if f := diff(base, got, 0.2, 0.2, 0.2, 0.2, true, discardLogf); len(f) != 0 {
+	// Benchmarks absent from the baseline are skipped, not failed.
+	got = map[string]row{
+		"BenchmarkA":   {"ns/op": 100, "B/op": 1000, "allocs/op": 10},
+		"BenchmarkNew": {"ns/op": 1e9, "B/op": 1e9, "allocs/op": 1e9},
+	}
+	if f := diff(base, got, discardLogf); len(f) != 0 {
 		t.Fatalf("unknown benchmark failed the gate: %v", f)
+	}
+
+	// A line without -benchmem lacks B/op and allocs/op; each missing
+	// gated column fails instead of reading as an improvement to zero.
+	got = map[string]row{"BenchmarkA": {"ns/op": 100}}
+	if f := diff(base, got, discardLogf); len(f) != 2 {
+		t.Fatalf("want 2 missing-column failures, got %v", f)
 	}
 }
 
 func TestDiffGatesExtraMetrics(t *testing.T) {
 	base := map[string]metrics{
-		"BenchmarkVR": {NsPerOp: 100, Extra: map[string]float64{
+		"BenchmarkVR": {NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 10, Extra: map[string]float64{
 			"ess_speedup": 10, "ess_per_sec": 20,
 		}},
 	}
+	vr := func(extra row) map[string]row {
+		r := row{"ns/op": 100, "B/op": 1000, "allocs/op": 10}
+		for unit, v := range extra {
+			r[unit] = v
+		}
+		return map[string]row{"BenchmarkVR": r}
+	}
 
 	// Custom metrics are higher-is-better: holding or improving passes.
-	got := map[string]metrics{
-		"BenchmarkVR": {NsPerOp: 100, Extra: map[string]float64{
-			"ess_speedup": 12, "ess_per_sec": 25,
-		}},
-	}
-	if f := diff(base, got, 0.2, 0.2, 0.2, 0.2, true, discardLogf); len(f) != 0 {
+	if f := diff(base, vr(row{"ess_speedup": 12, "ess_per_sec": 25}), discardLogf); len(f) != 0 {
 		t.Fatalf("improved extras flagged: %v", f)
 	}
 
-	// Both fall past tolerance: two failures when everything is gated.
-	got = map[string]metrics{
-		"BenchmarkVR": {NsPerOp: 100, Extra: map[string]float64{
-			"ess_speedup": 7, "ess_per_sec": 14,
-		}},
-	}
-	if f := diff(base, got, 0.2, 0.2, 0.2, 0.2, true, discardLogf); len(f) != 2 {
-		t.Fatalf("want 2 extra-metric failures, got %v", f)
-	}
-
-	// With -gate-ns=false the wall-clock-derived *_per_sec metric is
-	// logged only; the deterministic ratio still fails.
-	f := diff(base, got, 0.2, 0.2, 0.2, 0.2, false, discardLogf)
+	// Both fall past tolerance: the wall-clock-derived *_per_sec metric
+	// is printed only; the deterministic ratio fails.
+	f := diff(base, vr(row{"ess_speedup": 7, "ess_per_sec": 1}), discardLogf)
 	if len(f) != 1 || !strings.Contains(f[0], "ess_speedup") {
-		t.Fatalf("want only ess_speedup gated with -gate-ns=false, got %v", f)
+		t.Fatalf("want only ess_speedup gated, got %v", f)
 	}
 
-	// Extras missing from the baseline are skipped, not failed.
-	got = map[string]metrics{
-		"BenchmarkVR": {NsPerOp: 100, Extra: map[string]float64{
-			"ess_speedup": 10, "new_metric": 1,
-		}},
+	// A baseline ess_speedup that vanishes from the output fails; a
+	// vanished ess_per_sec does not.
+	f = diff(base, vr(row{"ess_per_sec": 25}), discardLogf)
+	if len(f) != 1 || !strings.Contains(f[0], "ess_speedup") {
+		t.Fatalf("want a missing ess_speedup failure, got %v", f)
 	}
-	if f := diff(base, got, 0.2, 0.2, 0.2, 0.2, true, discardLogf); len(f) != 0 {
+	if f := diff(base, vr(row{"ess_speedup": 10}), discardLogf); len(f) != 0 {
+		t.Fatalf("missing ess_per_sec failed the gate: %v", f)
+	}
+
+	// Extras missing from the baseline are ignored.
+	if f := diff(base, vr(row{"ess_speedup": 10, "new_metric": 1}), discardLogf); len(f) != 0 {
 		t.Fatalf("unknown extra failed the gate: %v", f)
 	}
 }
@@ -147,10 +156,56 @@ func TestRegressionZeroBaseline(t *testing.T) {
 	}
 }
 
+// TestMissingRequired: every baseline row is required, so one absent
+// from the input fails the gate.
 func TestMissingRequired(t *testing.T) {
-	got := map[string]metrics{"BenchmarkA": {}}
-	m := missing([]string{"BenchmarkA", " BenchmarkB", ""}, got)
-	if len(m) != 1 || m[0] != "BenchmarkB" {
-		t.Fatalf("missing = %v, want [BenchmarkB]", m)
+	base := map[string]metrics{
+		"BenchmarkA": {NsPerOp: 1, BytesPerOp: 1, AllocsPerOp: 1},
+		"BenchmarkB": {NsPerOp: 1, BytesPerOp: 1, AllocsPerOp: 1},
+	}
+	got := map[string]row{"BenchmarkA": {"ns/op": 1, "B/op": 1, "allocs/op": 1}}
+	f := diff(base, got, discardLogf)
+	if len(f) != 1 || !strings.HasPrefix(f[0], "BenchmarkB:") {
+		t.Fatalf("failures = %v, want BenchmarkB missing", f)
+	}
+}
+
+// TestBaselineGatedInCI: the repo has one baseline, BENCH.json; CI runs
+// the command stored in its "go" field verbatim and feeds the output to
+// benchdiff; and that command's -bench pattern selects every row.
+func TestBaselineGatedInCI(t *testing.T) {
+	root := filepath.Join("..", "..")
+	if stale, _ := filepath.Glob(filepath.Join(root, "BENCH_*.json")); len(stale) > 0 {
+		t.Fatalf("baselines besides BENCH.json: %v", stale)
+	}
+	raw, err := os.ReadFile(filepath.Join(root, "BENCH.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Go         string             `json:"go"`
+		Benchmarks map[string]metrics `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	ci, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{rec.Go, "benchdiff -baseline BENCH.json"} {
+		if !strings.Contains(string(ci), want) {
+			t.Errorf("ci.yml does not run %q", want)
+		}
+	}
+	m := regexp.MustCompile(`-bench '([^']*)'`).FindStringSubmatch(rec.Go)
+	if m == nil {
+		t.Fatalf("no quoted -bench pattern in %q", rec.Go)
+	}
+	pattern := regexp.MustCompile(m[1])
+	for name := range rec.Benchmarks {
+		if top, _, _ := strings.Cut(name, "/"); !pattern.MatchString(top) {
+			t.Errorf("row %s is not selected by -bench %s", name, m[1])
+		}
 	}
 }

@@ -229,9 +229,10 @@ func driftService(cfg *simnet.Config) traffic.Service {
 // driftIneligible reports why a configuration has no analytic reference
 // distribution ("" = checkable). The monitor checks exactly the
 // configurations the paper models; everything else is counted as
-// skipped rather than guessed at. That includes finite buffers: the
-// paper's models assume infinite ones, and a point that drops or blocks
-// messages held against them would drift, or pass, for the wrong reason.
+// skipped rather than guessed at. That includes finite buffers and
+// failed links: the paper's models assume infinite buffers and an
+// intact network, and a point that drops, blocks or deflects messages
+// held against them would drift, or pass, for the wrong reason.
 func driftIneligible(cfg *simnet.Config) string {
 	if cfg.Burst != nil {
 		return "bursty arrivals have no analytic waiting-time model"
@@ -249,6 +250,9 @@ func driftIneligible(cfg *simnet.Config) string {
 		if b > 0 {
 			return "finite buffers that block messages have no analytic waiting-time model"
 		}
+	}
+	if len(cfg.FailLinks) > 0 {
+		return "failed links have no analytic waiting-time model"
 	}
 	if cfg.Stages > 1 {
 		if driftBulk(cfg) > 1 {
@@ -378,18 +382,16 @@ type SwitchDriftReport struct {
 
 // switchDriftIneligible reports why a configuration's switches cannot
 // each be held to the analytic stage distribution ("" = checkable).
-// Beyond the point-level eligibility, per-switch checks need uniform
-// traffic over an intact, unbuffered network: anything that loads
-// switches asymmetrically makes per-switch deviation expected.
+// Beyond the point-level eligibility, which already requires an intact,
+// unbuffered network, per-switch checks need uniform traffic: anything
+// that loads switches asymmetrically makes per-switch deviation
+// expected.
 func switchDriftIneligible(cfg *simnet.Config) string {
 	if reason := driftIneligible(cfg); reason != "" {
 		return reason
 	}
 	if cfg.Q != 0 {
 		return "favorite-output traffic loads switches asymmetrically"
-	}
-	if len(cfg.FailLinks) > 0 {
-		return "link failures load the surviving switches asymmetrically"
 	}
 	return ""
 }

@@ -201,15 +201,22 @@ func TestDriftSkipsUnmodelledTraffic(t *testing.T) {
 	}
 }
 
-// TestDriftSkipsFiniteBuffers: finite-buffer points have no analytic
-// reference, so the monitor must skip them instead of holding them to
-// the infinite-buffer model. Held to it, the first three drift although
-// the engines are correct, and the fourth passes while dropping 7% of
-// its messages.
+// TestDriftSkipsFiniteBuffers: finite-buffer and failed-link points
+// have no analytic reference, so the monitor must skip them instead of
+// holding them to the uniform infinite-buffer model. Held to it, the
+// first three finite-buffer points and the three reroute points drift
+// although the engines are correct, while the fourth finite-buffer
+// point passes dropping 7% of its messages and the two failed-link drop
+// points pass dropping a quarter of theirs.
 func TestDriftSkipsFiniteBuffers(t *testing.T) {
 	lit := func(label string, stages int, p float64, capacity int) Point {
 		return Point{Label: label, Engine: Literal, Cfg: simnet.Config{
 			K: 2, Stages: stages, P: p, Cycles: 20000, Warmup: 1000, BufferCap: capacity}}
+	}
+	failed := func(label string, stages int, p float64, policy string, links ...simnet.LinkFail) Point {
+		return Point{Label: label, Engine: Graph, Cfg: simnet.Config{
+			K: 2, Stages: stages, P: p, Cycles: 20000, Warmup: 1000,
+			Topology: topology.Omega, FailLinks: links, FailPolicy: policy}}
 	}
 	pts := []Point{
 		lit("literal n=1 p=0.9 B=1", 1, 0.9, 1),
@@ -218,6 +225,12 @@ func TestDriftSkipsFiniteBuffers(t *testing.T) {
 		{Label: "graph blocking n=3 p=0.6 B=1", Engine: Graph, Cfg: simnet.Config{
 			K: 2, Stages: 3, P: 0.6, Cycles: 20000, Warmup: 1000,
 			Topology: topology.Omega, StageBuffers: []int{1, 1, 1}}},
+		failed("reroute n=1 p=0.4", 1, 0.4, "reroute", simnet.LinkFail{Stage: 1, Row: 0}),
+		failed("reroute n=2 p=0.4", 2, 0.4, "reroute", simnet.LinkFail{Stage: 1, Row: 1}),
+		failed("reroute n=3 p=0.4", 3, 0.4, "reroute", simnet.LinkFail{Stage: 2, Row: 3}),
+		failed("drop n=2 p=0.6", 2, 0.6, "drop", simnet.LinkFail{Stage: 2, Row: 1}),
+		failed("drop n=3 p=0.7", 3, 0.7, "drop",
+			simnet.LinkFail{Stage: 3, Row: 2}, simnet.LinkFail{Stage: 3, Row: 5}),
 	}
 	ring := obs.NewRingSink(256)
 	mon := &DriftMonitor{}

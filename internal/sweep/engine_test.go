@@ -79,7 +79,7 @@ func TestEngineStrings(t *testing.T) {
 
 // BenchmarkSweepReference runs benchGrid through the scalar reference
 // engine: the same-binary baseline the batch kernel's speedup in
-// BENCH_kernel.json is measured against.
+// BENCH.json is measured against.
 func BenchmarkSweepReference(b *testing.B) {
 	pts := benchGrid()
 	for i := range pts {

@@ -18,13 +18,13 @@ import (
 // difference on the stage-1 wait contrast, whose exact mean Theorem 1
 // supplies.
 //
-// Two custom metrics feed the BENCH_vr.json gate:
+// Two custom metrics land in BENCH.json:
 //
 //	ess_speedup  var(plain Δ)/var(adjusted Δ) — deterministic given the
-//	             fixed seeds, so it is gated even on noisy runners
+//	             fixed seeds, so it is gated
 //	ess_per_sec  effective plain-MC replications per wall second the VR
 //	             lane delivers (reps·speedup/elapsed); wall-clock-bound,
-//	             gated only with -gate-ns
+//	             so it is printed and never gated
 func BenchmarkVREffectiveness(b *testing.B) {
 	b.ReportAllocs()
 	var speedup, essRate float64
