@@ -86,11 +86,6 @@ func main() {
 	fmt.Fprintf(f, "# Reproduction report — Kruskal, Snir & Weiss (ICPP'86 / IEEE ToC '88)\n\n")
 	fmt.Fprintf(f, "Generated %s at scale %+v.\n\n", time.Now().Format(time.RFC3339), sc)
 
-	renderer := func(r interface{ Render(io.Writer) error }) func(experiments.Scale, io.Writer) error {
-		return func(_ experiments.Scale, w io.Writer) error { return r.Render(w) }
-	}
-	_ = renderer
-
 	sections := []section{
 		{"Table I", wrapTable(experiments.TableI)},
 		{"Table II", wrapTable(experiments.TableII)},
@@ -131,7 +126,7 @@ func main() {
 					return err
 				}
 				if err := fig.RenderCSV(cf); err != nil {
-					cf.Close()
+					cf.Close() //nolint:errcheck // best-effort cleanup; the render failure being reported matters more
 					return err
 				}
 				return cf.Close()

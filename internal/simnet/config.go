@@ -28,6 +28,7 @@
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -282,6 +283,52 @@ func (c *Config) service() traffic.Service {
 	return c.Service
 }
 
+// Utilization returns the offered load m·λ of every output queue:
+// bulk × p × mean service.
+func (c *Config) Utilization() float64 {
+	return float64(c.bulk()) * c.P * c.service().Mean()
+}
+
+// Stage1Law returns the stage-1 arrival and service laws under which
+// Theorem 1 gives the configuration's exact stage-1 waiting-time
+// distribution, or an error saying why the theorem does not describe
+// it. The theorem assumes i.i.d. batch arrivals and i.i.d. service into
+// the infinite FIFO buffers of an intact network, so bursty sources,
+// hot-module routing, per-stage resampling, finite buffers (dropping or
+// blocking) and failed links each rule it out. The drift monitor and
+// the stage-1 control variate both decide eligibility here.
+func (c *Config) Stage1Law() (traffic.Arrivals, traffic.Service, error) {
+	var reason string
+	switch {
+	case c.Burst != nil:
+		reason = "bursty arrivals have no analytic waiting-time model"
+	case c.HotModule > 0:
+		reason = "hot-module traffic has no analytic waiting-time model"
+	case c.ResampleService:
+		reason = "per-stage service resampling has no analytic waiting-time model"
+	case c.BufferCap > 0:
+		reason = "finite buffers that drop messages have no analytic waiting-time model"
+	case c.graphBlocking():
+		reason = "finite buffers that block messages have no analytic waiting-time model"
+	case len(c.FailLinks) > 0:
+		reason = "failed links have no analytic waiting-time model"
+	}
+	if reason != "" {
+		return traffic.Arrivals{}, traffic.Service{}, errors.New(reason)
+	}
+	var arr traffic.Arrivals
+	var err error
+	switch b := c.bulk(); {
+	case c.Q != 0:
+		arr, err = traffic.NonuniformExclusive(c.K, c.P, c.Q, b)
+	case b > 1:
+		arr, err = traffic.Bulk(c.K, c.K, c.P, b)
+	default:
+		arr, err = traffic.Uniform(c.K, c.K, c.P)
+	}
+	return arr, c.service(), err
+}
+
 // serviceSampler returns the alias sampler used for per-stage service
 // redraws, or nil when resampling is off or the law is a single atom
 // (redrawing a constant is a no-op).
@@ -424,7 +471,7 @@ func (c *Config) Validate() error {
 	if err := c.validateGraph(); err != nil {
 		return err
 	}
-	rho := float64(c.bulk()) * c.P * c.service().Mean()
+	rho := c.Utilization()
 	if c.BufferCap == 0 && rho >= 1 && !c.AllowUnstable {
 		return fmt.Errorf("simnet: unstable load m·λ = %g ≥ 1 (bulk %d × p %g × mean service %g) with infinite buffers; "+
 			"set AllowUnstable (plus MaxInFlight/DrainCycles budgets) to probe saturation with truncated runs",

@@ -11,7 +11,6 @@ import (
 	"banyan/internal/simnet"
 	"banyan/internal/stages"
 	"banyan/internal/stats"
-	"banyan/internal/traffic"
 )
 
 // DefaultDriftThreshold is the KS-distance floor below which a point is
@@ -210,71 +209,26 @@ func (d *DriftMonitor) account(rep *DriftReport) {
 	}
 }
 
-// driftBulk mirrors simnet's bulk default (0 means 1).
-func driftBulk(cfg *simnet.Config) int {
-	if cfg.Bulk <= 0 {
-		return 1
-	}
-	return cfg.Bulk
-}
-
-// driftService mirrors simnet's service default (zero value = unit).
-func driftService(cfg *simnet.Config) traffic.Service {
-	if cfg.Service.PMF().Support() == 0 {
-		return traffic.UnitService()
-	}
-	return cfg.Service
-}
-
 // driftIneligible reports why a configuration has no analytic reference
 // distribution ("" = checkable). The monitor checks exactly the
 // configurations the paper models; everything else is counted as
-// skipped rather than guessed at. That includes finite buffers and
-// failed links: the paper's models assume infinite buffers and an
-// intact network, and a point that drops, blocks or deflects messages
-// held against them would drift, or pass, for the wrong reason.
+// skipped rather than guessed at. Stage 1 needs Theorem 1
+// (simnet.Config.Stage1Law says why it may not apply: finite buffers,
+// failed links, …); deeper stages also need the Section IV
+// approximations, which cover constant service without bulk.
 func driftIneligible(cfg *simnet.Config) string {
-	if cfg.Burst != nil {
-		return "bursty arrivals have no analytic waiting-time model"
-	}
-	if cfg.HotModule > 0 {
-		return "hot-module traffic has no analytic waiting-time model"
-	}
-	if cfg.ResampleService {
-		return "per-stage service resampling has no analytic waiting-time model"
-	}
-	if cfg.BufferCap > 0 {
-		return "finite buffers that drop messages have no analytic waiting-time model"
-	}
-	for _, b := range cfg.StageBuffers {
-		if b > 0 {
-			return "finite buffers that block messages have no analytic waiting-time model"
-		}
-	}
-	if len(cfg.FailLinks) > 0 {
-		return "failed links have no analytic waiting-time model"
-	}
-	if cfg.Stages > 1 {
-		if driftBulk(cfg) > 1 {
-			return "no Section IV model for bulk arrivals beyond stage 1"
-		}
-		if len(driftService(cfg).PMF().SortedSupport(0)) != 1 {
-			return "no Section IV model for non-constant service beyond stage 1"
-		}
+	_, svc, err := cfg.Stage1Law()
+	switch {
+	case err != nil:
+		return err.Error()
+	case cfg.Stages == 1:
+		return ""
+	case cfg.Bulk > 1:
+		return "no Section IV model for bulk arrivals beyond stage 1"
+	case len(svc.PMF().SortedSupport(0)) != 1:
+		return "no Section IV model for non-constant service beyond stage 1"
 	}
 	return ""
-}
-
-// driftArrivals reconstructs the stage-1 arrival law of a configuration.
-func driftArrivals(cfg *simnet.Config) (traffic.Arrivals, error) {
-	b := driftBulk(cfg)
-	if cfg.Q != 0 {
-		return traffic.NonuniformExclusive(cfg.K, cfg.P, cfg.Q, b)
-	}
-	if b > 1 {
-		return traffic.Bulk(cfg.K, cfg.K, cfg.P, b)
-	}
-	return traffic.Uniform(cfg.K, cfg.K, cfg.P)
 }
 
 // model returns the predicted waiting-time PMF for a stage (1-based)
@@ -283,12 +237,12 @@ func (d *DriftMonitor) model(cfg *simnet.Config, stage, support int) (dist.PMF, 
 	if d.Reference != nil {
 		return d.Reference(cfg, stage, support)
 	}
+	arr, svc, err := cfg.Stage1Law()
+	if err != nil {
+		return dist.PMF{}, err
+	}
 	if stage == 1 {
-		arr, err := driftArrivals(cfg)
-		if err != nil {
-			return dist.PMF{}, err
-		}
-		an, err := core.New(arr, driftService(cfg))
+		an, err := core.New(arr, svc)
 		if err != nil {
 			return dist.PMF{}, err
 		}
@@ -297,7 +251,7 @@ func (d *DriftMonitor) model(cfg *simnet.Config, stage, support int) (dist.PMF, 
 	}
 	// Stages ≥ 2: gamma matched to the Section IV moment approximations
 	// (eligibility — constant service, no bulk — was checked upstream).
-	m := driftService(cfg).PMF().SortedSupport(0)[0]
+	m := svc.PMF().SortedSupport(0)[0]
 	if m < 1 {
 		m = 1
 	}
@@ -313,6 +267,27 @@ func (d *DriftMonitor) model(cfg *simnet.Config, stage, support int) (dist.PMF, 
 		return dist.PMF{}, err
 	}
 	return g.Discretize(support), nil
+}
+
+// verdict holds one measured histogram against a stage's model PMF:
+// the KS distance, the critical value at Alpha for the sample size
+// shrunk by utilization rho (waits at one queue share busy periods, so
+// N is scaled by (1-ρ)/(1+ρ)), the trigger max(floor, critical), and
+// whether the distance exceeds it.
+func (d *DriftMonitor) verdict(stage int, h *stats.Hist, model dist.PMF, rho float64) (StageDrift, error) {
+	kr, err := dist.OneSampleKS(h.Counts(), model, d.alpha(), rho)
+	if err != nil {
+		return StageDrift{}, err
+	}
+	trigger := d.floor()
+	if kr.Critical > trigger {
+		trigger = kr.Critical
+	}
+	return StageDrift{
+		Stage: stage, N: h.N(),
+		KS: kr.KS, Critical: kr.Critical, Trigger: trigger,
+		Drifted: kr.KS > trigger,
+	}, nil
 }
 
 // mergeWaitHists pools per-replication stage histograms in replication
@@ -358,15 +333,11 @@ func stageQuantiles(hists []*stats.Hist) []obs.StageQuantiles {
 	return out
 }
 
-// SwitchDrift is one switch's verdict in a per-switch drift check.
+// SwitchDrift is one switch's verdict in a per-switch drift check; N
+// counts the measured waits at the switch's output ports.
 type SwitchDrift struct {
-	Stage    int   // 1-based
-	Switch   int   // 0-based within the stage
-	N        int64 // measured waits at this switch's output ports
-	KS       float64
-	Critical float64
-	Trigger  float64
-	Drifted  bool
+	StageDrift
+	Switch int // 0-based within the stage
 }
 
 // SwitchDriftReport is the outcome of checking one graph-engine point
@@ -380,22 +351,6 @@ type SwitchDriftReport struct {
 	Drifted  bool
 }
 
-// switchDriftIneligible reports why a configuration's switches cannot
-// each be held to the analytic stage distribution ("" = checkable).
-// Beyond the point-level eligibility, which already requires an intact,
-// unbuffered network, per-switch checks need uniform traffic: anything
-// that loads switches asymmetrically makes per-switch deviation
-// expected.
-func switchDriftIneligible(cfg *simnet.Config) string {
-	if reason := driftIneligible(cfg); reason != "" {
-		return reason
-	}
-	if cfg.Q != 0 {
-		return "favorite-output traffic loads switches asymmetrically"
-	}
-	return ""
-}
-
 // CheckSwitches compares each switch's pooled waiting-time histogram
 // (hists[i][s] = stage i+1, switch s) against the analytic stage
 // distribution — under uniform traffic every switch of a stage draws
@@ -404,20 +359,25 @@ func switchDriftIneligible(cfg *simnet.Config) string {
 // waits are passed over rather than failed (short runs may miss a
 // switch entirely).
 func (d *DriftMonitor) CheckSwitches(cfg *simnet.Config, hists [][]*stats.Hist) (*SwitchDriftReport, error) {
-	rep := &SwitchDriftReport{}
-	if reason := switchDriftIneligible(cfg); reason != "" {
-		rep.Skipped = reason
+	// Beyond the point-level eligibility, per-switch checks need uniform
+	// traffic: anything that loads switches asymmetrically makes
+	// per-switch deviation expected.
+	rep := &SwitchDriftReport{Skipped: driftIneligible(cfg)}
+	if rep.Skipped == "" && cfg.Q != 0 {
+		rep.Skipped = "favorite-output traffic loads switches asymmetrically"
+	}
+	if rep.Skipped != "" {
 		return rep, nil
 	}
 	if len(hists) < cfg.Stages {
 		return nil, fmt.Errorf("sweep: per-switch drift check needs %d stage rows, got %d", cfg.Stages, len(hists))
 	}
-	rho := float64(driftBulk(cfg)) * cfg.P * driftService(cfg).Mean()
+	rho := cfg.Utilization()
 	for i := 0; i < cfg.Stages; i++ {
 		support := 256
 		for _, h := range hists[i] {
-			if h != nil && len(h.Counts())+64 > support {
-				support = len(h.Counts()) + 64
+			if h != nil {
+				support = max(support, h.Max()+65)
 			}
 		}
 		model, err := d.model(cfg, i+1, support)
@@ -428,21 +388,12 @@ func (d *DriftMonitor) CheckSwitches(cfg *simnet.Config, hists [][]*stats.Hist) 
 			if h == nil || h.N() == 0 {
 				continue
 			}
-			kr, err := dist.OneSampleKS(h.Counts(), model, d.alpha(), rho)
+			v, err := d.verdict(i+1, h, model, rho)
 			if err != nil {
 				return nil, fmt.Errorf("sweep: per-switch drift check stage %d switch %d: %w", i+1, id, err)
 			}
-			trigger := d.floor()
-			if kr.Critical > trigger {
-				trigger = kr.Critical
-			}
-			sd := SwitchDrift{
-				Stage: i + 1, Switch: id, N: h.N(),
-				KS: kr.KS, Critical: kr.Critical, Trigger: trigger,
-				Drifted: kr.KS > trigger,
-			}
-			rep.Switches = append(rep.Switches, sd)
-			rep.Drifted = rep.Drifted || sd.Drifted
+			rep.Switches = append(rep.Switches, SwitchDrift{StageDrift: v, Switch: id})
+			rep.Drifted = rep.Drifted || v.Drifted
 		}
 	}
 	d.mu.Lock()
@@ -457,29 +408,23 @@ func (d *DriftMonitor) CheckSwitches(cfg *simnet.Config, hists [][]*stats.Hist) 
 }
 
 // mergeSwitchHists pools per-replication (stage, switch) histograms,
-// under the same completeness rules as mergeWaitHists.
+// merging each stage's switches under mergeWaitHists' completeness
+// rules.
 func mergeSwitchHists(reps [][][]*stats.Hist, nStages, nSwitches int, truncated bool) [][]*stats.Hist {
-	if reps == nil || truncated || nStages <= 0 || nSwitches <= 0 {
+	if reps == nil || nStages <= 0 {
 		return nil
 	}
 	merged := make([][]*stats.Hist, nStages)
 	for s := range merged {
-		merged[s] = make([]*stats.Hist, nSwitches)
-		for id := range merged[s] {
-			merged[s][id] = &stats.Hist{}
-		}
-	}
-	for _, wh := range reps {
-		if len(wh) < nStages {
-			return nil
-		}
-		for s := 0; s < nStages; s++ {
-			if len(wh[s]) < nSwitches {
+		stage := make([][]*stats.Hist, len(reps))
+		for r, wh := range reps {
+			if len(wh) < nStages {
 				return nil
 			}
-			for id := 0; id < nSwitches; id++ {
-				merged[s][id].Merge(wh[s][id])
-			}
+			stage[r] = wh[s]
+		}
+		if merged[s] = mergeWaitHists(stage, nSwitches, truncated); merged[s] == nil {
+			return nil
 		}
 	}
 	return merged
@@ -536,51 +481,31 @@ func (r *Runner) checkDrift(pr *PointResult, merged []*stats.Hist) {
 // (hists[i] = stage i+1) against the analytic model and returns the
 // per-stage verdicts, updating the monitor's counters and gauges.
 func (d *DriftMonitor) Check(cfg *simnet.Config, hists []*stats.Hist) (*DriftReport, error) {
-	rep := &DriftReport{}
-	if reason := driftIneligible(cfg); reason != "" {
-		rep.Skipped = reason
+	rep := &DriftReport{Skipped: driftIneligible(cfg)}
+	if rep.Skipped != "" {
 		d.account(rep)
 		return rep, nil
 	}
 	if len(hists) < cfg.Stages {
 		return nil, fmt.Errorf("sweep: drift check needs %d stage histograms, got %d", cfg.Stages, len(hists))
 	}
-	// Utilization drives the effective-sample-size correction: waits at
-	// one queue share busy periods, so N is shrunk by (1-ρ)/(1+ρ).
-	rho := float64(driftBulk(cfg)) * cfg.P * driftService(cfg).Mean()
+	rho := cfg.Utilization()
 	for i := 0; i < cfg.Stages; i++ {
 		h := hists[i]
 		if h == nil || h.N() == 0 {
 			return nil, fmt.Errorf("sweep: drift check: stage %d has no measured waits", i+1)
 		}
-		counts := h.Counts()
-		support := len(counts) + 64
-		if support < 256 {
-			support = 256
-		}
-		model, err := d.model(cfg, i+1, support)
+		model, err := d.model(cfg, i+1, max(h.Max()+65, 256))
 		if err != nil {
 			return nil, fmt.Errorf("sweep: drift model for stage %d: %w", i+1, err)
 		}
-		kr, err := dist.OneSampleKS(counts, model, d.alpha(), rho)
+		sd, err := d.verdict(i+1, h, model, rho)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: drift check stage %d: %w", i+1, err)
 		}
-		trigger := d.floor()
-		if kr.Critical > trigger {
-			trigger = kr.Critical
-		}
-		sd := StageDrift{
-			Stage:    i + 1,
-			N:        h.N(),
-			KS:       kr.KS,
-			Critical: kr.Critical,
-			Trigger:  trigger,
-			Drifted:  kr.KS > trigger,
-		}
 		rep.Stages = append(rep.Stages, sd)
 		rep.Drifted = rep.Drifted || sd.Drifted
-		d.setKS(i+1, kr.KS)
+		d.setKS(i+1, sd.KS)
 	}
 	d.account(rep)
 	return rep, nil

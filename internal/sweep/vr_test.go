@@ -6,9 +6,12 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"banyan/internal/simnet"
+	"banyan/internal/topology"
 	"banyan/internal/vr"
 )
 
@@ -332,5 +335,47 @@ func TestVRReporterLine(t *testing.T) {
 	want := fmt.Sprintf("w=%.4g±%.3g @%d reps", 1.2345, 0.067, 12)
 	if !strings.Contains(line, want) {
 		t.Fatalf("reporter line %q missing %q", line, want)
+	}
+}
+
+// TestControlVariatesSkipUnmodeledPoints: the stage-1 control variate
+// regresses on the Theorem-1 mean, so it must apply exactly where the
+// drift monitor checks stage 1. A blocking point and a stage-1 reroute
+// point wait far longer than Theorem 1 predicts. Regressed on it, their
+// estimates collapse towards the theorem's mean with a tight, wrong
+// interval: 1.32 ± 0.012 for the blocking point, whose replications
+// average 16.93. The message-count control stays valid on both (nothing
+// is dropped), so the estimate may still move, but only within its
+// interval.
+func TestControlVariatesSkipUnmodeledPoints(t *testing.T) {
+	graph := func(label string, cfg simnet.Config) Point {
+		cfg.K, cfg.Stages, cfg.Cycles, cfg.Warmup = 2, 3, 4000, 200
+		cfg.Topology = topology.Omega
+		return Point{Label: label, Engine: Graph, Reps: 12, Cfg: cfg}
+	}
+	pts := []Point{
+		graph("blocking p=0.6 B=1", simnet.Config{P: 0.6, StageBuffers: []int{1, 1, 1}}),
+		graph("reroute p=0.5 stage-1 link", simnet.Config{P: 0.5,
+			FailLinks: []simnet.LinkFail{{Stage: 1, Row: 3}}, FailPolicy: "reroute"}),
+	}
+	r := &Runner{Parallelism: 2, RootSeed: 7, VR: &vr.Plan{ControlVariates: true}}
+	prs, err := r.Run(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range prs {
+		if pr.Err != nil || pr.Truncated() {
+			t.Fatalf("%s: err %v, truncated %v", pr.Point.Label, pr.Err, pr.Truncated())
+		}
+		if _, _, err := pr.Point.Cfg.Stage1Law(); err == nil {
+			t.Fatalf("%s: Theorem 1 claims to model the point", pr.Point.Label)
+		}
+		est := pr.VR
+		if slices.Contains(est.Controls, "stage1-wait") {
+			t.Errorf("%s: stage-1 control applied: %+v", pr.Point.Label, est)
+		}
+		if d := math.Abs(est.Mean - est.RawMean); d > est.HalfWidth {
+			t.Errorf("%s: estimate %.4g ± %.3g, raw mean %.4g", pr.Point.Label, est.Mean, est.HalfWidth, est.RawMean)
+		}
 	}
 }

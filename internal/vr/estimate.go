@@ -7,7 +7,6 @@ import (
 	"banyan/internal/dist"
 	"banyan/internal/simnet"
 	"banyan/internal/stats"
-	"banyan/internal/traffic"
 )
 
 // Estimate is a variance-reduced point estimate of the mean total wait,
@@ -48,49 +47,15 @@ type Estimate struct {
 	Stopped bool
 }
 
-// vrBulk, vrService, vrArrivals mirror the sweep drift monitor's
-// reconstruction of the stage-1 model from a configuration (the
-// package cannot import sweep: sweep imports vr).
-func vrBulk(cfg *simnet.Config) int {
-	if cfg.Bulk <= 0 {
-		return 1
-	}
-	return cfg.Bulk
-}
-
-func vrService(cfg *simnet.Config) traffic.Service {
-	if cfg.Service.PMF().Support() == 0 {
-		return traffic.UnitService()
-	}
-	return cfg.Service
-}
-
-func vrArrivals(cfg *simnet.Config) (traffic.Arrivals, error) {
-	b := vrBulk(cfg)
-	if cfg.Q != 0 {
-		return traffic.NonuniformExclusive(cfg.K, cfg.P, cfg.Q, b)
-	}
-	if b > 1 {
-		return traffic.Bulk(cfg.K, cfg.K, cfg.P, b)
-	}
-	return traffic.Uniform(cfg.K, cfg.K, cfg.P)
-}
-
 // stage1MeanWait returns the exact Theorem-1 stage-1 mean wait for
-// configurations the theorem models, and ok=false otherwise. Theorem 1
-// is exact at stage 1 for any batch-arrival law with i.i.d. service —
-// which excludes bursty sources, hot-module routing, and per-stage
-// resampling — and the simulated stage-1 statistics match it only when
-// nothing is dropped or truncated.
+// configurations the theorem models (simnet.Config.Stage1Law decides
+// which, exactly as for the drift monitor), and ok=false otherwise.
 func stage1MeanWait(cfg *simnet.Config) (float64, bool) {
-	if cfg.Burst != nil || cfg.HotModule > 0 || cfg.ResampleService || cfg.BufferCap > 0 {
-		return 0, false
-	}
-	arr, err := vrArrivals(cfg)
+	arr, svc, err := cfg.Stage1Law()
 	if err != nil {
 		return 0, false
 	}
-	an, err := core.New(arr, vrService(cfg))
+	an, err := core.New(arr, svc)
 	if err != nil {
 		return 0, false
 	}
@@ -124,7 +89,7 @@ func controls(cfg *simnet.Config) []control {
 	// under bursty sources, whose ON fraction is initialized from its
 	// stationary law and whose ON-rate is chosen to hit the target P.
 	if cfg.BufferCap == 0 {
-		b := float64(vrBulk(cfg))
+		b := float64(max(cfg.Bulk, 1))
 		cyc := float64(cfg.Cycles)
 		p := cfg.P
 		cs = append(cs, control{
