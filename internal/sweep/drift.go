@@ -315,6 +315,27 @@ func mergeWaitHists(reps [][]*stats.Hist, nStages int, truncated bool) []*stats.
 	return merged
 }
 
+// newDriftHists gives one replication fresh, empty drift histograms:
+// one per stage (cfg.WaitHists) and, when perSwitch is set, one per
+// (stage, switch) (cfg.SwitchWaitHists, graph engine only). The engine
+// fills them; they are hash-excluded and result-neutral.
+func newDriftHists(cfg *simnet.Config, perSwitch bool) {
+	cfg.WaitHists = make([]*stats.Hist, cfg.Stages)
+	for s := range cfg.WaitHists {
+		cfg.WaitHists[s] = &stats.Hist{}
+	}
+	if !perSwitch {
+		return
+	}
+	cfg.SwitchWaitHists = make([][]*stats.Hist, cfg.Stages)
+	for s := range cfg.SwitchWaitHists {
+		cfg.SwitchWaitHists[s] = make([]*stats.Hist, switchCount(cfg))
+		for id := range cfg.SwitchWaitHists[s] {
+			cfg.SwitchWaitHists[s][id] = &stats.Hist{}
+		}
+	}
+}
+
 // stageQuantiles digests merged per-stage histograms for attachment to
 // point lifecycle events.
 func stageQuantiles(hists []*stats.Hist) []obs.StageQuantiles {

@@ -9,7 +9,6 @@ import (
 
 	"banyan/internal/obs"
 	"banyan/internal/simnet"
-	"banyan/internal/stats"
 )
 
 // PanicError wraps a panic recovered from a simulation worker, so one
@@ -126,11 +125,11 @@ func (r *Runner) attempt(ctx context.Context, pr *PointResult, rep int, cfg *sim
 		ev.Attempt = a + 1
 		ev.Err = err.Error()
 		r.emit(ev)
-		// The retry reuses cfg, so any partially filled drift histograms
-		// from the failed attempt must be discarded. Entries are replaced
-		// in place: the caller kept the slice and reads it afterwards.
-		for i := range cfg.WaitHists {
-			cfg.WaitHists[i] = &stats.Hist{}
+		// The retry reuses cfg, so it must not pool the partial waits
+		// of the failed attempt; the caller reads the histograms back
+		// from cfg afterwards.
+		if cfg.WaitHists != nil {
+			newDriftHists(cfg, cfg.SwitchWaitHists != nil)
 		}
 		if sleepCtx(ctx, r.backoff(pr.Seed, rep, a)) != nil {
 			// Cancelled mid-backoff: surface the try's own error — it

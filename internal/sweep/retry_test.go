@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -191,5 +192,48 @@ func TestWatchdogBudgetTracksThroughput(t *testing.T) {
 	r.noteRepWall(200 * time.Millisecond)
 	if got := time.Duration(r.repWall.Load()); got != 125*time.Millisecond {
 		t.Fatalf("EWMA after 100ms,200ms = %v, want 125ms", got)
+	}
+}
+
+// TestRetryStartsWithFreshDriftHists: a retried replication must not
+// pool the waits its failed attempt recorded. The hook records one wait
+// per drift histogram kind and fails the first attempt; the retry must
+// start with empty stage and switch histograms.
+func TestRetryStartsWithFreshDriftHists(t *testing.T) {
+	var attempts atomic.Int64
+	r := &Runner{
+		RootSeed:     9,
+		MaxRetries:   1,
+		RetryBackoff: time.Millisecond,
+		Drift:        &DriftMonitor{},
+		runRep: func(ctx context.Context, e Engine, cfg *simnet.Config) (*simnet.Result, error) {
+			if attempts.Add(1) == 1 {
+				cfg.WaitHists[0].Add(3)
+				cfg.SwitchWaitHists[0][0].Add(3)
+				return nil, errors.New("transient fault")
+			}
+			var stage, sw int64
+			for s := range cfg.WaitHists {
+				stage += cfg.WaitHists[s].N()
+				for _, h := range cfg.SwitchWaitHists[s] {
+					sw += h.N()
+				}
+			}
+			if stage > 0 {
+				return nil, fmt.Errorf("retry starts with %d stale stage waits", stage)
+			}
+			if sw > 0 {
+				return nil, fmt.Errorf("retry starts with %d stale switch waits", sw)
+			}
+			return runEngineCtx(ctx, e, cfg)
+		},
+	}
+	pts := []Point{{Label: "graph/omega", Engine: Graph,
+		Cfg: simnet.Config{K: 2, Stages: 2, P: 0.3, Cycles: 300, Warmup: 30}}}
+	if _, err := r.Run(pts); err != nil {
+		t.Fatal(err)
+	}
+	if n := attempts.Load(); n != 2 {
+		t.Fatalf("%d attempts, want one failure and one retry", n)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -252,14 +253,33 @@ func (r *Runner) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// pointCap returns how many replication slots a point may consume: its
-// configured count, or the adaptive plan's cap when CI-targeted
-// stopping is on.
-func (r *Runner) pointCap(p *Point) int {
+// waves returns the replication counts at which a point may settle, in
+// increasing order; the last one is the point's replication budget.
+// Under CI-targeted stopping they are the plan's checkpoints; otherwise
+// a point has one wave, its configured count.
+func (r *Runner) waves(p *Point) []int {
 	if r.VR.Adaptive() {
-		return r.VR.Cap(p.reps())
+		return r.VR.Checkpoints(p.reps())
 	}
-	return p.reps()
+	return []int{p.reps()}
+}
+
+// estimate returns the variance-reduced estimate over a point's runs,
+// or nil without a VR plan. Under CI-targeted stopping it is marked
+// Stopped when its half-width meets the target.
+func (r *Runner) estimate(p *Point, runs []*simnet.Result) *vr.Estimate {
+	if !r.VR.Enabled() {
+		return nil
+	}
+	est := r.VR.Estimate(&p.Cfg, runs)
+	est.Stopped = r.VR.Adaptive() && est.HalfWidth <= r.VR.TargetCI
+	return est
+}
+
+// settles reports whether the stopping rule ends a point after wave w:
+// always at the last wave, earlier only when est met the CI target.
+func settles(waves []int, w int, est *vr.Estimate) bool {
+	return w == len(waves)-1 || (est != nil && est.Stopped)
 }
 
 // artifactKey addresses the cache and journal: the canonical config
@@ -269,17 +289,31 @@ func (r *Runner) pointCap(p *Point) int {
 // control variates) preserves legacy addressing bit for bit.
 func (r *Runner) artifactKey(key uint64) uint64 { return key ^ r.VR.Salt() }
 
-// resumable reports whether a journaled replication count restores the
-// point. Fixed-rep points need the exact count; adaptive points accept
-// any count up to the cap, because the stopping rule is deterministic
-// and the salted batch key guarantees the journal was written under
-// the identical plan — so a journaled count is the count this run
-// would reproduce.
-func (r *Runner) resumable(n int, p *Point) bool {
-	if r.VR.Adaptive() {
-		return n >= 1 && n <= r.pointCap(p)
+// resume restores pr from the journal when the journal holds a
+// replication count the stopping rule settles at: a wave boundary that
+// is the last wave or meets the CI target. The rule is deterministic
+// and the salted batch key guarantees the journal was written under the
+// same plan, so such a count is the one this run would reproduce. Any
+// other journaled count, such as an early wave that missed the target,
+// is simulated again.
+func (r *Runner) resume(pr *PointResult, waves []int) bool {
+	runs, ok := r.Journal.get(r.artifactKey(pr.Key))
+	if !ok {
+		return false
 	}
-	return n == p.reps()
+	w := slices.Index(waves, len(runs))
+	if w < 0 {
+		return false
+	}
+	est := r.estimate(&pr.Point, runs)
+	if !settles(waves, w, est) {
+		return false
+	}
+	// Aggregation in replication order reproduces the pooled statistics
+	// bit for bit.
+	pr.Runs, pr.VR = runs, est
+	pr.Agg = simnet.Aggregate(runs, pr.Point.Cfg.Stages)
+	return true
 }
 
 // crnStream is the SplitSeed stream index reserved for the sweep-wide
@@ -343,19 +377,19 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 	// crnBase is the sweep-wide replication seed base shared by every
 	// point when common random numbers are on.
 	crnBase := simnet.SplitSeed(r.RootSeed, crnStream)
-	repsTotal := 0
-	for i := range points {
-		repsTotal += r.pointCap(&points[i])
-	}
-	r.ctr.begin(len(points), repsTotal)
-	defer r.ctr.end()
 
 	// Resolve keys, seeds, cache/journal hits and in-batch duplicates up
-	// front, so the job list is fixed before any worker starts.
+	// front, so the first wave of jobs is fixed before any worker starts.
 	type pointState struct {
-		pr        *PointResult
-		pending   int // replications still running; -1 = alias or cache hit
-		aliasOf   int // index of the identical earlier point, or -1
+		pr      *PointResult
+		aliasOf int // index of the identical earlier point, or -1
+		// waves lists the replication counts at which the point may
+		// settle (see Runner.waves); wave indexes the one in flight and
+		// pending counts its replications still running. Both are
+		// written under mu by the worker that settles a wave.
+		waves     []int
+		wave      int
+		pending   int
 		failed    bool
 		started   bool
 		startedAt time.Time
@@ -367,15 +401,16 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 		// waiting-time histograms; nil unless r.Drift is set and the
 		// point runs on the graph engine.
 		swHists [][][]*stats.Hist
-		// Adaptive (CI-targeted) scheduling state: cks is the point's
-		// checkpoint cadence, sched the replication count scheduled so
-		// far (cks[ck]). Written only under mu by the worker that settles
-		// a wave; fixed-rep points keep sched == reps for the whole run.
-		cks   []int
-		sched int
-		ck    int
 	}
 	states := make([]pointState, len(points))
+	repsTotal := 0
+	for i := range points {
+		states[i].waves = r.waves(&points[i])
+		repsTotal += states[i].waves[len(states[i].waves)-1]
+	}
+	r.ctr.begin(len(points), repsTotal)
+	defer r.ctr.end()
+
 	byKey := make(map[uint64]int, len(points))
 	// A job is one replication of one point.
 	type job struct{ pi, rep int }
@@ -389,15 +424,15 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 	}
 	var jobs []job
 	for i := range points {
-		p := &points[i]
+		p, st := &points[i], &states[i]
 		key := pointKey(p, r.RootSeed)
-		repCap := r.pointCap(p)
-		states[i].aliasOf = -1
+		budget := st.waves[len(st.waves)-1]
+		st.aliasOf = -1
 		if j, ok := byKey[key]; ok {
-			states[i].aliasOf = j
-			states[i].pending = -1
-			// Terminal state: the alias settles now, never via a worker.
-			r.ctr.pointAliased(repCap)
+			// Terminal state: the alias settles now, never via a worker;
+			// its ledger row is written once the batch has resolved.
+			st.aliasOf = j
+			r.ctr.pointSettled(LedgerAliased, budget)
 			r.emit(obs.Event{
 				Event: obs.EventPointAliased, Label: p.Label,
 				Key: keyHex(key), Engine: p.Engine.String(),
@@ -405,13 +440,12 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 			continue
 		}
 		byKey[key] = i
-		pr := &PointResult{
+		st.pr = &PointResult{
 			Point: *p,
 			Key:   key,
 			Seed:  simnet.SplitSeed(r.RootSeed, key),
-			Runs:  make([]*simnet.Result, repCap),
+			Runs:  make([]*simnet.Result, budget),
 		}
-		states[i].pr = pr
 		if r.Cache != nil {
 			if hit, ok := r.Cache.get(r.artifactKey(key)); ok {
 				// Share the cached runs but relabel: the hit may have been
@@ -423,78 +457,39 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 				// share costs (essentially) nothing and must not
 				// double-count.
 				shared.Cost = nil
-				if r.VR.Enabled() {
-					if shared.VR == nil {
-						shared.VR = r.VR.Estimate(&p.Cfg, shared.Runs)
-					}
-				} else {
-					shared.VR = nil
+				if shared.VR == nil || !r.VR.Enabled() {
+					shared.VR = r.estimate(p, shared.Runs)
 				}
-				states[i].pr = &shared
-				states[i].pending = -1
-				r.ctr.pointCached(repCap)
-				r.emit(pointEvent(obs.EventPointCached, &shared))
-				r.observeLedger(&shared, LedgerCached)
-				r.report(&shared)
+				st.pr = &shared
+				r.settle(&shared, LedgerCached, budget, pointEvent(obs.EventPointCached, &shared))
 				continue
 			}
 		}
-		if r.Journal != nil {
-			if runs, ok := r.Journal.get(r.artifactKey(key)); ok && r.resumable(len(runs), p) {
-				// Resume: the journaled replications restore exactly, and
-				// aggregation in replication order reproduces the pooled
-				// statistics bit for bit. Under adaptive stopping, the
-				// journaled count is whatever the deterministic rule chose.
-				pr.Runs = runs
-				pr.Agg = simnet.Aggregate(runs, p.Cfg.Stages)
-				if r.VR.Enabled() {
-					pr.VR = r.VR.Estimate(&p.Cfg, runs)
-					if r.VR.Adaptive() {
-						pr.VR.Stopped = len(runs) < repCap || pr.VR.HalfWidth <= r.VR.TargetCI
-					}
-				}
-				states[i].pending = -1
-				if r.Cache != nil {
-					r.Cache.put(r.artifactKey(key), pr)
-				}
-				r.ctr.pointResumed(repCap)
-				r.emit(pointEvent(obs.EventPointResumed, pr))
-				r.observeLedger(pr, LedgerResumed)
-				r.report(pr)
-				continue
+		if r.Journal != nil && r.resume(st.pr, st.waves) {
+			if r.Cache != nil {
+				r.Cache.put(r.artifactKey(key), st.pr)
 			}
+			r.settle(st.pr, LedgerResumed, budget, pointEvent(obs.EventPointResumed, st.pr))
+			continue
 		}
-		if r.VR.Adaptive() {
-			// First wave only; later waves are scheduled by the worker
-			// that settles a wave under the CI target.
-			states[i].cks = r.VR.Checkpoints(p.reps())
-			states[i].sched = states[i].cks[0]
-		} else {
-			states[i].sched = repCap
-		}
-		states[i].pending = states[i].sched
+		st.pending = st.waves[0]
 		if r.Drift != nil {
-			states[i].hists = make([][]*stats.Hist, repCap)
+			st.hists = make([][]*stats.Hist, budget)
 			if p.Engine == Graph {
-				states[i].swHists = make([][][]*stats.Hist, repCap)
+				st.swHists = make([][][]*stats.Hist, budget)
 			}
 		}
-		jobs = append(jobs, repJobs(i, 0, states[i].sched)...)
+		jobs = append(jobs, repJobs(i, 0, st.waves[0])...)
 	}
 
-	// Bounded worker pool over (point, replication) jobs: replication
-	// granularity keeps the pool busy even when the batch has fewer
-	// points than workers. Workers always drain the job channel — on
-	// cancellation or per-point failure the remaining jobs resolve
-	// instantly instead of blocking the feeder.
 	var (
 		mu         sync.Mutex
 		journalErr error
 		wg         sync.WaitGroup
 	)
 	// process runs one job to completion and, when it settles the last
-	// pending replication of an adaptive point whose CI target is not yet
-	// met, returns the next wave of jobs for that point.
+	// pending replication of a wave short of the stopping rule, returns
+	// the point's next wave of jobs.
 	process := func(j job) []job {
 		st := &states[j.pi]
 		mu.Lock()
@@ -528,32 +523,18 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 				cfg.Fault = r.Fault.Rep(st.pr.Key, j.rep)
 			}
 			if st.hists != nil {
-				// Drift data path: exact per-stage waiting-time
-				// histograms, filled by the engine, hash-excluded and
-				// result-neutral. Each replication slot is owned by
-				// exactly one worker, like Runs.
-				wh := make([]*stats.Hist, cfg.Stages)
-				for s := range wh {
-					wh[s] = &stats.Hist{}
-				}
-				cfg.WaitHists = wh
-				st.hists[j.rep] = wh
-			}
-			if st.swHists != nil {
-				// Per-switch drift data path (graph engine only): one
-				// histogram per (stage, switch), same ownership
-				// discipline as WaitHists.
-				swh := make([][]*stats.Hist, cfg.Stages)
-				for s := range swh {
-					swh[s] = make([]*stats.Hist, switchCount(&cfg))
-					for id := range swh[s] {
-						swh[s][id] = &stats.Hist{}
-					}
-				}
-				cfg.SwitchWaitHists = swh
-				st.swHists[j.rep] = swh
+				newDriftHists(&cfg, st.swHists != nil)
 			}
 			res, err = r.attempt(ctx, st.pr, j.rep, &cfg)
+			if st.hists != nil {
+				// Read back after attempt, which gives every retry fresh
+				// histograms. Each replication slot is owned by exactly
+				// one worker, like Runs.
+				st.hists[j.rep] = cfg.WaitHists
+				if st.swHists != nil {
+					st.swHists[j.rep] = cfg.SwitchWaitHists
+				}
+			}
 		}
 		// A cancelled or skipped replication (a sibling already failed
 		// the point) resolves without running; err is nil when merely
@@ -589,70 +570,61 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 		if !last {
 			return nil
 		}
+		// The wave is settled; no other worker touches the point now.
+		n := st.waves[st.wave]
+		var est *vr.Estimate
+		if !failed {
+			// The stopping rule consults the estimate on the wave
+			// cadence only — never more often, to protect coverage (see
+			// internal/vr).
+			est = r.estimate(&st.pr.Point, st.pr.Runs[:n])
+			if !settles(st.waves, st.wave, est) {
+				cerr := ctx.Err()
+				if cerr == nil {
+					mu.Lock()
+					st.wave++
+					st.pending = st.waves[st.wave] - n
+					mu.Unlock()
+					return repJobs(j.pi, n, st.waves[st.wave])
+				}
+				// Cut off between waves: the rule wants replications
+				// that will never run, so the point is as unfinished as
+				// one cut mid-wave and must not be cached or journaled.
+				failed = true
+				st.pr.Err = fmt.Errorf("sweep: point %q rep %d: %w", st.pr.Point.Label, n, cerr)
+			}
+		}
 		wallMS := 0.0
 		if !startedAt.IsZero() {
 			wallMS = float64(time.Since(startedAt)) / float64(time.Millisecond)
 		}
+		// Replications beyond the settled wave never ran; settling them
+		// keeps the settled invariant and the ETA exact.
+		unrun := len(st.pr.Runs) - n
 		if failed {
-			if r.VR.Adaptive() && st.sched < len(st.pr.Runs) {
-				// Replications beyond the settled wave were never
-				// scheduled; account them so the settled
-				// invariant and the ETA still converge.
-				r.ctr.repsSkipped(len(st.pr.Runs) - st.sched)
-			}
 			r.finalizeCost(st.pr)
-			r.ctr.pointFailed()
 			ev := pointEvent(obs.EventPointFailed, st.pr)
 			ev.WallMS = wallMS
-			if st.pr.Err != nil {
-				ev.Err = st.pr.Err.Error()
-			}
+			ev.Err = st.pr.Err.Error()
 			ev.Cost = st.pr.Cost.Digest()
-			r.emit(ev)
-			r.observeLedger(st.pr, LedgerFailed)
-			r.report(st.pr)
+			r.settle(st.pr, LedgerFailed, unrun, ev)
 			return nil
 		}
-		if r.VR.Adaptive() {
-			// CI-targeted stopping: the worker that settles a
-			// wave consults the estimate on the checkpoint
-			// cadence — never more often, to protect coverage
-			// (see internal/vr) — and either schedules the next
-			// wave or finalizes the point on the replications
-			// run so far.
-			runs := st.pr.Runs[:st.sched]
-			est := r.VR.Estimate(&st.pr.Point.Cfg, runs)
-			met := est.HalfWidth <= r.VR.TargetCI
-			if !met && st.ck+1 < len(st.cks) && ctx.Err() == nil {
-				mu.Lock()
-				st.ck++
-				prev, next := st.sched, st.cks[st.ck]
-				st.sched = next
-				st.pending = next - prev
-				mu.Unlock()
-				return repJobs(j.pi, prev, next)
+		st.pr.VR = est
+		if unrun > 0 {
+			st.pr.Runs = st.pr.Runs[:n]
+			if st.hists != nil {
+				st.hists = st.hists[:n]
 			}
-			est.Stopped = met
-			st.pr.VR = est
-			if st.sched < len(st.pr.Runs) {
-				r.ctr.repsSkipped(len(st.pr.Runs) - st.sched)
-				st.pr.Runs = runs
-				if st.hists != nil {
-					st.hists = st.hists[:st.sched]
-				}
-			}
-			if met {
-				sev := pointEvent(obs.EventPointStopped, st.pr)
-				sev.Rep = st.sched
-				sev.HalfWidth = est.HalfWidth
-				r.emit(sev)
-			}
-		} else if r.VR.Enabled() {
-			st.pr.VR = r.VR.Estimate(&st.pr.Point.Cfg, st.pr.Runs)
 		}
-		// Aggregation iterates replications in order, so the
-		// pooled statistics do not depend on which worker
-		// finished last.
+		if est != nil && est.Stopped {
+			sev := pointEvent(obs.EventPointStopped, st.pr)
+			sev.Rep = n
+			sev.HalfWidth = est.HalfWidth
+			r.emit(sev)
+		}
+		// Aggregation iterates replications in order, so the pooled
+		// statistics do not depend on which worker finished last.
 		st.pr.Agg = simnet.Aggregate(st.pr.Runs, st.pr.Point.Cfg.Stages)
 		if r.Cache != nil {
 			r.Cache.put(r.artifactKey(st.pr.Key), st.pr)
@@ -671,7 +643,6 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 			}
 		}
 		r.finalizeCost(st.pr)
-		r.ctr.pointDone()
 		ev := pointEvent(obs.EventPointDone, st.pr)
 		ev.WallMS = wallMS
 		ev.Cost = st.pr.Cost.Digest()
@@ -685,56 +656,45 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 		if merged != nil {
 			ev.Waits = stageQuantiles(merged)
 		}
-		r.emit(ev)
-		if merged != nil && r.Drift != nil {
+		r.settle(st.pr, LedgerDone, unrun, ev)
+		if merged != nil {
 			r.checkDrift(st.pr, merged)
 		}
-		if st.swHists != nil && r.Drift != nil {
+		if st.swHists != nil {
 			cfg := &st.pr.Point.Cfg
 			if msw := mergeSwitchHists(st.swHists, cfg.Stages, switchCount(cfg), st.pr.Truncated()); msw != nil {
 				r.checkSwitchDrift(st.pr, msw)
 			}
 		}
-		r.observeLedger(st.pr, LedgerDone)
-		r.report(st.pr)
 		return nil
 	}
 
-	adaptive := r.VR.Adaptive()
-	chCap := 0
-	if adaptive {
-		// Adaptive waves are injected into the channel by the workers
-		// themselves. Sizing the buffer to the whole replication budget
-		// (every replication appears in at most one job, ever) means no
-		// send can block, so an injecting worker cannot deadlock against
-		// workers waiting for jobs.
-		chCap = repsTotal
-	}
-	jobCh := make(chan job, chCap)
+	// Bounded worker pool over (point, replication) jobs: replication
+	// granularity keeps the pool busy even when the batch has fewer
+	// points than workers. Workers always drain the job channel — on
+	// cancellation or per-point failure the remaining jobs resolve
+	// instantly instead of blocking a sender. The channel is unbuffered,
+	// so a later wave is sent from a short-lived goroutine rather than
+	// by a worker that its own pool would have to receive from.
+	// outstanding counts the jobs not yet retired; a wave is added to it
+	// before the job that scheduled it retires, so it reaches zero only
+	// after the true last job, and the worker retiring that job closes
+	// the channel and ends the pool.
+	jobCh := make(chan job)
 	var outstanding atomic.Int64
 	outstanding.Store(int64(len(jobs)))
-	workers := r.parallelism()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	for w := 0; w < workers; w++ {
+	for w := min(r.parallelism(), len(jobs)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := range jobCh {
-				extra := process(j)
-				if !adaptive {
-					continue
-				}
-				// Inject the next wave before retiring this job, so the
-				// outstanding count never touches zero while work
-				// remains; the worker that retires the true last job
-				// closes the channel and ends the pool.
-				if len(extra) > 0 {
-					outstanding.Add(int64(len(extra)))
-					for _, e := range extra {
-						jobCh <- e
-					}
+				if next := process(j); len(next) > 0 {
+					outstanding.Add(int64(len(next)))
+					go func() {
+						for _, e := range next {
+							jobCh <- e
+						}
+					}()
 				}
 				if outstanding.Add(-1) == 0 {
 					close(jobCh)
@@ -744,12 +704,6 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 	}
 	for _, j := range jobs {
 		jobCh <- j
-	}
-	if !adaptive || len(jobs) == 0 {
-		// A fixed-replication batch has a static job list; an adaptive
-		// batch is closed by the worker retiring its last job (or here,
-		// when the whole batch was served without simulation).
-		close(jobCh)
 	}
 	wg.Wait()
 
@@ -764,7 +718,9 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 			shared.Point = points[i]
 			shared.Cost = nil
 			out[i] = &shared
-			r.observeLedger(&shared, LedgerAliased)
+			if r.Ledger != nil {
+				r.Ledger.Observe(&shared, LedgerAliased)
+			}
 			continue
 		}
 		out[i] = st.pr
@@ -778,7 +734,16 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 	return out, errors.Join(errs...)
 }
 
-func (r *Runner) report(pr *PointResult) {
+// settle records a point's terminal state — done, failed, cached or
+// resumed — in the counters, emits its terminal event, writes its
+// ledger row and hands it to the reporter, in that order. unrun counts
+// the replications of the point's budget that were never run.
+func (r *Runner) settle(pr *PointResult, status LedgerStatus, unrun int, ev obs.Event) {
+	r.ctr.pointSettled(status, unrun)
+	r.emit(ev)
+	if r.Ledger != nil {
+		r.Ledger.Observe(pr, status)
+	}
 	if r.Reporter != nil {
 		r.Reporter.PointDone(pr, r.ctr.Snapshot())
 	}
@@ -802,14 +767,6 @@ func (r *Runner) finalizeCost(pr *PointResult) {
 	pr.Cost.Reps = n
 	if pr.VR != nil {
 		pr.Cost.ESS = pr.VR.ESS
-	}
-}
-
-// observeLedger records a settled point in the run ledger, if one is
-// attached.
-func (r *Runner) observeLedger(pr *PointResult, status LedgerStatus) {
-	if r.Ledger != nil {
-		r.Ledger.Observe(pr, status)
 	}
 }
 
@@ -908,29 +865,12 @@ type Counters struct {
 	batchStart time.Time        // when active went 0 → 1
 	busy       time.Duration    // accumulated non-idle wall-clock
 
-	pointsWant    int64
-	pointsDone    int64
-	pointsFailed  int64
-	pointsAliased int64
-	pointsCached  int64
-	pointsResumed int64
-	repsWant      int64
-	repsDone      int64
-	repsSettled   int64 // done, failed, skipped, or never-to-run
-	retries       int64
-	truncated     int64
-	messages      int64
-	dropped       int64
-	watchdog      int64 // replications the watchdog converted to StallError
-
-	// Attributed resource-cost totals (see PointCost): every attempt's
-	// delta lands both on its point and here, so the ledger's per-point
-	// rows reconcile against these exactly.
-	costWall      int64
-	costCPU       int64
-	costAllocB    int64
-	costAllocObjs int64
-	costCycles    int64
+	// totals holds the cumulative counts and attributed costs; Snapshot
+	// adds the time-dependent fields. Every attempt's cost delta lands
+	// both on its point and here, so the ledger's per-point rows
+	// reconcile against these exactly.
+	totals      Progress
+	repsSettled int64 // done, failed, skipped, or never-to-run
 
 	msgMeter obs.Meter
 	repMeter obs.Meter
@@ -995,8 +935,8 @@ func (c *Counters) begin(points, reps int) {
 		c.batchStart = c.clock()
 	}
 	c.active++
-	c.pointsWant += int64(points)
-	c.repsWant += int64(reps)
+	c.totals.PointsTotal += int64(points)
+	c.totals.RepsTotal += int64(reps)
 }
 
 // end closes the batch opened by begin, folding its wall-clock interval
@@ -1015,12 +955,12 @@ func (c *Counters) repDone(res *simnet.Result) {
 	c.repMeter.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.repsDone++
+	c.totals.RepsDone++
 	c.repsSettled++
-	c.messages += res.Messages
-	c.dropped += res.Dropped
+	c.totals.Messages += res.Messages
+	c.totals.Dropped += res.Dropped
 	if res.Truncated {
-		c.truncated++
+		c.totals.Truncated++
 	}
 }
 
@@ -1033,59 +973,33 @@ func (c *Counters) repSettled() {
 	c.repsSettled++
 }
 
-// repsSkipped accounts replications an adaptive point never ran —
-// its CI target was met (or the point failed) below the cap — keeping
-// the settled invariant and the ETA exact.
-func (c *Counters) repsSkipped(n int) {
+// pointSettled accounts a point reaching its terminal state, together
+// with the unrun replications of its budget: all of them for cached,
+// resumed and aliased points, those past the settled wave otherwise.
+func (c *Counters) pointSettled(status LedgerStatus, unrun int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.repsSettled += int64(n)
-}
-
-func (c *Counters) pointDone() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pointsDone++
-}
-
-// pointCached accounts a point served from the cross-batch cache,
-// settling its never-to-run replications.
-func (c *Counters) pointCached(reps int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pointsDone++
-	c.pointsCached++
-	c.repsSettled += int64(reps)
-}
-
-// pointResumed accounts a point served from the checkpoint journal.
-func (c *Counters) pointResumed(reps int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pointsDone++
-	c.pointsResumed++
-	c.repsSettled += int64(reps)
-}
-
-// pointAliased accounts an in-batch duplicate that shares an earlier
-// point's result, settling its never-to-run replications.
-func (c *Counters) pointAliased(reps int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pointsAliased++
-	c.repsSettled += int64(reps)
-}
-
-func (c *Counters) pointFailed() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pointsFailed++
+	switch status {
+	case LedgerFailed:
+		c.totals.PointsFailed++
+	case LedgerAliased:
+		c.totals.PointsAliased++
+	case LedgerCached:
+		c.totals.PointsCached++
+		c.totals.PointsDone++
+	case LedgerResumed:
+		c.totals.PointsResumed++
+		c.totals.PointsDone++
+	default:
+		c.totals.PointsDone++
+	}
+	c.repsSettled += int64(unrun)
 }
 
 func (c *Counters) retried() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.retries++
+	c.totals.Retries++
 }
 
 // watchdogFired accounts a replication the watchdog cancelled and
@@ -1093,18 +1007,18 @@ func (c *Counters) retried() {
 func (c *Counters) watchdogFired() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.watchdog++
+	c.totals.WatchdogFired++
 }
 
 // addCost folds one attempt's attributed cost into the totals.
 func (c *Counters) addCost(d PointCost) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.costWall += d.WallNS
-	c.costCPU += d.CPUNS
-	c.costAllocB += d.AllocBytes
-	c.costAllocObjs += d.AllocObjects
-	c.costCycles += d.Cycles
+	c.totals.CostWallNS += d.WallNS
+	c.totals.CostCPUNS += d.CPUNS
+	c.totals.CostAllocBytes += d.AllocBytes
+	c.totals.CostAllocObjects += d.AllocObjects
+	c.totals.CostCycles += d.Cycles
 }
 
 // Snapshot returns the current progress.
@@ -1113,51 +1027,30 @@ func (c *Counters) Snapshot() Progress {
 	repRate := c.repMeter.Rate()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	elapsed := c.busy
+	p := c.totals
+	p.Elapsed = c.busy
 	if c.active > 0 {
-		elapsed += c.clock().Sub(c.batchStart)
+		p.Elapsed += c.clock().Sub(c.batchStart)
 	}
-	p := Progress{
-		PointsDone:       c.pointsDone,
-		PointsFailed:     c.pointsFailed,
-		PointsAliased:    c.pointsAliased,
-		PointsCached:     c.pointsCached,
-		PointsResumed:    c.pointsResumed,
-		PointsTotal:      c.pointsWant,
-		RepsDone:         c.repsDone,
-		RepsTotal:        c.repsWant,
-		Retries:          c.retries,
-		Truncated:        c.truncated,
-		Messages:         c.messages,
-		Dropped:          c.dropped,
-		WatchdogFired:    c.watchdog,
-		CostWallNS:       c.costWall,
-		CostCPUNS:        c.costCPU,
-		CostAllocBytes:   c.costAllocB,
-		CostAllocObjects: c.costAllocObjs,
-		CostCycles:       c.costCycles,
-		Elapsed:          elapsed,
-		MessagesPerSec:   msgRate,
-		RepsPerSec:       repRate,
-	}
-	if s := elapsed.Seconds(); s > 0 {
+	p.MessagesPerSec, p.RepsPerSec = msgRate, repRate
+	if s := p.Elapsed.Seconds(); s > 0 {
 		// Sub-second sweeps have no complete meter bucket yet; the
 		// cumulative busy-time average is the best available signal.
-		if p.MessagesPerSec == 0 && c.messages > 0 {
-			p.MessagesPerSec = float64(c.messages) / s
+		if p.MessagesPerSec == 0 && p.Messages > 0 {
+			p.MessagesPerSec = float64(p.Messages) / s
 		}
-		if p.RepsPerSec == 0 && c.repsDone > 0 {
-			p.RepsPerSec = float64(c.repsDone) / s
+		if p.RepsPerSec == 0 && p.RepsDone > 0 {
+			p.RepsPerSec = float64(p.RepsDone) / s
 		}
 	}
-	if remaining := c.repsWant - c.repsSettled; remaining > 0 && p.RepsPerSec > 0 {
+	if remaining := p.RepsTotal - c.repsSettled; remaining > 0 && p.RepsPerSec > 0 {
 		p.ETA = time.Duration(float64(remaining) / p.RepsPerSec * float64(time.Second))
 	}
 	return p
 }
 
 // Register exposes the counters in a metrics registry under the sweep.*
-// namespace (the expvar / -debug-addr read-out path).
+// namespace.
 func (c *Counters) Register(reg *obs.Registry) {
 	get := func(f func(Progress) float64) func() float64 {
 		return func() float64 { return f(c.Snapshot()) }

@@ -2,12 +2,15 @@ package sweep
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"banyan/internal/simnet"
@@ -377,5 +380,87 @@ func TestControlVariatesSkipUnmodeledPoints(t *testing.T) {
 		if d := math.Abs(est.Mean - est.RawMean); d > est.HalfWidth {
 			t.Errorf("%s: estimate %.4g ± %.3g, raw mean %.4g", pr.Point.Label, est.Mean, est.HalfWidth, est.RawMean)
 		}
+	}
+}
+
+// TestAdaptiveCancelBetweenWavesFails: cancellation that lands after a
+// wave's last replication, while the CI target is still unmet, leaves
+// the point unfinished. It fails with the cancellation and stays out of
+// the cache and the journal. A journal entry holding such an early-wave
+// count (earlier versions of the runner wrote one) is simulated again on
+// resume.
+func TestAdaptiveCancelBetweenWavesFails(t *testing.T) {
+	plan := &vr.Plan{TargetCI: 1e-9, MinReps: 4, MaxReps: 12} // waves 4, 6, 9, 12
+	pts := []Point{{Label: "k=2 n=2 p=0.3", Reps: 12,
+		Cfg: simnet.Config{K: 2, Stages: 2, P: 0.3, Cycles: 300, Warmup: 30}}}
+	clean, err := (&Runner{VR: plan}).Run(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clean[0].Runs) != 12 {
+		t.Fatalf("uninterrupted run settled at %d reps, want the cap 12", len(clean[0].Runs))
+	}
+
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	j1, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewCache()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var done atomic.Int64
+	r1 := &Runner{
+		Parallelism: 2, VR: plan, Journal: j1, Cache: cache,
+		runRep: func(ctx context.Context, e Engine, cfg *simnet.Config) (*simnet.Result, error) {
+			res, err := runEngineCtx(ctx, e, cfg)
+			if done.Add(1) == 4 {
+				cancel() // the first wave's last replication has finished
+			}
+			return res, err
+		},
+	}
+	prs, err := r1.RunCtx(ctx, pts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch error %v, want the cancellation", err)
+	}
+	pr := prs[0]
+	if !errors.Is(pr.Err, context.Canceled) || pr.Agg != nil || pr.VR != nil {
+		t.Fatalf("cut point settled as err=%v agg=%v vr=%+v, want a failed point", pr.Err, pr.Agg, pr.VR)
+	}
+	key := r1.artifactKey(pr.Key)
+	if _, ok := cache.get(key); ok {
+		t.Fatal("cut point was cached")
+	}
+	if _, ok := j1.get(key); ok {
+		t.Fatal("cut point was journaled")
+	}
+	if snap := r1.Counters().Snapshot(); snap.PointsFailed != 1 || snap.RepsDone != 4 || !snap.Settled() {
+		t.Fatalf("counters %+v, want one failed point after 4 reps", snap)
+	}
+	// Journal the cut as a complete point, the way earlier versions did.
+	if err := j1.append(key, pr.Point.Label, clean[0].Runs[:4], nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	r2 := &Runner{Parallelism: 2, VR: plan, Journal: j2}
+	got, err := r2.Run(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := r2.Counters().Snapshot(); snap.PointsResumed != 0 || snap.RepsDone != 12 {
+		t.Fatalf("resume served the early-wave entry: %+v", snap)
+	}
+	if !reflect.DeepEqual(got[0].Runs, clean[0].Runs) || got[0].VR.Mean != clean[0].VR.Mean {
+		t.Fatalf("resumed point (%d reps, mean %g) differs from the uninterrupted run (%d reps, mean %g)",
+			len(got[0].Runs), got[0].VR.Mean, len(clean[0].Runs), clean[0].VR.Mean)
 	}
 }
