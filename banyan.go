@@ -14,9 +14,10 @@
 //   - Section IV approximations for the later stages of a network and
 //     Section V predictions for the total delay, including the gamma
 //     approximation of the total waiting-time distribution;
-//   - two cross-validated network simulators (a fast message-level
-//     engine and a literal cycle-driven engine with optional finite
-//     buffers);
+//   - three cross-validated network simulators on one entry point: a
+//     fast message-level engine, a literal cycle-driven engine with
+//     optional finite buffers, and a topology-true graph engine
+//     (explicit wirings, per-stage buffers, failed links);
 //   - runnable reproductions of every table and figure in the paper's
 //     evaluation.
 //
@@ -35,6 +36,8 @@
 package banyan
 
 import (
+	"context"
+
 	"banyan/internal/core"
 	"banyan/internal/delay"
 	"banyan/internal/dist"
@@ -179,12 +182,14 @@ func Simulate(cfg *SimConfig) (*SimResult, error) { return simnet.Run(cfg) }
 func GenerateTrace(cfg *SimConfig) (*Trace, error) { return simnet.GenerateTrace(cfg) }
 
 // SimulateTrace runs the fast engine on a prepared trace.
-func SimulateTrace(cfg *SimConfig, tr *Trace) (*SimResult, error) { return simnet.RunTrace(cfg, tr) }
+func SimulateTrace(cfg *SimConfig, tr *Trace) (*SimResult, error) {
+	return simnet.RunEngine(context.Background(), simnet.Fast, cfg, tr.Source())
+}
 
 // SimulateLiteral runs the literal cycle-driven engine (supports finite
 // buffers via SimConfig.BufferCap).
 func SimulateLiteral(cfg *SimConfig, tr *Trace) (*SimResult, error) {
-	return simnet.RunLiteral(cfg, tr)
+	return simnet.RunEngine(context.Background(), simnet.Literal, cfg, tr.Source())
 }
 
 // Graph-engine wirings (SimConfig.Topology).
@@ -207,7 +212,7 @@ const (
 // uniform traffic and infinite buffers it reproduces the fast engine's
 // results exactly.
 func SimulateGraph(cfg *SimConfig, tr *Trace) (*SimResult, error) {
-	return simnet.RunGraphTrace(cfg, tr)
+	return simnet.RunEngine(context.Background(), simnet.Graph, cfg, tr.Source())
 }
 
 // Stage2Exact is the exact (truncated Markov chain) analysis of the

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"testing"
 
 	"banyan/internal/topology"
@@ -19,6 +20,7 @@ import (
 // nothing to the growth of the untracked run.
 func TestTrackStageWaitsAllocsFlat(t *testing.T) {
 	base := Config{K: 2, Stages: 4, P: 0.5, Warmup: 200, Seed: 0xa11c}
+	ctx := context.Background()
 	engines := []struct {
 		name  string
 		run   func(cfg *Config) (*Result, error)
@@ -26,29 +28,19 @@ func TestTrackStageWaitsAllocsFlat(t *testing.T) {
 	}{
 		{"kernel", Run, false},
 		{"reference", func(cfg *Config) (*Result, error) {
-			src, err := NewTraceStream(cfg, 0)
-			if err != nil {
-				return nil, err
-			}
-			return RunSource(cfg, src)
+			return RunEngine(ctx, Reference, cfg, nil)
 		}, true},
 		{"graph-committed", func(cfg *Config) (*Result, error) {
-			c := *cfg
-			c.Topology = topology.Omega
-			return RunGraph(&c)
+			return RunEngine(ctx, Graph, cfg, nil)
 		}, false},
 		{"graph-blocking", func(cfg *Config) (*Result, error) {
 			c := *cfg
 			c.Topology = topology.Omega
 			c.StageBuffers = []int{4, 4, 4, 4}
-			return RunGraph(&c)
+			return RunEngine(ctx, Graph, &c, nil)
 		}, false},
 		{"literal", func(cfg *Config) (*Result, error) {
-			src, err := NewTraceStream(cfg, 0)
-			if err != nil {
-				return nil, err
-			}
-			return RunLiteralSource(cfg, src)
+			return RunEngine(ctx, Literal, cfg, nil)
 		}, false},
 	}
 	for _, e := range engines {

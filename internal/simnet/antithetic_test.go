@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -63,7 +64,7 @@ func TestAntitheticEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	material, err := RunTrace(&cfg, tr)
+	material, err := RunEngine(context.Background(), Fast, &cfg, tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}

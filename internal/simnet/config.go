@@ -13,9 +13,13 @@
 //     engine's blocking mode) on overflow — the paper's future-work
 //     extension.
 //
-// All consume the same pre-generated arrival trace, so they can be
-// cross-validated against each other, and their first-stage statistics
-// against the exact analysis in internal/core.
+// RunEngine is the one entry point: it selects the loop by Engine
+// (Fast, Literal, Reference or Graph), validates the configuration and
+// either generates the arrival schedule or checks a given one against
+// the configured network. Every loop consumes the same arrival
+// schedule, so they can be cross-validated against each other, and
+// their first-stage statistics against the exact analysis in
+// internal/core.
 //
 // Timing conventions (identical in every loop): a message arriving at a
 // queue at cycle t may begin service no earlier than cycle t; consecutive
@@ -204,7 +208,7 @@ type Config struct {
 	Fault *faultinject.RepFault
 
 	// Topology selects the explicit inter-stage wiring for the graph
-	// engine (RunGraph and friends): omega, butterfly or flip. Empty
+	// engine (RunEngine with Graph): omega, butterfly or flip. Empty
 	// means the graph engine defaults to omega; the stage-model engines
 	// reject a non-empty Topology because they hard-code the omega
 	// arithmetic — use the graph engine for anything topology-true.
@@ -514,10 +518,10 @@ func (c *Config) graphKnobs() []string {
 // configuration cannot silently run with its knobs ignored.
 func (c *Config) requireStageModel(engine string) error {
 	if c.Topology != "" {
-		return fmt.Errorf("simnet: Topology %q requires the graph engine (RunGraph); the %s engine models one representative queue per stage", c.Topology, engine)
+		return fmt.Errorf("simnet: Topology %q requires the graph engine (RunEngine with Graph); the %s engine models one representative queue per stage", c.Topology, engine)
 	}
 	if set := c.graphKnobs(); len(set) > 0 {
-		return fmt.Errorf("simnet: %s require the graph engine (RunGraph); the %s engine models one representative queue per stage", strings.Join(set, ", "), engine)
+		return fmt.Errorf("simnet: %s require the graph engine (RunEngine with Graph); the %s engine models one representative queue per stage", strings.Join(set, ", "), engine)
 	}
 	return nil
 }
@@ -638,21 +642,16 @@ func (b *BurstParams) validate(p float64) (pOn float64, err error) {
 	return pOn, nil
 }
 
-// Trace is a pre-generated first-stage arrival schedule shared by both
-// engines. Messages are ordered by arrival cycle.
+// Trace is a pre-generated first-stage arrival schedule shared by every
+// engine. Messages are ordered by arrival cycle.
 type Trace struct {
-	K, Stages int
-	Rows      int  // rows per stage
-	Wrapped   bool // shuffle wraps (rows < k^Stages)
-	Horizon   int  // last generation cycle + 1
+	TraceMeta
 
 	T    []int32  // arrival cycle at stage 1
 	In   []int32  // input row
 	Dest []uint32 // destination address in [0, k^Stages) (digits used mod Rows when wrapped)
 	Svc  []int16  // message service time, cycles
 	Meas []bool   // generated after warmup → counts toward statistics
-
-	digitDiv []uint32 // k^{Stages-j} for stage j = 1..Stages
 }
 
 // Len returns the number of messages in the trace.
@@ -661,20 +660,7 @@ func (tr *Trace) Len() int { return len(tr.T) }
 // Digit returns the routing digit consumed by message i at the given
 // stage (1-based).
 func (tr *Trace) Digit(i, stage int) int {
-	return int(tr.Dest[i]/tr.digitDiv[stage-1]) % tr.K
-}
-
-// NextRow applies the omega-network shuffle-exchange step.
-func (tr *Trace) NextRow(row int32, digit int) int32 {
-	return int32((int(row)*tr.K + digit) % tr.Rows)
-}
-
-// meta returns the trace's fixed context in the form the engines consume.
-func (tr *Trace) meta() TraceMeta {
-	return TraceMeta{
-		K: tr.K, Stages: tr.Stages, Rows: tr.Rows, Wrapped: tr.Wrapped,
-		Horizon: tr.Horizon, digitDiv: tr.digitDiv,
-	}
+	return tr.DigitOf(tr.Dest[i], stage)
 }
 
 // GenerateTrace draws the stage-1 arrival schedule for cfg, materialized
@@ -682,7 +668,7 @@ func (tr *Trace) meta() TraceMeta {
 // the chunked generator and this function draw from identical random
 // streams, so at the same seed they produce byte-identical schedules.
 // Long runs that do not need the whole trace at once should prefer the
-// streaming path (Run, or NewTraceStream plus RunSource), whose peak
+// streaming path (RunEngine with a nil source), whose peak
 // memory is bounded by the in-flight message count instead of the
 // schedule length.
 func GenerateTrace(cfg *Config) (*Trace, error) {
@@ -693,14 +679,12 @@ func GenerateTrace(cfg *Config) (*Trace, error) {
 	m := s.Meta()
 	expected := int(float64(m.Rows) * cfg.P * float64(cfg.bulk()) * float64(m.Horizon) * 1.05)
 	tr := &Trace{
-		K: m.K, Stages: m.Stages, Rows: m.Rows, Wrapped: m.Wrapped,
-		Horizon:  m.Horizon,
-		T:        make([]int32, 0, expected),
-		In:       make([]int32, 0, expected),
-		Dest:     make([]uint32, 0, expected),
-		Svc:      make([]int16, 0, expected),
-		Meas:     make([]bool, 0, expected),
-		digitDiv: m.digitDiv,
+		TraceMeta: *m,
+		T:         make([]int32, 0, expected),
+		In:        make([]int32, 0, expected),
+		Dest:      make([]uint32, 0, expected),
+		Svc:       make([]int16, 0, expected),
+		Meas:      make([]bool, 0, expected),
 	}
 	for {
 		blk, err := s.Next()

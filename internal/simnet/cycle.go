@@ -14,11 +14,11 @@ import (
 // random batch-service discipline the analysis assumes. A message that
 // finds its queue full meets one of two overflow policies:
 //
-//   - drop, the literal engine (RunLiteral*): the message is lost and
-//     counted in Result.Dropped. Every stage is capped at
-//     Config.BufferCap and routing follows the omega arithmetic of the
-//     trace's TraceMeta, so the wrapped shuffle (rows < k^n), which the
-//     wiring tables cannot express, is supported;
+//   - drop, the literal engine: the message is lost and counted in
+//     Result.Dropped. Every stage is capped at Config.BufferCap and
+//     routing follows the omega arithmetic of the trace's TraceMeta, so
+//     the wrapped shuffle (rows < k^n), which the wiring tables cannot
+//     express, is supported;
 //   - block, the graph engine with a finite Config.StageBuffers entry:
 //     the message stays put and its output port stalls (head-of-line
 //     blocking) until the queue drains. Routing follows a graphNet's
@@ -28,37 +28,12 @@ import (
 // to the batch kernel; the test suite drives both from one trace and
 // compares.
 
-// RunLiteral executes the literal engine on a prepared materialized
-// trace. RunLiteral and RunLiteralSource produce identical statistics at
-// the same seed.
-func RunLiteral(cfg *Config, tr *Trace) (*Result, error) {
-	return RunLiteralSource(cfg, tr.Source())
-}
-
 // RunLiteralSource executes the literal engine against an arrival
-// source, pulling schedule blocks on demand so peak memory is bounded by
-// the in-flight message count.
+// source.
+//
+// Deprecated: call RunEngine(ctx, Literal, cfg, src).
 func RunLiteralSource(cfg *Config, src ArrivalSource) (*Result, error) {
-	return RunLiteralSourceCtx(context.Background(), cfg, src)
-}
-
-// RunLiteralSourceCtx is RunLiteralSource with cancellation and
-// saturation guards, under the same contract as RunSourceCtx: ctx
-// cancellation returns a Truncated partial result plus ctx.Err(), while
-// the deterministic budgets (Config.MaxInFlight, Config.DrainCycles)
-// return a Truncated/Unstable result with a nil error.
-func RunLiteralSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.requireStageModel("literal"); err != nil {
-		return nil, err
-	}
-	caps := make([]int, src.Meta().Stages)
-	for i := range caps {
-		caps[i] = cfg.BufferCap
-	}
-	return runCycle(ctx, cfg, src, nil, caps, true)
+	return RunEngine(context.Background(), Literal, cfg, src)
 }
 
 // cycleQueue is one output-port FIFO of the cycle loop.

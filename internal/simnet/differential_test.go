@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -48,11 +49,11 @@ func TestDifferentialEngines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (%+v): %v", trial, cfg, err)
 		}
-		fast, err := RunTrace(&cfg, tr)
+		fast, err := RunEngine(context.Background(), Fast, &cfg, tr.Source())
 		if err != nil {
 			t.Fatalf("trial %d: fast: %v", trial, err)
 		}
-		lit, err := RunLiteral(&cfg, tr)
+		lit, err := RunEngine(context.Background(), Literal, &cfg, tr.Source())
 		if err != nil {
 			t.Fatalf("trial %d: literal: %v", trial, err)
 		}

@@ -138,7 +138,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		ksrc.blockMsgs = bm
-		kres, kerr := runKernel(context.Background(), &kcfg, ksrc, &arena{ringChunk: rc}, nil)
+		kres, kerr := runEngine(context.Background(), Fast, &kcfg, ksrc, &arena{ringChunk: rc})
 
 		rcfg := cfg
 		rsrc, err := NewTraceStream(&rcfg, bc)
@@ -146,7 +146,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		rsrc.blockMsgs = bm
-		rres, rerr := RunSource(&rcfg, rsrc)
+		rres, rerr := RunEngine(context.Background(), Reference, &rcfg, rsrc)
 
 		if (kerr == nil) != (rerr == nil) {
 			t.Fatalf("error mismatch: kernel %v, reference %v (cfg %+v)", kerr, rerr, cfg)
@@ -163,7 +163,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		wsrc.blockMsgs = bm
-		wres, werr := runGraphSource(context.Background(), &wcfg, wsrc, &arena{ringChunk: rc})
+		wres, werr := runEngine(context.Background(), Graph, &wcfg, wsrc, &arena{ringChunk: rc})
 		if (kerr == nil) != (werr == nil) {
 			t.Fatalf("error mismatch: kernel %v, graph %v (cfg %+v)", kerr, werr, cfg)
 		}
@@ -195,7 +195,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lres, lerr := RunLiteralSource(&lcfg, lsrc)
+		lres, lerr := RunEngine(context.Background(), Literal, &lcfg, lsrc)
 		if lerr != nil {
 			t.Fatalf("literal engine rejected a config the kernel ran: %v (cfg %+v)", lerr, cfg)
 		}

@@ -126,58 +126,24 @@ func (r *Result) MeanTotalWait() float64 { return r.TotalWait.Mean() }
 // VarTotalWait returns the empirical variance of the total waiting time.
 func (r *Result) VarTotalWait() float64 { return r.TotalWait.Variance() }
 
-// Run executes the fast message-level engine (the batch kernel in
-// kernel.go) on a streamed trace: the arrival schedule is generated in
-// chunks and consumed incrementally, so peak memory is bounded by the
-// in-flight message count rather than the schedule length.
+// Run executes the fast engine on a streamed trace:
+// RunEngine(context.Background(), Fast, cfg, nil).
 func Run(cfg *Config) (*Result, error) {
-	return RunCtx(context.Background(), cfg)
+	return RunEngine(context.Background(), Fast, cfg, nil)
 }
 
-// RunCtx is Run with cancellation: when ctx is cancelled (or its deadline
-// passes) the engine stops at a clean cycle boundary and returns the
-// partial Result — flagged Truncated — alongside the context's error.
-func RunCtx(ctx context.Context, cfg *Config) (*Result, error) {
-	src, err := NewTraceStream(cfg, 0)
-	if err != nil {
-		return nil, err
-	}
-	// The stream is private to this run, so it can borrow the arena's
-	// block scratch — back-to-back replications then allocate nothing
-	// for trace generation either.
-	ar := getArena()
-	ar.lendBlockScratch(src)
-	defer func() {
-		ar.harvestBlockScratch(src)
-		ar.release()
-	}()
-	return runKernel(ctx, cfg, src, ar, nil)
-}
-
-// RunLanes runs each configuration through RunCtx in turn and returns
-// one (Result, error) pair per configuration, index-aligned with cfgs.
-// Like every stage-model entry point, it rejects a graph Topology.
+// RunLanes runs each configuration through Run in turn and returns one
+// (Result, error) pair per configuration, index-aligned with cfgs.
 //
 // Deprecated: lock-step lanes are gone and every replication runs on
-// the batch kernel; call Run once per configuration instead.
+// the batch kernel; call RunEngine once per configuration instead.
 func RunLanes(cfgs []*Config) ([]*Result, []error) {
 	results := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))
 	for i, cfg := range cfgs {
-		results[i], errs[i] = RunCtx(context.Background(), cfg)
+		results[i], errs[i] = Run(cfg)
 	}
 	return results, errs
-}
-
-// RunTrace executes the fast message-level engine on a prepared
-// materialized trace (e.g. to drive both engines from identical
-// traffic). Run and RunTrace produce identical statistics at the same
-// seed: the engine consumes the same message sequence either way.
-func RunTrace(cfg *Config, tr *Trace) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return RunKernelSource(cfg, tr.Source())
 }
 
 // fastMsg is the per-in-flight-message state of the fast engine. Slots
@@ -262,13 +228,23 @@ func (cb *cycleBuckets) recycle(b []int32) {
 	cb.spare = append(cb.spare, b[:0])
 }
 
-// RunSource executes the reference message-level engine against an
-// arrival source, pulling schedule blocks on demand. The production
-// entry points (Run, RunCtx, RunTrace) route to the batch kernel in
-// kernel.go, which implements the identical algorithm over flat
-// structure-of-arrays state; this straightforward implementation is
-// kept as the differential oracle the kernel is checked against —
-// the two are byte-identical at every seed.
+// RunSource executes the reference engine against an arrival source.
+//
+// Deprecated: call RunEngine(ctx, Reference, cfg, src).
+func RunSource(cfg *Config, src ArrivalSource) (*Result, error) {
+	return RunEngine(context.Background(), Reference, cfg, src)
+}
+
+// ctxCheckMask controls how often the engines poll the context: every
+// (ctxCheckMask+1) cycles, so the cancellation fast path costs nothing
+// measurable while stops still land within a few thousand cycles.
+const ctxCheckMask = 1023
+
+// runReference is the scalar reference engine. The production fast
+// engine is the batch kernel in kernel.go, which implements the
+// identical algorithm over flat structure-of-arrays state; this
+// straightforward implementation is kept as the differential oracle the
+// kernel is checked against — the two are byte-identical at every seed.
 //
 // The engine advances a global clock cycle by cycle. At each cycle every
 // stage's batch of arriving messages is visited (simultaneous arrivals
@@ -281,31 +257,7 @@ func (cb *cycleBuckets) recycle(b []int32) {
 // cycle-level dynamics exactly while doing work proportional to the
 // number of message-stage events only, and holding state proportional to
 // the number of in-flight messages only.
-func RunSource(cfg *Config, src ArrivalSource) (*Result, error) {
-	return RunSourceCtx(context.Background(), cfg, src)
-}
-
-// ctxCheckMask controls how often the engines poll the context: every
-// (ctxCheckMask+1) cycles, so the cancellation fast path costs nothing
-// measurable while stops still land within a few thousand cycles.
-const ctxCheckMask = 1023
-
-// RunSourceCtx is RunSource with cancellation and saturation guards.
-//
-// Cancellation (ctx done) stops the engine at a clean cycle boundary: it
-// returns the partial Result — flagged Truncated, statistics covering the
-// messages that completed — together with ctx.Err(), so callers can both
-// inspect the partial data and see why the run stopped. The saturation
-// guards (Config.MaxInFlight, Config.DrainCycles) instead return a nil
-// error: a truncated-Unstable result is a successful, deterministic
-// measurement of a diverging configuration, not a failure.
-func RunSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.requireStageModel("fast"); err != nil {
-		return nil, err
-	}
+func runReference(ctx context.Context, cfg *Config, src ArrivalSource) (*Result, error) {
 	meta := src.Meta()
 	n := meta.Stages
 	res := newResult(cfg, meta)

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -127,7 +128,7 @@ func TestGoldenLiteralEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunLiteralSource(&cfg, src)
+		res, err := RunEngine(context.Background(), Literal, &cfg, src)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -190,7 +191,7 @@ func TestGoldenGraphEngine(t *testing.T) {
 	}
 	for _, c := range cases {
 		cfg := c.cfg
-		res, err := RunGraph(&cfg)
+		res, err := RunEngine(context.Background(), Graph, &cfg, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

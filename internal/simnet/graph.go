@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"context"
-	"fmt"
 
 	"banyan/internal/stats"
 	"banyan/internal/topology"
@@ -36,85 +35,17 @@ import (
 // Config.Probe into the obs layer and into Result.SwitchSat under
 // Config.TrackSwitches, and never perturbs a simulated number.
 
-// RunGraph executes the graph engine on a streamed trace.
-func RunGraph(cfg *Config) (*Result, error) {
-	return RunGraphCtx(context.Background(), cfg)
-}
-
-// RunGraphCtx is RunGraph with cancellation, under the RunSourceCtx
-// contract: ctx cancellation returns a Truncated partial result plus
-// ctx.Err(); the deterministic saturation budgets return a
-// Truncated/Unstable result with a nil error.
-func RunGraphCtx(ctx context.Context, cfg *Config) (*Result, error) {
-	gcfg := graphDefaults(cfg)
-	src, err := NewTraceStream(gcfg, 0)
-	if err != nil {
-		return nil, err
-	}
-	// The stream is private to this run, so it borrows the arena's block
-	// scratch, as RunCtx's does.
-	ar := getArena()
-	ar.lendBlockScratch(src)
-	defer func() {
-		ar.harvestBlockScratch(src)
-		ar.release()
-	}()
-	return runGraphSource(ctx, gcfg, src, ar)
-}
-
-// RunGraphTrace executes the graph engine on a prepared materialized
-// trace (e.g. to drive it and a stage-model engine from identical
-// traffic).
-func RunGraphTrace(cfg *Config, tr *Trace) (*Result, error) {
-	return RunGraphSourceCtx(context.Background(), cfg, tr.Source())
-}
-
 // RunGraphSource executes the graph engine against an arrival source.
+//
+// Deprecated: call RunEngine(ctx, Graph, cfg, src).
 func RunGraphSource(cfg *Config, src ArrivalSource) (*Result, error) {
-	return RunGraphSourceCtx(context.Background(), cfg, src)
-}
-
-// graphDefaults returns cfg with the graph engine's Topology default
-// (omega) filled in, copying so the caller's Config is never mutated.
-func graphDefaults(cfg *Config) *Config {
-	if cfg.Topology != "" {
-		return cfg
-	}
-	gcfg := *cfg
-	gcfg.Topology = topology.Omega
-	return &gcfg
-}
-
-// RunGraphSourceCtx is the graph engine's full entry point.
-func RunGraphSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*Result, error) {
-	ar := getArena()
-	defer ar.release()
-	return runGraphSource(ctx, cfg, src, ar)
-}
-
-// runGraphSource resolves cfg's wiring and runs the graph engine on it,
-// with ar as the committed mode's kernel scratch.
-func runGraphSource(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena) (*Result, error) {
-	cfg = graphDefaults(cfg)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	wir, err := topology.WiringFor(cfg.Topology, cfg.K, cfg.Stages)
-	if err != nil {
-		return nil, err
-	}
-	return runGraphWired(ctx, cfg, src, wir, ar)
+	return RunEngine(context.Background(), Graph, cfg, src)
 }
 
 // runGraphWired runs the graph engine over an explicit wiring. It is
 // the test seam the switch-relabeling metamorphic suite drives with
 // relabeled (isomorphic) wirings.
 func runGraphWired(ctx context.Context, cfg *Config, src ArrivalSource, wir *topology.Wiring, ar *arena) (*Result, error) {
-	meta := src.Meta()
-	if meta.Wrapped || meta.Rows != wir.Size() {
-		return nil, fmt.Errorf("simnet: graph engine needs the full %d-row network, trace has %d rows (wrapped=%v)",
-			wir.Size(), meta.Rows, meta.Wrapped)
-	}
 	g := newGraphNet(cfg, wir)
 	if cfg.graphBlocking() {
 		caps := make([]int, g.n)

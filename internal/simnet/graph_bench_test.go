@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"runtime"
 	"testing"
 )
@@ -22,7 +23,7 @@ func BenchmarkGraphEngine(b *testing.B) {
 		b.Run(m.name, func(b *testing.B) {
 			benchWarm(b, func() {
 				cfg := m.cfg
-				if _, err := RunGraph(&cfg); err != nil {
+				if _, err := RunEngine(context.Background(), Graph, &cfg, nil); err != nil {
 					b.Fatal(err)
 				}
 			})
@@ -44,7 +45,7 @@ func BenchmarkLiteralEngine(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := RunLiteralSource(&cfg, src); err != nil {
+		if _, err := RunEngine(context.Background(), Literal, &cfg, src); err != nil {
 			b.Fatal(err)
 		}
 	})

@@ -149,7 +149,7 @@ func TestGraphRelabelInvarianceBlocking(t *testing.T) {
 func TestGraphStageWaitsSumToTotal(t *testing.T) {
 	run := func(t *testing.T, cfg *Config) *Result {
 		t.Helper()
-		res, err := RunGraph(cfg)
+		res, err := RunEngine(context.Background(), Graph, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

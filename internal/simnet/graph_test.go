@@ -53,7 +53,7 @@ func TestGraphCollapsesToStageModel(t *testing.T) {
 					// Committed mode: bit-for-bit.
 					gcfg := cfg
 					gcfg.Topology = topology.Omega
-					gres, err := RunGraph(&gcfg)
+					gres, err := RunEngine(context.Background(), Graph, &gcfg, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -68,7 +68,7 @@ func TestGraphCollapsesToStageModel(t *testing.T) {
 					for i := range bcfg.StageBuffers {
 						bcfg.StageBuffers[i] = 1 << 16
 					}
-					bres, err := RunGraph(&bcfg)
+					bres, err := RunEngine(context.Background(), Graph, &bcfg, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -143,7 +143,7 @@ func TestGraphCancellation(t *testing.T) {
 			// Pre-cancelled: the engine must notice on its first poll.
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			res, err := RunGraphCtx(ctx, &cfg)
+			res, err := RunEngine(ctx, Graph, &cfg, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("want context.Canceled, got %v", err)
 			}
@@ -157,7 +157,7 @@ func TestGraphCancellation(t *testing.T) {
 				time.Sleep(2 * time.Millisecond)
 				cancel()
 			}()
-			res, err = RunGraphCtx(ctx, &cfg)
+			res, err = RunEngine(ctx, Graph, &cfg, nil)
 			cancel()
 			if err != nil && !errors.Is(err, context.Canceled) {
 				t.Fatalf("unexpected error: %v", err)
@@ -178,7 +178,7 @@ func TestGraphHotSpotVerdicts(t *testing.T) {
 	cfg := Config{K: 2, Stages: 4, P: 0.5, HotModule: 0.4,
 		Cycles: 3000, Warmup: 300, Seed: 0x407,
 		Topology: topology.Omega, TrackSwitches: true}
-	res, err := RunGraph(&cfg)
+	res, err := RunEngine(context.Background(), Graph, &cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestGraphHotSpotVerdicts(t *testing.T) {
 	// statistics are unchanged.
 	off := cfg
 	off.TrackSwitches = false
-	ores, err := RunGraph(&off)
+	ores, err := RunEngine(context.Background(), Graph, &off, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestGraphFailLink(t *testing.T) {
 
 	drop := base
 	drop.FailPolicy = "drop"
-	dres, err := RunGraph(&drop)
+	dres, err := RunEngine(context.Background(), Graph, &drop, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestGraphFailLink(t *testing.T) {
 	if dres.Deflected != 0 || dres.Misrouted != 0 {
 		t.Fatalf("drop policy deflected %d / misrouted %d", dres.Deflected, dres.Misrouted)
 	}
-	dres2, err := RunGraph(&drop)
+	dres2, err := RunEngine(context.Background(), Graph, &drop, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestGraphFailLink(t *testing.T) {
 
 	rr := base
 	rr.FailPolicy = "reroute"
-	rres, err := RunGraph(&rr)
+	rres, err := RunEngine(context.Background(), Graph, &rr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestGraphFailLink(t *testing.T) {
 	if rres.Misrouted > rres.Deflected {
 		t.Fatalf("misrouted %d > deflected %d", rres.Misrouted, rres.Deflected)
 	}
-	rres2, err := RunGraph(&rr)
+	rres2, err := RunEngine(context.Background(), Graph, &rr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,14 +278,14 @@ func TestGraphFailLink(t *testing.T) {
 	// Blocking mode honors the same accounting.
 	brr := rr
 	brr.StageBuffers = []int{2, 2, 2}
-	bres, err := RunGraph(&brr)
+	bres, err := RunEngine(context.Background(), Graph, &brr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bres.Deflected == 0 || bres.Dropped != 0 {
 		t.Fatalf("blocking reroute: deflected %d dropped %d", bres.Deflected, bres.Dropped)
 	}
-	bres2, err := RunGraph(&brr)
+	bres2, err := RunEngine(context.Background(), Graph, &brr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,14 +301,14 @@ func TestGraphFailLink(t *testing.T) {
 func TestGraphHeterogeneousBuffers(t *testing.T) {
 	cfg := Config{K: 2, Stages: 4, P: 0.8, Cycles: 2500, Warmup: 300, Seed: 0xb10c,
 		Topology: topology.Omega}
-	committed, err := RunGraph(&cfg)
+	committed, err := RunEngine(context.Background(), Graph, &cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tight := cfg
 	tight.StageBuffers = []int{0, 1, 1, 2} // stage 1 infinite, 2..4 tight
 	tight.TrackSwitches = true
-	bres, err := RunGraph(&tight)
+	bres, err := RunEngine(context.Background(), Graph, &tight, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,14 +353,11 @@ func TestGraphKnobsRejectedByStageEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSourceCtx(context.Background(), &cfg, src); err == nil || !strings.Contains(err.Error(), "graph engine") {
+	if _, err := RunEngine(context.Background(), Reference, &cfg, src); err == nil || !strings.Contains(err.Error(), "graph engine") {
 		t.Fatalf("reference engine accepted Topology: %v", err)
 	}
-	if _, err := RunLiteralSourceCtx(context.Background(), &cfg, src); err == nil || !strings.Contains(err.Error(), "graph engine") {
+	if _, err := RunEngine(context.Background(), Literal, &cfg, src); err == nil || !strings.Contains(err.Error(), "graph engine") {
 		t.Fatalf("literal engine accepted Topology: %v", err)
-	}
-	if _, errs := RunLanes([]*Config{&cfg}); errs[0] == nil || !strings.Contains(errs[0].Error(), "graph engine") {
-		t.Fatalf("deprecated RunLanes accepted Topology: %v", errs[0])
 	}
 	// Graph-only knobs without a Topology fail validation everywhere.
 	buf := Config{K: 2, Stages: 3, P: 0.5, Cycles: 500, Seed: 1, StageBuffers: []int{2, 2, 2}}
@@ -369,7 +366,7 @@ func TestGraphKnobsRejectedByStageEngines(t *testing.T) {
 	}
 	// And the graph engine refuses a wrapped (partial) network.
 	wrap := Config{K: 2, Stages: 8, P: 0.5, Cycles: 500, Seed: 1, MaxRows: 64, Topology: topology.Omega}
-	if _, err := RunGraph(&wrap); err == nil || !strings.Contains(err.Error(), "MaxRows") {
+	if _, err := RunEngine(context.Background(), Graph, &wrap, nil); err == nil || !strings.Contains(err.Error(), "MaxRows") {
 		t.Fatalf("graph engine accepted a wrapped network: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -62,11 +63,11 @@ func TestInvariantsFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (%+v): %v", trial, cfg, err)
 		}
-		fast, err := RunTrace(&cfg, tr)
+		fast, err := RunEngine(context.Background(), Fast, &cfg, tr.Source())
 		if err != nil {
 			t.Fatalf("trial %d: fast: %v", trial, err)
 		}
-		lit, err := RunLiteral(&cfg, tr)
+		lit, err := RunEngine(context.Background(), Literal, &cfg, tr.Source())
 		if err != nil {
 			t.Fatalf("trial %d: literal: %v", trial, err)
 		}
@@ -118,7 +119,7 @@ func TestFIFOPerPortInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunTrace(&cfg, tr)
+	res, err := RunEngine(context.Background(), Fast, &cfg, tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}

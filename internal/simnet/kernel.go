@@ -11,12 +11,19 @@ import (
 
 // RunKernelSource executes the batch kernel against an arrival source.
 //
-// The kernel is the production fast engine (Run, RunCtx and RunTrace
-// all route here): a batched, structure-of-arrays rewrite of the
-// message-level algorithm in RunSource. It produces byte-identical
-// Results to the reference engine at every seed — same RNG stream, same
-// batch orders, same truncation decisions — while allocating nothing on
-// the hot path:
+// Deprecated: call RunEngine(ctx, Fast, cfg, src).
+func RunKernelSource(cfg *Config, src ArrivalSource) (*Result, error) {
+	return RunEngine(context.Background(), Fast, cfg, src)
+}
+
+// runKernel is the batch kernel, the production fast engine: a
+// batched, structure-of-arrays rewrite of the message-level algorithm
+// in runReference. It mirrors runReference decision for decision —
+// every RNG draw (one Fisher–Yates shuffle per non-empty (cycle, stage)
+// batch, two uniforms per message when service is resampled), every
+// statistics update and every guard fires in the identical order — so
+// the two engines are byte-identical at every seed, while the kernel
+// allocates nothing on the hot path:
 //
 //   - in-flight message state lives in a pooled arena of flat slot
 //     records (indices instead of pointerful structs), sized by the
@@ -51,26 +58,6 @@ import (
 // The source must deliver blocks whose messages are ordered by arrival
 // cycle (the ArrivalSource contract); the kernel consumes each block
 // with a cursor instead of re-bucketing its messages.
-func RunKernelSource(cfg *Config, src ArrivalSource) (*Result, error) {
-	return RunKernelSourceCtx(context.Background(), cfg, src)
-}
-
-// RunKernelSourceCtx is RunKernelSource with cancellation and
-// saturation guards, behaving exactly like RunSourceCtx.
-func RunKernelSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ar := getArena()
-	defer ar.release()
-	return runKernel(ctx, cfg, src, ar, nil)
-}
-
-// runKernel is the batch-kernel engine body. It mirrors RunSourceCtx
-// decision for decision: every RNG draw (one Fisher–Yates shuffle per
-// non-empty (cycle, stage) batch, two uniforms per message when service
-// is resampled), every statistics update and every guard fires in the
-// identical order, so the two engines are byte-identical at every seed.
 //
 // With a non-nil g the kernel runs the graph engine's committed mode:
 // each stage's routing comes from the wiring tables (g.next, g.div)
@@ -79,15 +66,9 @@ func RunKernelSourceCtx(ctx context.Context, cfg *Config, src ArrivalSource) (*R
 // kept alongside. Nothing else changes, so under the omega wiring the
 // graph engine is byte-identical to the stage model by construction.
 func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena, g *graphNet) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	engine := "graph"
 	if g == nil {
 		engine = "fast"
-		if err := cfg.requireStageModel(engine); err != nil {
-			return nil, err
-		}
 	}
 	meta := src.Meta()
 	n := meta.Stages

@@ -65,7 +65,7 @@ func runBoth(t *testing.T, cfg *Config, blockCycles int) (kernel, ref *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kernel, err = RunKernelSource(&c1, src1)
+	kernel, err = RunEngine(context.Background(), Fast, &c1, src1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func runBoth(t *testing.T, cfg *Config, blockCycles int) (kernel, ref *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err = RunSource(&c2, src2)
+	ref, err = RunEngine(context.Background(), Reference, &c2, src2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestKernelCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunKernelSourceCtx(ctx, &cfg, src)
+	res, err := RunEngine(ctx, Fast, &cfg, src)
 	if err == nil {
 		t.Fatal("expected context error")
 	}
@@ -149,7 +149,7 @@ func TestGoldenReferenceEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		res, err := RunSource(&cfg, src)
+		res, err := RunEngine(context.Background(), Reference, &cfg, src)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

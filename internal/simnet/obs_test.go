@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sort"
@@ -11,20 +12,10 @@ import (
 	"banyan/internal/traffic"
 )
 
-func runEngine(t *testing.T, engine string, cfg *Config) *Result {
+// mustRun runs cfg on engine e over a generated schedule.
+func mustRun(t *testing.T, e Engine, cfg *Config) *Result {
 	t.Helper()
-	var res *Result
-	var err error
-	if engine == "literal" {
-		var src *TraceStream
-		src, err = NewTraceStream(cfg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err = RunLiteralSource(cfg, src)
-	} else {
-		res, err = Run(cfg)
-	}
+	res, err := RunEngine(context.Background(), e, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +28,10 @@ func runEngine(t *testing.T, engine string, cfg *Config) *Result {
 // number bit-identical to a bare run, on both engines.
 func TestFullObservabilityBitIdentity(t *testing.T) {
 	base := Config{K: 2, Stages: 3, P: 0.45, Bulk: 1, Cycles: 3000, Warmup: 200, Seed: 11, TrackStageWaits: true}
-	for _, engine := range []string{"fast", "literal"} {
-		t.Run(engine, func(t *testing.T) {
+	for _, engine := range []Engine{Fast, Literal} {
+		t.Run(engine.String(), func(t *testing.T) {
 			plain := base
-			bare := runEngine(t, engine, &plain)
+			bare := mustRun(t, engine, &plain)
 
 			instrumented := base
 			probe := obs.NewSimProbe()
@@ -51,7 +42,7 @@ func TestFullObservabilityBitIdentity(t *testing.T) {
 			for i := range instrumented.WaitHists {
 				instrumented.WaitHists[i] = &stats.Hist{}
 			}
-			got := runEngine(t, engine, &instrumented)
+			got := mustRun(t, engine, &instrumented)
 
 			if !reflect.DeepEqual(bare, got) {
 				t.Fatalf("observability changed the result:\nbare %+v\ngot  %+v", bare, got)
@@ -71,8 +62,8 @@ func TestFullObservabilityBitIdentity(t *testing.T) {
 // sample, same moments — and the live obs histograms must agree on the
 // exact mean.
 func TestWaitHistsMatchStageStats(t *testing.T) {
-	for _, engine := range []string{"fast", "literal"} {
-		t.Run(engine, func(t *testing.T) {
+	for _, engine := range []Engine{Fast, Literal} {
+		t.Run(engine.String(), func(t *testing.T) {
 			cfg := Config{K: 2, Stages: 3, P: 0.4, Cycles: 4000, Warmup: 200, Seed: 3}
 			cfg.WaitHists = make([]*stats.Hist, cfg.Stages)
 			for i := range cfg.WaitHists {
@@ -81,7 +72,7 @@ func TestWaitHistsMatchStageStats(t *testing.T) {
 			probe := obs.NewSimProbe()
 			probe.Hists = obs.NewHistSet()
 			cfg.Probe = probe
-			res := runEngine(t, engine, &cfg)
+			res := mustRun(t, engine, &cfg)
 			live := probe.Hists.Stages(cfg.Stages)
 			for i := 0; i < cfg.Stages; i++ {
 				h := cfg.WaitHists[i]
@@ -105,12 +96,12 @@ func TestWaitHistsMatchStageStats(t *testing.T) {
 	}
 }
 
-func traceAll(t *testing.T, engine string, cfg Config) []obs.Span {
+func traceAll(t *testing.T, engine Engine, cfg Config) []obs.Span {
 	t.Helper()
 	probe := obs.NewSimProbe()
 	probe.Tracer = obs.NewTracer(1, 1<<16)
 	cfg.Probe = probe
-	runEngine(t, engine, &cfg)
+	mustRun(t, engine, &cfg)
 	return probe.Tracer.Spans()
 }
 
@@ -125,14 +116,14 @@ func TestTraceSpanDecomposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Config{K: 2, Stages: 4, P: 0.2, Cycles: 2000, Warmup: 100, Seed: 5, Service: svc}
-	for _, engine := range []string{"fast", "literal"} {
-		t.Run(engine, func(t *testing.T) {
+	for _, engine := range []Engine{Fast, Literal} {
+		t.Run(engine.String(), func(t *testing.T) {
 			spans := traceAll(t, engine, base)
 			if len(spans) == 0 {
 				t.Fatal("no spans collected")
 			}
 			for _, sp := range spans {
-				if sp.Engine != engine {
+				if sp.Engine != engine.String() {
 					t.Fatalf("span engine %q, want %q", sp.Engine, engine)
 				}
 				if len(sp.Stages) != base.Stages {
@@ -179,8 +170,8 @@ func TestTraceSpanDecomposition(t *testing.T) {
 // compared.
 func TestTraceSpansJoinAcrossEngines(t *testing.T) {
 	base := Config{K: 2, Stages: 3, P: 0.4, Cycles: 1500, Warmup: 100, Seed: 21}
-	fast := traceAll(t, "fast", base)
-	literal := traceAll(t, "literal", base)
+	fast := traceAll(t, Fast, base)
+	literal := traceAll(t, Literal, base)
 	if len(fast) == 0 || len(fast) != len(literal) {
 		t.Fatalf("span counts differ: fast %d literal %d", len(fast), len(literal))
 	}
@@ -199,12 +190,12 @@ func TestTraceSpansJoinAcrossEngines(t *testing.T) {
 // multiples of N regardless of engine or ring pressure.
 func TestTraceSamplingDeterministic(t *testing.T) {
 	base := Config{K: 2, Stages: 2, P: 0.4, Cycles: 1000, Warmup: 50, Seed: 9}
-	for _, engine := range []string{"fast", "literal"} {
+	for _, engine := range []Engine{Fast, Literal} {
 		probe := obs.NewSimProbe()
 		probe.Tracer = obs.NewTracer(8, 1<<16)
 		cfg := base
 		cfg.Probe = probe
-		runEngine(t, engine, &cfg)
+		mustRun(t, engine, &cfg)
 		spans := probe.Tracer.Spans()
 		if len(spans) == 0 {
 			t.Fatalf("%s: no spans", engine)

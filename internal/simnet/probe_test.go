@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestProbeDoesNotChangeResults(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return RunLiteralSource(cfg, src)
+			return RunEngine(context.Background(), Literal, cfg, src)
 		}
 		plain := base
 		bare, err := run(&plain)

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -99,7 +100,7 @@ func TestOccupancyTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLiteral(cfg, tr)
+	res, err := RunEngine(context.Background(), Literal, cfg, tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestOccupancyTracking(t *testing.T) {
 	// Occupancy off → no stats.
 	cfg2 := *cfg
 	cfg2.TrackOccupancy = false
-	res2, err := RunLiteral(&cfg2, tr)
+	res2, err := RunEngine(context.Background(), Literal, &cfg2, tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}

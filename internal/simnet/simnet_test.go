@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -174,11 +175,11 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := RunTrace(cfg, tr)
+	fast, err := RunEngine(context.Background(), Fast, cfg, tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lit, err := RunLiteral(cfg, tr)
+	lit, err := RunEngine(context.Background(), Literal, cfg, tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestFiniteBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := RunLiteral(cfg, tr)
+	tight, err := RunEngine(context.Background(), Literal, cfg, tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestFiniteBuffers(t *testing.T) {
 	// Large buffers ≈ infinite buffers.
 	cfgBig := *cfg
 	cfgBig.BufferCap = 10000
-	big, err := RunLiteral(&cfgBig, tr)
+	big, err := RunEngine(context.Background(), Literal, &cfgBig, tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestFiniteBuffers(t *testing.T) {
 	}
 	cfgInf := *cfg
 	cfgInf.BufferCap = 0
-	inf, err := RunLiteral(&cfgInf, tr)
+	inf, err := RunEngine(context.Background(), Literal, &cfgInf, tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestFiniteBufferMatchesChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunLiteral(cfg, tr)
+		res, err := RunEngine(context.Background(), Literal, cfg, tr.Source())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +336,7 @@ func TestOverloadWithDropsIsRunnable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLiteral(cfg, tr)
+	res, err := RunEngine(context.Background(), Literal, cfg, tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}

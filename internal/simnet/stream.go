@@ -132,6 +132,11 @@ func NewTraceStream(cfg *Config, blockCycles int) (*TraceStream, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newTraceStream(cfg, blockCycles)
+}
+
+// newTraceStream is NewTraceStream for a validated configuration.
+func newTraceStream(cfg *Config, blockCycles int) (*TraceStream, error) {
 	meta, err := newTraceMeta(cfg)
 	if err != nil {
 		return nil, err
@@ -322,16 +327,15 @@ func (s *TraceStream) Next() (*TraceBlock, error) {
 // Source adapts a materialized trace to the ArrivalSource interface,
 // viewing it as a single zero-copy block spanning the whole horizon.
 func (tr *Trace) Source() ArrivalSource {
-	return &traceSource{tr: tr, meta: tr.meta()}
+	return &traceSource{tr: tr}
 }
 
 type traceSource struct {
 	tr   *Trace
-	meta TraceMeta
 	done bool
 }
 
-func (ts *traceSource) Meta() *TraceMeta { return &ts.meta }
+func (ts *traceSource) Meta() *TraceMeta { return &ts.tr.TraceMeta }
 
 func (ts *traceSource) Next() (*TraceBlock, error) {
 	if ts.done {

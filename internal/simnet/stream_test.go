@@ -28,10 +28,7 @@ func collect(t *testing.T, cfg *Config, blockCycles int) *Trace {
 func drain(t *testing.T, s *TraceStream) (*Trace, int) {
 	t.Helper()
 	m := s.Meta()
-	tr := &Trace{
-		K: m.K, Stages: m.Stages, Rows: m.Rows, Wrapped: m.Wrapped,
-		Horizon: m.Horizon,
-	}
+	tr := &Trace{TraceMeta: *m}
 	prevEnd, blocks := 0, 0
 	for {
 		blk, err := s.Next()
@@ -167,7 +164,7 @@ func TestRunMatchesRunTrace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		materialized, err := RunTrace(&cfg, tr)
+		materialized, err := RunEngine(context.Background(), Fast, &cfg, tr.Source())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -190,7 +187,7 @@ func TestLiteralStreamingMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		streamed, err := RunLiteralSource(&cfg, src)
+		streamed, err := RunEngine(context.Background(), Literal, &cfg, src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -198,7 +195,7 @@ func TestLiteralStreamingMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		materialized, err := RunLiteral(&cfg, tr)
+		materialized, err := RunEngine(context.Background(), Literal, &cfg, tr.Source())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -213,28 +210,22 @@ func TestLiteralStreamingMatchesMaterialized(t *testing.T) {
 func TestBlockSizeIndependence(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
-		name string
-		cfg  Config
-		run  func(*Config, ArrivalSource) (*Result, error)
-		// onArena, when set, replaces run for an engine that schedules
-		// through the arena's rings, so the rings' chunk size is crossed.
-		onArena func(*Config, ArrivalSource, *arena) (*Result, error)
+		name   string
+		engine Engine
+		cfg    Config
+		// rings marks an engine that schedules through the arena's
+		// rings, so the rings' chunk size is crossed too.
+		rings bool
 	}{
-		{"reference", Config{K: 2, Stages: 6, P: 0.6, Cycles: 2000, Warmup: 300, Seed: 1}, RunSource, nil},
-		{"kernel", Config{K: 4, Stages: 4, P: 0.5, Cycles: 600, Warmup: 100, Seed: 21,
-			TrackStageWaits: true, HotModule: 0.02}, nil,
-			func(cfg *Config, src ArrivalSource, ar *arena) (*Result, error) {
-				return runKernel(ctx, cfg, src, ar, nil)
-			}},
-		{"literal", Config{K: 2, Stages: 5, P: 0.7, Cycles: 600, Warmup: 100, Seed: 22,
-			BufferCap: 2, TrackOccupancy: true}, RunLiteralSource, nil},
-		{"graph committed", Config{K: 2, Stages: 6, P: 0.3, HotModule: 0.01, Cycles: 600,
-			Warmup: 100, Seed: 23, Topology: topology.Butterfly, TrackSwitches: true}, nil,
-			func(cfg *Config, src ArrivalSource, ar *arena) (*Result, error) {
-				return runGraphSource(ctx, cfg, src, ar)
-			}},
-		{"graph blocking", Config{K: 2, Stages: 5, P: 0.5, Cycles: 600, Warmup: 100, Seed: 24,
-			Topology: topology.Butterfly, StageBuffers: []int{2, 2, 2, 2, 2}}, RunGraphSource, nil},
+		{"reference", Reference, Config{K: 2, Stages: 6, P: 0.6, Cycles: 2000, Warmup: 300, Seed: 1}, false},
+		{"kernel", Fast, Config{K: 4, Stages: 4, P: 0.5, Cycles: 600, Warmup: 100, Seed: 21,
+			TrackStageWaits: true, HotModule: 0.02}, true},
+		{"literal", Literal, Config{K: 2, Stages: 5, P: 0.7, Cycles: 600, Warmup: 100, Seed: 22,
+			BufferCap: 2, TrackOccupancy: true}, false},
+		{"graph committed", Graph, Config{K: 2, Stages: 6, P: 0.3, HotModule: 0.01, Cycles: 600,
+			Warmup: 100, Seed: 23, Topology: topology.Butterfly, TrackSwitches: true}, true},
+		{"graph blocking", Graph, Config{K: 2, Stages: 5, P: 0.5, Cycles: 600, Warmup: 100, Seed: 24,
+			Topology: topology.Butterfly, StageBuffers: []int{2, 2, 2, 2, 2}}, false},
 	}
 	chunkings := [][2]int{ // {blockCycles, message cap}
 		{0, blockMessages}, {1, blockMessages}, {3, blockMessages}, {100, blockMessages},
@@ -242,7 +233,7 @@ func TestBlockSizeIndependence(t *testing.T) {
 	}
 	for _, c := range cases {
 		ringChunks := []int{0}
-		if c.onArena != nil {
+		if c.rings {
 			ringChunks = []int{0, 1, 3}
 		}
 		var want *Result
@@ -255,12 +246,7 @@ func TestBlockSizeIndependence(t *testing.T) {
 				}
 				src.blockMsgs = ch[1]
 				what := fmt.Sprintf("%s, blocks of %d cycles and %d messages, ring chunks of %d", c.name, ch[0], ch[1], rc)
-				var res *Result
-				if c.onArena != nil {
-					res, err = c.onArena(&cfg, src, &arena{ringChunk: rc})
-				} else {
-					res, err = c.run(&cfg, src)
-				}
+				res, err := runEngine(ctx, c.engine, &cfg, src, &arena{ringChunk: rc})
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
@@ -311,7 +297,7 @@ func BenchmarkStreamingTrace(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := RunTrace(&cfg, tr); err != nil {
+			if _, err := RunEngine(context.Background(), Fast, &cfg, tr.Source()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -56,7 +56,7 @@ func TestSaturationGuards(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return RunLiteralSource(cfg, src)
+			return RunEngine(context.Background(), Literal, cfg, src)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -107,13 +107,13 @@ func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, run := range map[string]func() (*Result, error){
-		"fast": func() (*Result, error) { return RunCtx(ctx, cfg) },
+		"fast": func() (*Result, error) { return RunEngine(ctx, Fast, cfg, nil) },
 		"literal": func() (*Result, error) {
 			src, err := NewTraceStream(cfg, 0)
 			if err != nil {
 				return nil, err
 			}
-			return RunLiteralSourceCtx(ctx, cfg, src)
+			return RunEngine(ctx, Literal, cfg, src)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -132,7 +132,7 @@ func TestCancellation(t *testing.T) {
 
 	// An uncancelled run of the same config is untruncated and identical
 	// to the plain API.
-	res, err := RunCtx(context.Background(), cfg)
+	res, err := RunEngine(context.Background(), Fast, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +144,6 @@ func TestCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, plain) {
-		t.Fatal("RunCtx(Background) differs from Run")
+		t.Fatal("RunEngine(Background) differs from Run")
 	}
 }

@@ -50,7 +50,7 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 		Parallelism: 1,
 		Journal:     j1,
 		runRep: func(ctx context.Context, e Engine, cfg *simnet.Config) (*simnet.Result, error) {
-			res, err := runEngineCtx(ctx, e, cfg)
+			res, err := simnet.RunEngine(ctx, e, cfg, nil)
 			if done.Add(1) == 2 {
 				cancel()
 			}

@@ -98,7 +98,7 @@ func TestCostRetriesAttributed(t *testing.T) {
 			if cfg.P == faultyP && failures.Add(1) <= 2 {
 				return nil, errTransient
 			}
-			return runEngineCtx(ctx, e, cfg)
+			return simnet.RunEngine(ctx, e, cfg, nil)
 		},
 	}
 	prs, err := r.Run(pts)

@@ -34,7 +34,7 @@ func TestPanicIsolation(t *testing.T) {
 		if cfg.P == faultyP {
 			panic("injected fault")
 		}
-		return runEngineCtx(ctx, e, cfg)
+		return simnet.RunEngine(ctx, e, cfg, nil)
 	}}
 	prs, err := r.Run(pts)
 	if err == nil {
@@ -86,7 +86,7 @@ func TestRetryRecovers(t *testing.T) {
 			if cfg.P == faultyP && failures.Add(1) <= 2 {
 				return nil, boom
 			}
-			return runEngineCtx(ctx, e, cfg)
+			return simnet.RunEngine(ctx, e, cfg, nil)
 		},
 	}
 	prs, err := r.Run(pts)
@@ -116,7 +116,7 @@ func TestRetriesExhausted(t *testing.T) {
 				attempts.Add(1)
 				return nil, boom
 			}
-			return runEngineCtx(ctx, e, cfg)
+			return simnet.RunEngine(ctx, e, cfg, nil)
 		},
 	}
 	prs, err := r.Run(pts)
@@ -147,7 +147,7 @@ func TestCancellationNoGoroutineLeak(t *testing.T) {
 		RootSeed:    9,
 		Parallelism: 2,
 		runRep: func(ctx context.Context, e Engine, cfg *simnet.Config) (*simnet.Result, error) {
-			res, err := runEngineCtx(ctx, e, cfg)
+			res, err := simnet.RunEngine(ctx, e, cfg, nil)
 			if done.Add(1) == 4 {
 				cancel()
 			}
@@ -208,7 +208,7 @@ func TestMixedFaultBatch(t *testing.T) {
 			if cfg.P == panickyP {
 				panic("injected fault")
 			}
-			return runEngineCtx(ctx, e, cfg)
+			return simnet.RunEngine(ctx, e, cfg, nil)
 		},
 	}
 	prs, err := r.Run(pts)

@@ -10,6 +10,7 @@ import (
 	"banyan/internal/obs"
 	"banyan/internal/simnet"
 	"banyan/internal/topology"
+	"banyan/internal/vr"
 )
 
 // graphSweepGolden pins graph-engine sweep output — per-point cache
@@ -117,40 +118,57 @@ func TestGraphPointHashesDistinctFromFast(t *testing.T) {
 // TestGraphSwitchDriftClean: a healthy uniform-traffic graph point
 // passes the per-switch KS battery — every switch of every stage is
 // checked against the analytic stage distribution, none drift, and the
-// totals land in the ledger's drift section.
+// totals land in the ledger's drift section. That holds too for an
+// adaptive point that stops after its first wave: the check covers the
+// replications that ran, not the slots of those that never did.
 func TestGraphSwitchDriftClean(t *testing.T) {
-	ring := obs.NewRingSink(256)
-	mon := &DriftMonitor{}
-	r := &Runner{RootSeed: 5, Events: ring, Drift: mon, Ledger: NewLedgerCollector()}
-	pt := Point{
-		Label:  "graph-drift",
-		Engine: Graph,
-		Cfg:    simnet.Config{K: 2, Stages: 3, P: 0.4, Cycles: 20000, Warmup: 1000},
+	cases := []struct {
+		name string
+		pt   Point
+		plan *vr.Plan
+		reps int // replications the point settles with
+	}{
+		{"fixed", Point{Label: "graph-drift", Engine: Graph,
+			Cfg: simnet.Config{K: 2, Stages: 3, P: 0.4, Cycles: 20000, Warmup: 1000}}, nil, 1},
+		{"early-stopped", Point{Label: "graph-drift-stopped", Engine: Graph, Reps: 8,
+			Cfg: simnet.Config{K: 2, Stages: 3, P: 0.4, Cycles: 5000}},
+			&vr.Plan{TargetCI: 10, MinReps: 2, MaxReps: 8}, 2},
 	}
-	if _, err := r.Run([]Point{pt}); err != nil {
-		t.Fatal(err)
-	}
-	tot := mon.Totals()
-	// 3 stages × 2^(3-1)=4 switches, every one measured at these horizons.
-	if want := int64(12); tot.SwitchesChecked != want {
-		t.Fatalf("SwitchesChecked = %d, want %d", tot.SwitchesChecked, want)
-	}
-	if tot.SwitchesDrifted != 0 {
-		t.Fatalf("healthy point drifted %d switches", tot.SwitchesDrifted)
-	}
-	if evs := driftEvents(ring); len(evs) != 0 {
-		t.Fatalf("healthy point emitted drift events: %+v", evs)
-	}
-	led := r.BuildLedger()
-	if led.Drift == nil || led.Drift.SwitchesChecked != 12 {
-		t.Fatalf("ledger drift section missing switch totals: %+v", led.Drift)
-	}
-	var sb strings.Builder
-	if err := led.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "switches") {
-		t.Fatalf("ledger text omits switch drift columns:\n%s", sb.String())
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ring := obs.NewRingSink(256)
+			mon := &DriftMonitor{}
+			r := &Runner{RootSeed: 5, Events: ring, Drift: mon, Ledger: NewLedgerCollector(), VR: c.plan}
+			prs, err := r.Run([]Point{c.pt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(prs[0].Runs); got != c.reps {
+				t.Fatalf("point settled with %d replications, want %d", got, c.reps)
+			}
+			tot := mon.Totals()
+			// 3 stages × 2^(3-1)=4 switches, every one measured at these horizons.
+			if want := int64(12); tot.SwitchesChecked != want {
+				t.Fatalf("SwitchesChecked = %d, want %d", tot.SwitchesChecked, want)
+			}
+			if tot.SwitchesDrifted != 0 {
+				t.Fatalf("healthy point drifted %d switches", tot.SwitchesDrifted)
+			}
+			if evs := driftEvents(ring); len(evs) != 0 {
+				t.Fatalf("healthy point emitted drift events: %+v", evs)
+			}
+			led := r.BuildLedger()
+			if led.Drift == nil || led.Drift.SwitchesChecked != 12 {
+				t.Fatalf("ledger drift section missing switch totals: %+v", led.Drift)
+			}
+			var sb strings.Builder
+			if err := led.WriteText(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(sb.String(), "switches") {
+				t.Fatalf("ledger text omits switch drift columns:\n%s", sb.String())
+			}
+		})
 	}
 }
 

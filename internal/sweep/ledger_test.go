@@ -25,7 +25,7 @@ func TestBuildLedgerReconciles(t *testing.T) {
 			if cfg.P == faultyP {
 				return nil, errTransient
 			}
-			return runEngineCtx(ctx, e, cfg)
+			return simnet.RunEngine(ctx, e, cfg, nil)
 		},
 	}
 	if _, err := r.Run(pts); err == nil {

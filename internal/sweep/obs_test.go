@@ -70,7 +70,7 @@ func TestInvariantWithFailures(t *testing.T) {
 			if cfg.P == faultyP {
 				return nil, errors.New("injected")
 			}
-			return runEngineCtx(ctx, e, cfg)
+			return simnet.RunEngine(ctx, e, cfg, nil)
 		},
 	}
 	if _, err := r.Run(pts); err == nil {
@@ -284,7 +284,7 @@ func TestRetryAndFailureEvents(t *testing.T) {
 			if cfg.P == faultyP {
 				return nil, boom
 			}
-			return runEngineCtx(ctx, e, cfg)
+			return simnet.RunEngine(ctx, e, cfg, nil)
 		},
 	}
 	if _, err := r.Run(pts); !errors.Is(err, boom) {

@@ -88,7 +88,10 @@ func (r *Runner) safeRun(ctx context.Context, e Engine, cfg *simnet.Config) (res
 			res, err = nil, &PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()
-	return r.engine()(ctx, e, cfg)
+	if r.runRep != nil {
+		return r.runRep(ctx, e, cfg)
+	}
+	return simnet.RunEngine(ctx, e, cfg, nil)
 }
 
 // attempt runs one replication to a final outcome: success, a truncated
@@ -138,13 +141,4 @@ func (r *Runner) attempt(ctx context.Context, pr *PointResult, rep int, cfg *sim
 			return res, err
 		}
 	}
-}
-
-// engine returns the replication executor: the test hook when set, the
-// real simulators otherwise.
-func (r *Runner) engine() func(context.Context, Engine, *simnet.Config) (*simnet.Result, error) {
-	if r.runRep != nil {
-		return r.runRep
-	}
-	return runEngineCtx
 }

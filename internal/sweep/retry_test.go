@@ -70,7 +70,7 @@ func TestRetryBackoffCancelPrompt(t *testing.T) {
 				}
 				return nil, boom
 			}
-			return runEngineCtx(ctx, e, cfg)
+			return simnet.RunEngine(ctx, e, cfg, nil)
 		},
 	}
 	start := time.Now()
@@ -109,7 +109,7 @@ func TestWatchdogConvertsStall(t *testing.T) {
 				<-ctx.Done() // hang until the watchdog cancels the attempt
 				return nil, ctx.Err()
 			}
-			return runEngineCtx(ctx, e, cfg)
+			return simnet.RunEngine(ctx, e, cfg, nil)
 		},
 	}
 	prs, err := r.Run(pts)
@@ -139,7 +139,7 @@ func TestWatchdogStallExhausts(t *testing.T) {
 				<-ctx.Done()
 				return nil, ctx.Err()
 			}
-			return runEngineCtx(ctx, e, cfg)
+			return simnet.RunEngine(ctx, e, cfg, nil)
 		},
 	}
 	prs, err := r.Run(pts)
@@ -225,7 +225,7 @@ func TestRetryStartsWithFreshDriftHists(t *testing.T) {
 			if sw > 0 {
 				return nil, fmt.Errorf("retry starts with %d stale switch waits", sw)
 			}
-			return runEngineCtx(ctx, e, cfg)
+			return simnet.RunEngine(ctx, e, cfg, nil)
 		},
 	}
 	pts := []Point{{Label: "graph/omega", Engine: Graph,

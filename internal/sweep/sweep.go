@@ -39,41 +39,21 @@ import (
 	"banyan/internal/vr"
 )
 
-// Engine selects which simulator executes a point.
-type Engine int
+// Engine selects which simulator executes a point; see simnet.Engine.
+// Reference is byte-identical to Fast at every seed, so a point hashes —
+// and caches — the same under either; selecting it only changes which
+// code path computes the (identical) result. Graph points hash
+// separately even where the graph engine reproduces Fast: they carry
+// graph-only config fields and per-switch verdicts in their results.
+type Engine = simnet.Engine
 
+// The engines, with simnet's values and names.
 const (
-	// Fast is the message-level engine (infinite buffers, streaming),
-	// executed by the batch kernel.
-	Fast Engine = iota
-	// Literal is the cycle-driven engine (finite buffers, occupancy).
-	Literal
-	// Reference is the scalar message-level engine the batch kernel was
-	// derived from, kept as a differential oracle. It is byte-identical
-	// to Fast at every seed, so a point hashes — and caches — the same
-	// under either; selecting it only changes which code path computes
-	// the (identical) result.
-	Reference
-	// Graph is the topology-true graph engine: messages advance switch
-	// by switch through an explicit wiring (Cfg.Topology), with optional
-	// finite per-stage buffers, link failures and per-switch telemetry.
-	// Under the default omega wiring with unlimited buffers it is
-	// byte-identical to Fast, but it hashes separately: its points carry
-	// graph-only config fields and per-switch verdicts in their results.
-	Graph
+	Fast      = simnet.Fast
+	Literal   = simnet.Literal
+	Reference = simnet.Reference
+	Graph     = simnet.Graph
 )
-
-func (e Engine) String() string {
-	switch e {
-	case Literal:
-		return "literal"
-	case Reference:
-		return "reference"
-	case Graph:
-		return "graph"
-	}
-	return "fast"
-}
 
 // Point is one parameter point of a sweep. Cfg.Seed is ignored: the
 // runner derives per-point seeds from its root seed so that results do
@@ -616,6 +596,9 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 			if st.hists != nil {
 				st.hists = st.hists[:n]
 			}
+			if st.swHists != nil {
+				st.swHists = st.swHists[:n]
+			}
 		}
 		if est != nil && est.Stopped {
 			sev := pointEvent(obs.EventPointStopped, st.pr)
@@ -820,28 +803,6 @@ func switchCount(cfg *simnet.Config) int {
 		n *= cfg.K
 	}
 	return n
-}
-
-// runEngineCtx executes one replication on the selected engine, always
-// via the streaming arrival path, honouring ctx cancellation.
-func runEngineCtx(ctx context.Context, e Engine, cfg *simnet.Config) (*simnet.Result, error) {
-	switch e {
-	case Literal:
-		src, err := simnet.NewTraceStream(cfg, 0)
-		if err != nil {
-			return nil, err
-		}
-		return simnet.RunLiteralSourceCtx(ctx, cfg, src)
-	case Reference:
-		src, err := simnet.NewTraceStream(cfg, 0)
-		if err != nil {
-			return nil, err
-		}
-		return simnet.RunSourceCtx(ctx, cfg, src)
-	case Graph:
-		return simnet.RunGraphCtx(ctx, cfg)
-	}
-	return simnet.RunCtx(ctx, cfg)
 }
 
 // Counters accumulates sweep progress. All methods are safe for

@@ -413,7 +413,7 @@ func TestAdaptiveCancelBetweenWavesFails(t *testing.T) {
 	r1 := &Runner{
 		Parallelism: 2, VR: plan, Journal: j1, Cache: cache,
 		runRep: func(ctx context.Context, e Engine, cfg *simnet.Config) (*simnet.Result, error) {
-			res, err := runEngineCtx(ctx, e, cfg)
+			res, err := simnet.RunEngine(ctx, e, cfg, nil)
 			if done.Add(1) == 4 {
 				cancel() // the first wave's last replication has finished
 			}
