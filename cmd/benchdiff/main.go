@@ -14,7 +14,10 @@
 // column of it. The gate is fixed:
 //
 //   - B/op and allocs/op are deterministic and fail when the measured
-//     value rises more than 20% above the baseline.
+//     value rises more than 20% above the baseline. They also fail when
+//     it falls more than 20% below: the baseline is stale, and a
+//     one-sided gate would let the footprint grow back unnoticed until
+//     it passed the old figure. Re-record BENCH.json then.
 //   - Custom b.ReportMetric units (the baseline's "extra" map) are
 //     higher-is-better and fail when the measured value falls more than
 //     20% below the baseline, except those ending in "_per_sec".
@@ -145,8 +148,10 @@ func lowerIsBetter(unit string) bool {
 
 // diff compares measured benchmarks against the baseline and returns
 // human-readable failure lines: one per baseline row missing from got,
-// per gated column missing from a row, and per gated column worse than
-// its baseline by more than the tolerance.
+// per gated column missing from a row, per gated column worse than its
+// baseline by more than the tolerance, and per B/op or allocs/op column
+// better than its baseline by more than the tolerance (a stale
+// baseline).
 func diff(base map[string]metrics, got map[string]row, logf func(string, ...any)) []string {
 	var failures []string
 	for _, name := range sortedKeys(base) {
@@ -170,15 +175,19 @@ func diff(base map[string]metrics, got map[string]row, logf func(string, ...any)
 				logf("%s %s: %.6g -> %.6g, not gated", name, unit, bv, gv)
 				continue
 			}
-			worse, better := shortfall(bv, gv), gv > bv
+			worse, better, gain := shortfall(bv, gv), gv > bv, 0.0
 			if lowerIsBetter(unit) {
-				worse, better = regression(bv, gv), gv < bv
+				worse, better, gain = regression(bv, gv), gv < bv, shortfall(bv, gv)
 			}
 			switch {
 			case worse > tolerance:
 				failures = append(failures, fmt.Sprintf(
 					"%s %s worsened %.1f%%: %.6g -> %.6g (tolerance %.0f%%)",
 					name, unit, 100*worse, bv, gv, 100*tolerance))
+			case gain > tolerance:
+				failures = append(failures, fmt.Sprintf(
+					"%s %s improved %.1f%%: %.6g -> %.6g (tolerance %.0f%%); baseline stale: re-record BENCH.json",
+					name, unit, 100*gain, bv, gv, 100*tolerance))
 			case better:
 				logf("%s %s improved: %.6g -> %.6g", name, unit, bv, gv)
 			}

@@ -76,10 +76,10 @@ func TestDiffGatesRegressions(t *testing.T) {
 		t.Fatalf("want B/op and allocs/op failures, got %v", f)
 	}
 
-	// Improvements never fail.
-	got = map[string]row{"BenchmarkA": {"ns/op": 50, "B/op": 500, "allocs/op": 5}}
+	// Improvements within tolerance pass, and ns/op never fails.
+	got = map[string]row{"BenchmarkA": {"ns/op": 10, "B/op": 850, "allocs/op": 9}}
 	if f := diff(base, got, discardLogf); len(f) != 0 {
-		t.Fatalf("improvement flagged as regression: %v", f)
+		t.Fatalf("improvement within tolerance failed: %v", f)
 	}
 
 	// Benchmarks absent from the baseline are skipped, not failed.
@@ -96,6 +96,29 @@ func TestDiffGatesRegressions(t *testing.T) {
 	got = map[string]row{"BenchmarkA": {"ns/op": 100}}
 	if f := diff(base, got, discardLogf); len(f) != 2 {
 		t.Fatalf("want 2 missing-column failures, got %v", f)
+	}
+}
+
+// TestDiffFailsStaleBaseline: a B/op or allocs/op figure that improves
+// past the tolerance fails as a stale baseline, because the one-sided
+// gate would otherwise let it grow back to the old figure unnoticed.
+// ns/op and custom metrics improve freely.
+func TestDiffFailsStaleBaseline(t *testing.T) {
+	base := map[string]metrics{
+		"BenchmarkA": {NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 10, Extra: map[string]float64{
+			"ess_speedup": 10, "ess_per_sec": 20,
+		}},
+	}
+	got := map[string]row{"BenchmarkA": {"ns/op": 10, "B/op": 500, "allocs/op": 5,
+		"ess_speedup": 100, "ess_per_sec": 200}}
+	f := diff(base, got, discardLogf)
+	if len(f) != 2 || !strings.Contains(f[0], "B/op") || !strings.Contains(f[1], "allocs/op") {
+		t.Fatalf("want B/op and allocs/op stale-baseline failures, got %v", f)
+	}
+	for _, line := range f {
+		if !strings.Contains(line, "baseline stale: re-record BENCH.json") {
+			t.Fatalf("failure %q does not name the stale baseline", line)
+		}
 	}
 }
 

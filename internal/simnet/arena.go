@@ -28,11 +28,13 @@ func getArena() *arena {
 // arena holds the batch kernel's reusable scratch state: the
 // structure-of-arrays in-flight message store, the per-stage schedule
 // rings, the per-port free-time table and (on the streaming path) the
-// trace-block buffers. One arena serves one run at a time; runs obtain
-// it from arenaPool, so replications executed back to back — the sweep
-// worker loop — reuse the same backing arrays instead of regrowing them
-// every run. The kernel's steady-state hot loop performs no allocation:
-// every per-message and per-cycle structure below is indexed scratch.
+// trace-block buffers. The finite-buffer cycle loop (cycle.go) keeps
+// its slots, queue rings and buffers here too. One arena serves one run
+// at a time; runs obtain it from arenaPool, so replications executed
+// back to back — the sweep worker loop — reuse the same backing arrays
+// instead of regrowing them every run. The kernel's steady-state hot
+// loop performs no allocation: every per-message and per-cycle
+// structure below is indexed scratch.
 //
 // Slot layout. A message in flight occupies one slot index into msl
 // (plus a stride-Stages lane of waits when per-stage waits are
@@ -48,7 +50,7 @@ type arena struct {
 	// together at every stage, so one record costs one bounds check and
 	// one cache line where parallel columns would cost five of each.
 	msl   []mrec
-	waits []int16 // stride-Stages per-stage waits (TrackStageWaits only)
+	waits []int32 // stride-Stages per-stage waits (TrackStageWaits only)
 
 	used      int // slots handed out this run (free list aside)
 	freeSlots []int32
@@ -60,6 +62,19 @@ type arena struct {
 
 	free []int64   // per-stage, per-port next-free cycle
 	vec  []float64 // covariance scratch
+
+	// Cycle-loop scratch (cycle.go). The loop shares used, freeSlots,
+	// waits, batch and vec with the kernel; its slots are cycleMsg
+	// records, and every queue is a ring in its stage's store.
+	cmsl     []cycleMsg
+	queues   []cycleQueue // stage-major, one per (stage, output port)
+	qstore   [][]int32    // qstore[s] backs stage s's queue rings
+	busy     []uint64     // stage-major bitmap of non-empty queues
+	parked   []int32      // block policy: slot parked on each sender port, -1 if none
+	parkBits []uint64     // block policy: stage-major bitmap of parked ports
+	held     []int32      // stage-1 arrivals waiting out a full first queue
+	buffered []int32      // pulled arrivals awaiting injection, trace order
+	delivery [2][]int32   // deliveries due at even and odd cycles
 
 	// Trace-block scratch lent to a kernel-owned TraceStream for the
 	// run's duration and harvested back grown, so back-to-back runs do
@@ -99,7 +114,8 @@ const (
 	maxRetainRingCycles = 1 << 15 // schedule-ring cycle span kept across runs
 	maxRetainRingSpan   = 1 << 17 // chunk storage kept per ring, in slots
 	maxRetainBatch      = 1 << 17 // batch scratch kept across runs
-	maxRetainPorts      = 1 << 17 // port free-time entries kept across runs
+	maxRetainPorts      = 1 << 17 // per-port entries kept across runs
+	maxRetainQueueStore = 1 << 18 // queue-ring storage kept per stage, in slots
 	maxRetainBlk        = 1 << 20 // trace-block entries kept across runs
 )
 
@@ -109,27 +125,108 @@ func (a *arena) prepare(n, rows int, trackWaits bool) {
 	a.used = 0
 	a.freeSlots = a.freeSlots[:0]
 	a.batch = a.batch[:0]
-	need := n * rows
-	if cap(a.free) < need {
-		a.free = make([]int64, need)
-	} else {
-		a.free = a.free[:need]
-		clear(a.free)
-	}
-	if cap(a.vec) < n {
-		a.vec = make([]float64, n)
-	} else {
-		a.vec = a.vec[:n]
-	}
+	a.free = resized(a.free, n*rows)
+	clear(a.free)
+	a.vec = resized(a.vec, n)
 	for len(a.rings) < n-1 {
 		a.rings = append(a.rings, kring{})
 	}
 	for i := 0; i < n-1; i++ {
 		a.rings[i].reset(a.ringChunk)
 	}
-	a.freeSlots = growFree(a.freeSlots, len(a.msl))
-	if trackWaits && len(a.waits) < len(a.msl)*n {
-		a.waits = make([]int16, len(a.msl)*n)
+	a.fitSlotScratch(len(a.msl), n, trackWaits)
+}
+
+// prepareCycle resets the arena for a cycle-loop run over n stages of
+// rows queues each, reusing every backing array that is already large
+// enough. caps[s] bounds stage s+1's queues (0 = unbounded): each ring
+// starts at min(cap, queueInit) slots in its stage's store and doubles
+// into the store's tail when it fills, so a stage reserves rows ×
+// queueInit slots up front whatever its cap. block selects the block
+// policy, which parks stalled deliveries on their sender ports.
+func (a *arena) prepareCycle(n, rows int, caps []int, block, trackWaits bool) {
+	a.used = 0
+	a.freeSlots = a.freeSlots[:0]
+	a.batch = a.batch[:0]
+	a.held = a.held[:0]
+	a.buffered = a.buffered[:0]
+	a.delivery[0] = a.delivery[0][:0]
+	a.delivery[1] = a.delivery[1][:0]
+	a.vec = resized(a.vec, n)
+	a.queues = resized(a.queues, n*rows)
+	for len(a.qstore) < n {
+		a.qstore = append(a.qstore, nil)
+	}
+	for s := 0; s < n; s++ {
+		size := queueInit
+		if c := caps[s]; c > 0 && c < size {
+			size = c
+		}
+		a.qstore[s] = resized(a.qstore[s], rows*size)
+		qs := a.queues[s*rows : (s+1)*rows]
+		for r := range qs {
+			qs[r] = cycleQueue{off: int32(r * size), size: int32(size)}
+		}
+	}
+	words := bitmapWords(rows)
+	a.busy = resized(a.busy, n*words)
+	clear(a.busy)
+	if block {
+		a.parked = resized(a.parked, (n-1)*rows)
+		for i := range a.parked {
+			a.parked[i] = -1
+		}
+		a.parkBits = resized(a.parkBits, (n-1)*words)
+		clear(a.parkBits)
+	}
+	a.fitSlotScratch(len(a.cmsl), n, trackWaits)
+}
+
+// growQueue doubles q, a full ring of stage s, up to limit slots
+// (0 = unbounded): the ring moves, unwrapped, to the tail of the stage's
+// store. The space it leaves stays unused until the next run's reset.
+func (a *arena) growQueue(s int, q *cycleQueue, limit int) {
+	size := 2 * int(q.size)
+	if limit > 0 && size > limit {
+		size = limit
+	}
+	st := a.qstore[s]
+	off := len(st)
+	if cap(st)-off < size {
+		ns := make([]int32, off, 2*cap(st)+size)
+		copy(ns, st)
+		st = ns
+	}
+	st = st[:off+size]
+	ring := st[q.off : q.off+q.size]
+	m := copy(st[off:], ring[q.head:])
+	copy(st[off+m:], ring[:q.head])
+	a.qstore[s] = st
+	q.off, q.size, q.head = int32(off), int32(size), 0
+}
+
+// queueInit is the slot count a queue ring starts with.
+const queueInit = 4
+
+// bitmapWords is the number of 64-bit words a bitmap of n bits spans.
+func bitmapWords(n int) int { return (n + 63) / 64 }
+
+// resized returns s with length n, reusing its backing array when large
+// enough; the contents are unspecified.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// fitSlotScratch sizes the free list and (when tracked) the wait table
+// for a slot store of the given size over stride stages, keeping their
+// contents.
+func (a *arena) fitSlotScratch(slots, stride int, trackWaits bool) {
+	a.freeSlots = growFree(a.freeSlots, slots)
+	if trackWaits && len(a.waits) < slots*stride {
+		a.waits = growCopy(a.waits, slots*stride)
 	}
 }
 
@@ -139,15 +236,22 @@ func (a *arena) prepare(n, rows int, trackWaits bool) {
 // here and the kernel's appends to it never regrow it past the store —
 // or past the retention cap the store itself meets.
 func (a *arena) growSlots(stride int, trackWaits bool) {
-	nc := 2 * len(a.msl)
-	if nc == 0 {
-		nc = 256
+	a.msl = growCopy(a.msl, slotGrowth(len(a.msl)))
+	a.fitSlotScratch(len(a.msl), stride, trackWaits)
+}
+
+// growCycleSlots is growSlots for the cycle loop's store.
+func (a *arena) growCycleSlots(stride int, trackWaits bool) {
+	a.cmsl = growCopy(a.cmsl, slotGrowth(len(a.cmsl)))
+	a.fitSlotScratch(len(a.cmsl), stride, trackWaits)
+}
+
+// slotGrowth is the size a slot store of n slots grows to.
+func slotGrowth(n int) int {
+	if n == 0 {
+		return 256
 	}
-	a.msl = growCopy(a.msl, nc)
-	a.freeSlots = growFree(a.freeSlots, nc)
-	if trackWaits {
-		a.waits = growCopy(a.waits, nc*stride)
-	}
+	return 2 * n
 }
 
 func growCopy[T any](s []T, n int) []T {
@@ -226,6 +330,26 @@ func (a *arena) trim() {
 	}
 	if cap(a.free) > maxRetainPorts {
 		a.free = nil
+	}
+	if len(a.cmsl) > maxRetainSlots {
+		a.cmsl = nil
+		a.freeSlots = nil
+	}
+	if cap(a.queues) > maxRetainPorts {
+		a.queues, a.busy = nil, nil
+	}
+	for s := range a.qstore {
+		if cap(a.qstore[s]) > maxRetainQueueStore {
+			a.qstore[s] = nil
+		}
+	}
+	if cap(a.parked) > maxRetainPorts {
+		a.parked, a.parkBits = nil, nil
+	}
+	for _, b := range []*[]int32{&a.held, &a.buffered, &a.delivery[0], &a.delivery[1]} {
+		if cap(*b) > maxRetainBatch {
+			*b = nil
+		}
 	}
 	if cap(a.blkT) > maxRetainBlk {
 		a.blkT, a.blkIn, a.blkDest, a.blkSvc, a.blkMeas = nil, nil, nil, nil, nil

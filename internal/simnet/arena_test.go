@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -143,7 +145,7 @@ func TestKringGrowTake(t *testing.T) {
 func TestArenaReleaseRetentionCaps(t *testing.T) {
 	a := new(arena)
 	a.msl = make([]mrec, maxRetainSlots+1)
-	a.waits = make([]int16, maxRetainWaits+1)
+	a.waits = make([]int32, maxRetainWaits+1)
 	a.batch = make([]int32, 0, maxRetainBatch+1)
 	a.free = make([]int64, maxRetainPorts+1)
 	a.blkT = make([]int32, 0, maxRetainBlk+1)
@@ -153,6 +155,16 @@ func TestArenaReleaseRetentionCaps(t *testing.T) {
 		{cells: make([]kcell, 64), mask: 63, data: make([]int32, 0, maxRetainRingSpan)},
 	}
 	a.rel = kring{cells: make([]kcell, 64), mask: 63, data: make([]int32, 0, maxRetainRingSpan+1)}
+	// The cycle loop's scratch.
+	a.cmsl = make([]cycleMsg, maxRetainSlots+1)
+	a.queues = make([]cycleQueue, maxRetainPorts+1)
+	a.busy = make([]uint64, 8)
+	a.qstore = [][]int32{make([]int32, maxRetainQueueStore+1), make([]int32, maxRetainQueueStore)}
+	a.parked = make([]int32, maxRetainPorts+1)
+	a.parkBits = make([]uint64, 8)
+	a.held = make([]int32, 0, maxRetainBatch+1)
+	a.buffered = make([]int32, 0, maxRetainBatch+1)
+	a.delivery = [2][]int32{make([]int32, 0, maxRetainBatch+1), make([]int32, 0, maxRetainBatch+1)}
 	a.release()
 	if a.msl != nil || a.waits != nil || a.batch != nil || a.free != nil || a.blkT != nil {
 		t.Fatal("release retained scratch past the caps")
@@ -163,13 +175,127 @@ func TestArenaReleaseRetentionCaps(t *testing.T) {
 	if a.rings[2].data == nil {
 		t.Fatal("release dropped a ring at the span cap")
 	}
+	if a.cmsl != nil || a.queues != nil || a.busy != nil || a.qstore[0] != nil || a.parked != nil ||
+		a.parkBits != nil || a.held != nil || a.buffered != nil || a.delivery[0] != nil || a.delivery[1] != nil {
+		t.Fatal("release retained cycle-loop scratch past the caps")
+	}
+	if a.qstore[1] == nil {
+		t.Fatal("release dropped a queue store at the cap")
+	}
 
 	b := new(arena)
 	b.msl = make([]mrec, 256)
 	b.batch = make([]int32, 0, 1024)
+	b.cmsl = make([]cycleMsg, 256)
+	b.queues = make([]cycleQueue, 2048)
+	b.qstore = [][]int32{make([]int32, 8192)}
+	b.held = make([]int32, 0, 1024)
 	b.release()
 	if len(b.msl) != 256 || cap(b.batch) != 1024 {
 		t.Fatal("release dropped ordinarily sized scratch")
+	}
+	if len(b.cmsl) != 256 || len(b.queues) != 2048 || len(b.qstore[0]) != 8192 || cap(b.held) != 1024 {
+		t.Fatal("release dropped ordinarily sized cycle-loop scratch")
+	}
+}
+
+// cycleCase is one cycle-loop configuration of the arena tests.
+type cycleCase struct {
+	name string
+	e    Engine
+	cfg  Config
+}
+
+// TestCycleLoopReusesWarmArena: the cycle loop's scratch lives in the
+// arena, so a second run on a warm arena keeps the slot store, the wait
+// table and every stage's queue store, and allocates only its result
+// and per-run bookkeeping. The runs repeat one seed, so the second
+// run's peak is the first one's and nothing may grow. The arena is
+// explicit, not pooled, so the race detector's random pool drops cannot
+// hand a run a cold one. Before the loop moved onto the arena, a run
+// like this allocated thousands of times.
+func TestCycleLoopReusesWarmArena(t *testing.T) {
+	lit := Config{K: 2, Stages: 8, P: 0.5, BufferCap: 4, Cycles: 2000, Warmup: 200, Seed: 21,
+		TrackStageWaits: true}
+	blk := lit
+	blk.BufferCap = 0
+	blk.StageBuffers = []int{4, 4, 4, 4, 4, 4, 4, 4}
+	for _, c := range []cycleCase{{"literal", Literal, lit}, {"blocking", Graph, blk}} {
+		t.Run(c.name, func(t *testing.T) {
+			a := new(arena)
+			run := func() {
+				cfg := c.cfg
+				if _, err := runEngine(context.Background(), c.e, &cfg, nil, a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mem := func() []unsafe.Pointer {
+				m := []unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(a.cmsl)), unsafe.Pointer(unsafe.SliceData(a.waits))}
+				for _, st := range a.qstore {
+					m = append(m, unsafe.Pointer(unsafe.SliceData(st)))
+				}
+				return m
+			}
+			run()
+			first := mem()
+			if len(first) != 2+c.cfg.Stages || slices.Contains(first, nil) {
+				t.Fatalf("first run left no slot store, wait table or queue store: %v", first)
+			}
+			if allocs := testing.AllocsPerRun(2, run); allocs > 64 {
+				t.Errorf("a warm-arena run allocates %.0f times, want at most 64", allocs)
+			}
+			if got := mem(); !slices.Equal(got, first) {
+				t.Errorf("a warm-arena run regrew its scratch: %v, was %v", got, first)
+			}
+		})
+	}
+}
+
+// TestCycleQueueCapsAgree: a queue cap that is never reached changes
+// nothing, so an uncapped ring and a capped one grow alike. Both run
+// one trace with a hot spot whose last-stage queue nears the cap (57
+// of 64 at this seed), so its ring doubles up to the cap on the way;
+// the results must be bit-identical.
+func TestCycleQueueCapsAgree(t *testing.T) {
+	const limit = 64
+	base := Config{K: 2, Stages: 6, P: 0.5, HotModule: 0.015, Cycles: 6000, Warmup: 200, Seed: 8,
+		TrackOccupancy: true, TrackStageWaits: true}
+	tr, err := GenerateTrace(&base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncapped, capped := base, base
+	capped.BufferCap = limit
+	mixed, allCapped := base, base
+	for s := 0; s < base.Stages; s++ {
+		mixed.StageBuffers = append(mixed.StageBuffers, limit*(s%2))
+		allCapped.StageBuffers = append(allCapped.StageBuffers, limit)
+	}
+	for _, pair := range [][2]cycleCase{
+		{{"literal/uncapped", Literal, uncapped}, {"literal/capped", Literal, capped}},
+		{{"blocking/mixed", Graph, mixed}, {"blocking/capped", Graph, allCapped}},
+	} {
+		var res [2]*Result
+		for i, c := range pair {
+			cfg := c.cfg
+			if res[i], err = RunEngine(context.Background(), c.e, &cfg, tr.Source()); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		// MaxQueueDepth counts the message in service too, so the
+		// deepest queue held at least deepest-1 messages; past 16 its
+		// ring doubled three times.
+		deepest := slices.Max(res[1].MaxQueueDepth)
+		if deepest-1 <= 4*queueInit || deepest >= limit {
+			t.Fatalf("%s: deepest queue held %d, want rings doubled three times and the cap %d never reached",
+				pair[1].name, deepest, limit)
+		}
+		if res[0].Dropped != 0 || res[1].Dropped != 0 || res[1].BlockedCycles != 0 {
+			t.Fatalf("%s: a cap was reached", pair[1].name)
+		}
+		if !reflect.DeepEqual(res[0], res[1]) {
+			t.Errorf("%s and %s differ:\n%+v\n%+v", pair[0].name, pair[1].name, res[0], res[1])
+		}
 	}
 }
 

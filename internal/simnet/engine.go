@@ -100,7 +100,7 @@ func runEngine(ctx context.Context, e Engine, cfg *Config, src ArrivalSource, ar
 		for i := range caps {
 			caps[i] = cfg.BufferCap
 		}
-		return runCycle(ctx, cfg, src, nil, caps, true)
+		return runCycle(ctx, cfg, src, ar, nil, caps, true)
 	case Reference:
 		return runReference(ctx, cfg, src)
 	case Graph:

@@ -154,7 +154,7 @@ type fastMsg struct {
 	wsum  int32  // accumulated waiting time
 	svc   int16  // service requirement, cycles
 	meas  bool   // counts toward statistics
-	waits []int16
+	waits []int32
 }
 
 // cycleBuckets buckets in-flight message slots by absolute arrival cycle
@@ -357,7 +357,7 @@ func runReference(ctx context.Context, cfg *Config, src ArrivalSource) (*Result,
 				m.wsum = 0
 				if cfg.TrackStageWaits {
 					if cap(m.waits) < n {
-						m.waits = make([]int16, n)
+						m.waits = make([]int32, n)
 					}
 					m.waits = m.waits[:n]
 				}
@@ -422,7 +422,7 @@ func runReference(ctx context.Context, cfg *Config, src ArrivalSource) (*Result,
 					pc.stageObs(si, stage, m.meas, t, s, s+svc)
 				}
 				if m.waits != nil {
-					m.waits[stage] = int16(w)
+					m.waits[stage] = w
 				}
 				if stage+1 < n {
 					m.row = port

@@ -50,7 +50,7 @@ func runGraphWired(ctx context.Context, cfg *Config, src ArrivalSource, wir *top
 	if cfg.graphBlocking() {
 		caps := make([]int, g.n)
 		copy(caps, cfg.StageBuffers)
-		return runCycle(ctx, cfg, src, g, caps, false)
+		return runCycle(ctx, cfg, src, ar, g, caps, false)
 	}
 	return runKernel(ctx, cfg, src, ar, g)
 }

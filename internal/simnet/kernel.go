@@ -47,7 +47,7 @@ func RunKernelSource(cfg *Config, src ArrivalSource) (*Result, error) {
 //     cycles with an empty network are skipped in one step;
 //   - routing uses shift/mask digit extraction when the radix is a
 //     power of two (the divisor table otherwise), and the batch shuffle
-//     is an inlined Fisher–Yates consuming draws exactly like
+//     is krand's Fisher–Yates, consuming draws exactly like
 //     math/rand/v2's Shuffle.
 //
 // The same kernel runs the graph engine's committed mode (graph.go):
@@ -313,12 +313,8 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena, g
 					pc.active(active)
 				}
 			}
-			// Random service order among simultaneous arrivals: inlined
-			// Fisher–Yates drawing exactly like rand/v2's Shuffle.
-			for i := len(bk) - 1; i > 0; i-- {
-				j := int(rng.Uint64N(uint64(i + 1)))
-				bk[i], bk[j] = bk[j], bk[i]
-			}
+			// Random service order among simultaneous arrivals.
+			rng.shuffle(bk)
 			stageFree := free[stage*rowsN : (stage+1)*rowsN]
 			sw := &res.StageWait[stage]
 			var hw *stats.Welford
@@ -496,7 +492,7 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena, g
 					pc.stageObs(si, stage, ms, t, s, s+svc)
 				}
 				if trackWaits {
-					waits[int(si)*n+stage] = int16(w)
+					waits[int(si)*n+stage] = w
 				}
 				if rel != nil {
 					g.swJoin(stage, port)

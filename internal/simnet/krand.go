@@ -90,6 +90,15 @@ func (r *krand) Float64() float64 {
 	return float64(r.Uint64()<<11>>11) / (1 << 53)
 }
 
+// shuffle permutes b with the Fisher–Yates draws of math/rand/v2's
+// Shuffle over len(b) elements.
+func (r *krand) shuffle(b []int32) {
+	for i := len(b) - 1; i > 0; i-- {
+		j := int(r.Uint64N(uint64(i + 1)))
+		b[i], b[j] = b[j], b[i]
+	}
+}
+
 const krandIs32bit = ^uint(0)>>32 == 0
 
 // Uint64N returns a uniformly-distributed random value in [0, n),

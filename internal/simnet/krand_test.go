@@ -43,9 +43,10 @@ func TestKrandMatchesRandV2(t *testing.T) {
 	}
 }
 
-// TestKrandShuffleMatchesRandV2 pins the kernel's inlined Fisher–Yates
-// against rand.Rand.Shuffle: same permutation at every size, so the
-// kernel's batch orders match the reference engine's.
+// TestKrandShuffleMatchesRandV2 pins krand's Fisher–Yates against
+// rand.Rand.Shuffle: same permutation at every size, so the kernel's
+// batch orders match the reference engine's, and the cycle loop's
+// shuffles are those it made through math/rand/v2.
 func TestKrandShuffleMatchesRandV2(t *testing.T) {
 	for size := 0; size <= 65; size++ {
 		k := newKrand(7, uint64(size))
@@ -56,11 +57,7 @@ func TestKrandShuffleMatchesRandV2(t *testing.T) {
 			a[i] = int32(i)
 			b[i] = i
 		}
-		// The kernel's inlined shuffle.
-		for i := len(a) - 1; i > 0; i-- {
-			j := int(k.Uint64N(uint64(i + 1)))
-			a[i], a[j] = a[j], a[i]
-		}
+		k.shuffle(a)
 		r.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
 		for i := range a {
 			if int(a[i]) != b[i] {

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -254,6 +255,46 @@ func TestStageCovTracking(t *testing.T) {
 	// Lag-3 much smaller than lag-1.
 	if res.StageCov.Correlation(1, 4) > c12/2 {
 		t.Fatal("correlations do not decay")
+	}
+}
+
+// TestStageCovMatchesStageWait: every engine's per-message covariance
+// matrix sees the same per-stage waits as StageWait, even past the
+// int16 range. A hot module at 0.6 saturates its output's tree, so the
+// deeper stages wait tens of thousands of cycles; waits stored as int16
+// wrapped, and StageCov.Mean(2) read 1053.7 against a true 56178.5.
+// With infinite buffers every measured message finishes, so both
+// accumulators hold the same values and differ only in summation order.
+func TestStageCovMatchesStageWait(t *testing.T) {
+	base := Config{K: 2, Stages: 3, P: 0.6, HotModule: 0.6, Cycles: 120000, Warmup: 100, Seed: 3,
+		TrackStageWaits: true}
+	for _, e := range []Engine{Fast, Reference, Literal, Graph} {
+		t.Run(e.String(), func(t *testing.T) {
+			cfg := base
+			res, err := RunEngine(context.Background(), e, &cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Truncated {
+				t.Fatal("run truncated: the accumulators would cover different messages")
+			}
+			if m := res.StageWait[base.Stages-1].Mean(); m < 1<<15 {
+				t.Fatalf("deepest stage waits %.1f on average, want past the int16 range", m)
+			}
+			for s := range res.StageWait {
+				sw := &res.StageWait[s]
+				relClose(t, res.StageCov.Mean(s), sw.Mean(), 1e-9, fmt.Sprintf("stage %d mean", s+1))
+				relClose(t, res.StageCov.Variance(s), sw.Variance(), 1e-9, fmt.Sprintf("stage %d variance", s+1))
+			}
+		})
+	}
+}
+
+// relClose fails unless got is within rel of want, relatively.
+func relClose(t *testing.T, got, want, rel float64, what string) {
+	t.Helper()
+	if math.Abs(got-want) > rel*math.Abs(want) {
+		t.Errorf("%s: got %.10g, want %.10g (relative tolerance %g)", what, got, want, rel)
 	}
 }
 
