@@ -3,6 +3,7 @@ package banyan_test
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"banyan"
@@ -282,19 +283,24 @@ func BenchmarkWaitDistribution512(b *testing.B) {
 
 // BenchmarkObservability is the bench guard for the telemetry stack: the
 // same engine run with instrumentation attached in increasing layers.
-// "bare" is the reference; "probe" (atomic counters) must stay within
-// noise of it, and TestProbeZeroAllocPerCycle in internal/simnet pins
-// that path to zero added allocs/cycle. The opt-in layers pay for what
-// they record — "hists" (live log-bucketed waiting-time histograms, one
-// atomic add per stage visit), "trace64" (1-in-64 span sampling, one
-// span allocation per sampled message), and "full" (everything plus the
-// exact drift histograms) — and this benchmark keeps those prices
-// visible so regressions can't hide.
+// "bare" is the reference; "probe" (plain per-run counters) must stay
+// within noise of it, and TestProbeZeroAllocPerCycle in internal/simnet
+// pins that path to zero added allocs/cycle. The opt-in layers pay for
+// what they record — "hists" (live log-bucketed waiting-time
+// histograms: one plain store per stage visit into a run-local buffer,
+// flushed into the shared histograms every 1024 cycles), "trace64"
+// (1-in-64 span sampling: a bit test per stage visit, and one span map
+// entry plus one exact-size stage slice per sampled message), and
+// "full" (everything plus the exact drift histograms). BENCH.json gates
+// full's B/op and allocs/op; ns/op keeps the layers' prices visible.
+//
+// Pooled arenas live in a sync.Pool, which garbage collection empties:
+// each layer collects and runs one untimed op first, so its counts do
+// not depend on when a collection ran.
 func BenchmarkObservability(b *testing.B) {
 	base := simnet.Config{K: 2, Stages: 6, P: 0.5, Cycles: 10000, Warmup: 1000, Seed: 31}
 	run := func(b *testing.B, instrument func(cfg *simnet.Config)) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		op := func() {
 			cfg := base
 			if instrument != nil {
 				instrument(&cfg)
@@ -302,6 +308,13 @@ func BenchmarkObservability(b *testing.B) {
 			if _, err := simnet.Run(&cfg); err != nil {
 				b.Fatal(err)
 			}
+		}
+		runtime.GC()
+		op()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op()
 		}
 	}
 	b.Run("bare", func(b *testing.B) { run(b, nil) })

@@ -104,17 +104,25 @@ func (h *Hist) Record(v int64) {
 	c[idx%histChunkLen].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+	h.raiseMax(v)
+}
+
+// raiseMax lifts the recorded maximum to at least v.
+func (h *Hist) raiseMax(v int64) {
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
+			return
 		}
 	}
 }
 
-// chunk allocates bucket chunk ci on first touch (CAS keeps concurrent
-// first touches from losing counts).
+// chunk returns bucket chunk ci, allocating it on first touch (CAS
+// keeps concurrent first touches from losing counts).
 func (h *Hist) chunk(ci int) *histChunk {
+	if c := h.chunks[ci].Load(); c != nil {
+		return c
+	}
 	c := new(histChunk)
 	if h.chunks[ci].CompareAndSwap(nil, c) {
 		return c
@@ -209,10 +217,7 @@ func (h *Hist) Merge(o *Hist) {
 		for off := 0; off < histChunkLen; off++ {
 			if v := oc[off].Load(); v != 0 {
 				if hc == nil {
-					hc = h.chunks[ci].Load()
-					if hc == nil {
-						hc = h.chunk(ci)
-					}
+					hc = h.chunk(ci)
 				}
 				hc[off].Add(v)
 			}
@@ -220,13 +225,59 @@ func (h *Hist) Merge(o *Hist) {
 	}
 	h.count.Add(o.count.Load())
 	h.sum.Add(o.sum.Load())
-	om := o.max.Load()
-	for {
-		cur := h.max.Load()
-		if om <= cur || h.max.CompareAndSwap(cur, om) {
-			break
+	h.raiseMax(o.max.Load())
+}
+
+// HistBuf is a single-goroutine front buffer for a Hist. An engine's
+// hot loop records into it with plain stores — no atomic adds, no CAS
+// on a histogram other workers share — and flushes it into the Hist on
+// its own cadence. It buffers the exact [0, 128) buckets, where almost
+// every waiting time of a stable network falls; their count, sum and
+// max follow from the bucket counts at flush time. Rarer values ≥ 128
+// go straight to the Hist. After FlushTo the Hist holds exactly what
+// direct Record calls would have left. The zero value is an empty
+// buffer.
+type HistBuf struct {
+	counts [histLinearMax]int64
+}
+
+// Record folds one observation into the buffer, or into h when it is
+// ≥ 128 or negative (Hist.Record clamps negative values to zero).
+func (b *HistBuf) Record(h *Hist, v int64) {
+	if uint64(v) >= histLinearMax {
+		h.Record(v)
+		return
+	}
+	b.counts[v]++
+}
+
+// FlushTo adds the buffered observations to h and empties the buffer.
+// Flushing an empty buffer does nothing.
+func (b *HistBuf) FlushTo(h *Hist) {
+	var n, sum, top int64
+	for ci := 0; ci < histLinearMax/histChunkLen; ci++ {
+		var hc *histChunk
+		for off, c := range b.counts[ci*histChunkLen : (ci+1)*histChunkLen] {
+			if c == 0 {
+				continue
+			}
+			if hc == nil {
+				hc = h.chunk(ci)
+			}
+			hc[off].Add(c)
+			v := int64(ci*histChunkLen + off)
+			n += c
+			sum += c * v
+			top = v
 		}
 	}
+	if n == 0 {
+		return
+	}
+	h.count.Add(n)
+	h.sum.Add(sum)
+	h.raiseMax(top)
+	clear(b.counts[:])
 }
 
 // HistBucket is one non-empty bucket of a snapshot: all recorded values

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -231,6 +232,105 @@ func TestHistConcurrent(t *testing.T) {
 	if total != workers*per {
 		t.Fatalf("bucket counts sum to %d, want %d", total, workers*per)
 	}
+}
+
+// sameHist fails unless two histograms read the same: snapshot
+// (count, mean, max, quantiles, buckets) and exact sum.
+func sameHist(t *testing.T, what string, got, want *Hist) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) || got.Sum() != want.Sum() {
+		t.Fatalf("%s:\ngot  %+v (sum %d)\nwant %+v (sum %d)", what, got.Snapshot(), got.Sum(), want.Snapshot(), want.Sum())
+	}
+}
+
+// TestHistBufMatchesRecord: recording through a HistBuf and flushing
+// leaves a Hist exactly as direct Record calls do — values below 128,
+// values from 128 up (recorded straight through), negative values
+// (clamped to zero) and the max, whichever side holds it — and flushing
+// an empty buffer changes nothing.
+func TestHistBufMatchesRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	mixed := []int64{0, 127, 128, 129, -1, -40, 1 << 20, 3, 3}
+	for i := 0; i < 20000; i++ {
+		mixed = append(mixed, int64(rng.ExpFloat64()*25)-2)
+	}
+	for _, tc := range []struct {
+		name   string
+		values []int64
+	}{
+		{"mixed", mixed},
+		{"below-128", []int64{4, 9, 2, 9, 0, 127}}, // max from the buffer
+		{"from-128", []int64{128, 5000, 1 << 40}},  // max from the Hist
+		{"negative", []int64{-1, -7, -1 << 40}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var direct, buffered Hist
+			var buf HistBuf
+			for i, v := range tc.values {
+				direct.Record(v)
+				buf.Record(&buffered, v)
+				if i%4096 == 4095 {
+					buf.FlushTo(&buffered) // mid-run flushes, as on an engine tick
+				}
+			}
+			buf.FlushTo(&buffered)
+			sameHist(t, "buffered then flushed", &buffered, &direct)
+			buf.FlushTo(&buffered)
+			sameHist(t, "after a second, empty flush", &buffered, &direct)
+		})
+	}
+
+	var empty Hist
+	var buf HistBuf
+	buf.FlushTo(&empty)
+	if empty.N() != 0 || empty.Max() != 0 || empty.Sum() != 0 {
+		t.Fatalf("empty flush changed an empty Hist: %+v", empty.Snapshot())
+	}
+	for ci := range empty.chunks {
+		if empty.chunks[ci].Load() != nil {
+			t.Fatalf("empty flush allocated bucket chunk %d", ci)
+		}
+	}
+}
+
+// TestHistBufConcurrentFlush: run-local buffers on several goroutines
+// flushing into one shared Hist — the sweep workers' pattern, checked
+// under -race in CI — leave it equal to one Hist fed every input
+// directly. Readers snapshot the shared Hist meanwhile.
+func TestHistBufConcurrentFlush(t *testing.T) {
+	const workers, per = 6, 20000
+	inputs := make([][]int64, workers)
+	var want Hist
+	for w := range inputs {
+		rng := rand.New(rand.NewSource(int64(w)))
+		for i := 0; i < per; i++ {
+			v := int64(rng.ExpFloat64() * 30)
+			if i%97 == 0 {
+				v = -v
+			}
+			inputs[w] = append(inputs[w], v)
+			want.Record(v)
+		}
+	}
+	var shared Hist
+	var wg sync.WaitGroup
+	for w := range inputs {
+		wg.Add(1)
+		go func(vs []int64) {
+			defer wg.Done()
+			var buf HistBuf
+			for i, v := range vs {
+				buf.Record(&shared, v)
+				if i%1024 == 1023 {
+					buf.FlushTo(&shared)
+					shared.Quantile(0.99) // concurrent reads must not race
+				}
+			}
+			buf.FlushTo(&shared)
+		}(inputs[w])
+	}
+	wg.Wait()
+	sameHist(t, "shared Hist after concurrent flushes", &shared, &want)
 }
 
 func TestHistRegister(t *testing.T) {

@@ -31,7 +31,11 @@
 //     allocation-free-in-steady-state histogram with bounded-error
 //     quantiles (p50/p90/p99/p999) and bucket-wise merging; HistSet
 //     groups a run's live waiting-time distributions (total plus one
-//     per stage), attached to engines through SimProbe.Hists.
+//     per stage), attached to engines through SimProbe.Hists. Engines
+//     record through a run-local HistBuf and flush it on their
+//     1024-cycle context-poll tick and when the run ends, so a live
+//     histogram lags its run by at most one tick and is exact once the
+//     run has finished.
 //
 //   - Trace spans (trace.go): Tracer is a flight recorder of sampled
 //     per-message journeys — per-stage enqueue/start/depart cycles that

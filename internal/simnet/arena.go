@@ -29,7 +29,8 @@ func getArena() *arena {
 // structure-of-arrays in-flight message store, the per-stage schedule
 // rings, the per-port free-time table and (on the streaming path) the
 // trace-block buffers. The finite-buffer cycle loop (cycle.go) keeps
-// its slots, queue rings and buffers here too. One arena serves one run
+// its slots, queue rings and buffers here too, and a probed run its
+// histogram buffers and sampled-slot bitset. One arena serves one run
 // at a time; runs obtain it from arenaPool, so replications executed
 // back to back — the sweep worker loop — reuse the same backing arrays
 // instead of regrowing them every run. The kernel's steady-state hot
@@ -87,6 +88,8 @@ type arena struct {
 	blkSvc  []int16
 	blkMeas []bool
 
+	probe probeScratch // a probed run's histogram buffers and span bitset
+
 	checkedOut bool // set by getArena, cleared by release (ArenaLive accounting)
 }
 
@@ -117,6 +120,7 @@ const (
 	maxRetainPorts      = 1 << 17 // per-port entries kept across runs
 	maxRetainQueueStore = 1 << 18 // queue-ring storage kept per stage, in slots
 	maxRetainBlk        = 1 << 20 // trace-block entries kept across runs
+	maxRetainHistBufs   = 64      // probe histogram buffers (stages + 1) kept across runs
 )
 
 // prepare resets the arena for a run over n stages and rows ports per
@@ -353,6 +357,12 @@ func (a *arena) trim() {
 	}
 	if cap(a.blkT) > maxRetainBlk {
 		a.blkT, a.blkIn, a.blkDest, a.blkSvc, a.blkMeas = nil, nil, nil, nil, nil
+	}
+	if cap(a.probe.hbuf) > maxRetainHistBufs {
+		a.probe.hbuf = nil
+	}
+	if cap(a.probe.sampled) > bitmapWords(maxRetainSlots) {
+		a.probe.sampled = nil
 	}
 }
 

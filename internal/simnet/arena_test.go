@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"unsafe"
+
+	"banyan/internal/obs"
 )
 
 // TestCycleBucketsSpareRetention is the regression test for the spare
@@ -165,6 +167,11 @@ func TestArenaReleaseRetentionCaps(t *testing.T) {
 	a.held = make([]int32, 0, maxRetainBatch+1)
 	a.buffered = make([]int32, 0, maxRetainBatch+1)
 	a.delivery = [2][]int32{make([]int32, 0, maxRetainBatch+1), make([]int32, 0, maxRetainBatch+1)}
+	// A probed run's scratch.
+	a.probe = probeScratch{
+		hbuf:    make([]obs.HistBuf, maxRetainHistBufs+1),
+		sampled: make([]uint64, bitmapWords(maxRetainSlots)+1),
+	}
 	a.release()
 	if a.msl != nil || a.waits != nil || a.batch != nil || a.free != nil || a.blkT != nil {
 		t.Fatal("release retained scratch past the caps")
@@ -182,6 +189,9 @@ func TestArenaReleaseRetentionCaps(t *testing.T) {
 	if a.qstore[1] == nil {
 		t.Fatal("release dropped a queue store at the cap")
 	}
+	if a.probe.hbuf != nil || a.probe.sampled != nil {
+		t.Fatal("release retained probe scratch past the caps")
+	}
 
 	b := new(arena)
 	b.msl = make([]mrec, 256)
@@ -190,12 +200,54 @@ func TestArenaReleaseRetentionCaps(t *testing.T) {
 	b.queues = make([]cycleQueue, 2048)
 	b.qstore = [][]int32{make([]int32, 8192)}
 	b.held = make([]int32, 0, 1024)
+	b.probe = probeScratch{hbuf: make([]obs.HistBuf, 13), sampled: make([]uint64, 4)}
 	b.release()
 	if len(b.msl) != 256 || cap(b.batch) != 1024 {
 		t.Fatal("release dropped ordinarily sized scratch")
 	}
 	if len(b.cmsl) != 256 || len(b.queues) != 2048 || len(b.qstore[0]) != 8192 || cap(b.held) != 1024 {
 		t.Fatal("release dropped ordinarily sized cycle-loop scratch")
+	}
+	if len(b.probe.hbuf) != 13 || len(b.probe.sampled) != 4 {
+		t.Fatal("release dropped ordinarily sized probe scratch")
+	}
+}
+
+// TestProbeScratchReusesWarmArena: a probed run keeps its histogram
+// buffers and sampled-slot bitset in the arena, so the next probed run
+// on the same arena — the kernel's or the cycle loop's — reuses both
+// instead of allocating them again.
+func TestProbeScratchReusesWarmArena(t *testing.T) {
+	base := Config{K: 2, Stages: 4, P: 0.5, Cycles: 3000, Warmup: 200, Seed: 8}
+	for _, e := range []Engine{Fast, Literal} {
+		t.Run(e.String(), func(t *testing.T) {
+			a := new(arena)
+			probe := obs.NewSimProbe()
+			probe.Hists = obs.NewHistSet()
+			probe.Tracer = obs.NewTracer(4, 1<<10)
+			run := func() {
+				cfg := base
+				cfg.Probe = probe
+				if _, err := runEngine(context.Background(), e, &cfg, nil, a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mem := func() []unsafe.Pointer {
+				return []unsafe.Pointer{
+					unsafe.Pointer(unsafe.SliceData(a.probe.hbuf)),
+					unsafe.Pointer(unsafe.SliceData(a.probe.sampled)),
+				}
+			}
+			run()
+			first := mem()
+			if len(a.probe.hbuf) != base.Stages+1 || slices.Contains(first, nil) {
+				t.Fatalf("first run left %d histogram buffers and bitset %v", len(a.probe.hbuf), first)
+			}
+			run()
+			if got := mem(); !slices.Equal(got, first) {
+				t.Errorf("a warm-arena run reallocated its probe scratch: %v, was %v", got, first)
+			}
+		})
 	}
 }
 

@@ -179,9 +179,9 @@ func runCycle(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena, g 
 	var pc *runProbe
 	if cfg.Probe != nil {
 		if g == nil {
-			pc = newRunProbe(cfg, n, "literal")
+			pc = newRunProbe(cfg, n, "literal", &ar.probe)
 		} else {
-			pc = newRunProbe(cfg, n, "graph")
+			pc = newRunProbe(cfg, n, "graph", &ar.probe)
 			pc.switchHW = g.hw
 			pc.switchBlocked = g.blocked
 		}

@@ -273,7 +273,7 @@ func runReference(ctx context.Context, cfg *Config, src ArrivalSource) (*Result,
 	var t int64
 	var pc *runProbe
 	if cfg.Probe != nil {
-		pc = newRunProbe(cfg, n, "fast")
+		pc = newRunProbe(cfg, n, "fast", new(probeScratch))
 		defer func() { pc.flush(cfg.Probe, t, res) }()
 	}
 	wh := cfg.WaitHists

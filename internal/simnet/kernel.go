@@ -84,7 +84,7 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena, g
 	var t int64
 	var pc *runProbe
 	if cfg.Probe != nil {
-		pc = newRunProbe(cfg, n, engine)
+		pc = newRunProbe(cfg, n, engine, &ar.probe)
 		if g != nil {
 			pc.switchHW, pc.switchBlocked = g.hw, g.blocked
 		}
@@ -236,10 +236,22 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena, g
 			// schedule is not empty — departed messages can still hold
 			// their last switch — so its floor stays put: the release
 			// call at cycle covered catches up on the gap's cycles
-			// before anything joins a switch.
+			// before anything joins a switch. A gap that passes a
+			// context-poll boundary polls at the last one it passes, so
+			// the probe's live view and a cancellation lag the clock by
+			// at most one poll interval across idle stretches too.
 			if covered > t+1 {
 				for i := range rings {
 					rings[i].floor = covered
+				}
+				if b := (covered - 1) &^ ctxCheckMask; b > t {
+					if pc != nil {
+						pc.tick(cfg.Probe, b)
+					}
+					if err := ctx.Err(); err != nil {
+						res.truncate(b, false)
+						return res, err
+					}
 				}
 				t = covered - 1
 			}

@@ -2,13 +2,17 @@ package simnet
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
 	"testing"
 
+	"banyan/internal/faultinject"
 	"banyan/internal/obs"
 	"banyan/internal/stats"
+	"banyan/internal/topology"
 	"banyan/internal/traffic"
 )
 
@@ -22,27 +26,60 @@ func mustRun(t *testing.T, e Engine, cfg *Config) *Result {
 	return res
 }
 
+// observedEngines are the engine set-ups the observability tests run:
+// the batch kernel, the cycle loop under both its drop (literal) and
+// block (graph with finite StageBuffers) policies, and the scalar
+// reference engine.
+var observedEngines = []struct {
+	name string
+	e    Engine
+	set  func(cfg *Config)
+}{
+	{"fast", Fast, nil},
+	{"literal", Literal, nil},
+	{"graph-blocking", Graph, func(cfg *Config) {
+		cfg.Topology = topology.Omega
+		cfg.StageBuffers = make([]int, cfg.Stages)
+		for i := range cfg.StageBuffers {
+			cfg.StageBuffers[i] = 2
+		}
+	}},
+	{"reference", Reference, nil},
+}
+
+// fullProbe attaches the whole telemetry stack to cfg: a probe with
+// live histograms and 1-in-16 trace sampling, plus the exact drift
+// histograms (Config.WaitHists).
+func fullProbe(cfg *Config) *obs.SimProbe {
+	probe := obs.NewSimProbe()
+	probe.Hists = obs.NewHistSet()
+	probe.Tracer = obs.NewTracer(16, 1<<12)
+	cfg.Probe = probe
+	cfg.WaitHists = make([]*stats.Hist, cfg.Stages)
+	for i := range cfg.WaitHists {
+		cfg.WaitHists[i] = &stats.Hist{}
+	}
+	return probe
+}
+
 // TestFullObservabilityBitIdentity is the result-neutrality guarantee
 // for the whole telemetry stack at once: probe + live histograms +
 // trace sampling + drift histograms attached must leave every simulated
-// number bit-identical to a bare run, on both engines.
+// number bit-identical to a bare run, on every engine, and the live
+// histograms must hold every measured message once the run has ended.
 func TestFullObservabilityBitIdentity(t *testing.T) {
 	base := Config{K: 2, Stages: 3, P: 0.45, Bulk: 1, Cycles: 3000, Warmup: 200, Seed: 11, TrackStageWaits: true}
-	for _, engine := range []Engine{Fast, Literal} {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, eng := range observedEngines {
+		t.Run(eng.name, func(t *testing.T) {
 			plain := base
-			bare := mustRun(t, engine, &plain)
-
-			instrumented := base
-			probe := obs.NewSimProbe()
-			probe.Hists = obs.NewHistSet()
-			probe.Tracer = obs.NewTracer(16, 1<<12)
-			instrumented.Probe = probe
-			instrumented.WaitHists = make([]*stats.Hist, base.Stages)
-			for i := range instrumented.WaitHists {
-				instrumented.WaitHists[i] = &stats.Hist{}
+			if eng.set != nil {
+				eng.set(&plain)
 			}
-			got := mustRun(t, engine, &instrumented)
+			instrumented := plain
+			bare := mustRun(t, eng.e, &plain)
+
+			probe := fullProbe(&instrumented)
+			got := mustRun(t, eng.e, &instrumented)
 
 			if !reflect.DeepEqual(bare, got) {
 				t.Fatalf("observability changed the result:\nbare %+v\ngot  %+v", bare, got)
@@ -52,6 +89,11 @@ func TestFullObservabilityBitIdentity(t *testing.T) {
 			}
 			if probe.Hists.Total().N() != got.Messages {
 				t.Fatalf("total hist N %d, messages %d", probe.Hists.Total().N(), got.Messages)
+			}
+			for i, h := range probe.Hists.Stages(base.Stages) {
+				if h.N() != got.Messages {
+					t.Fatalf("stage %d hist N %d, messages %d", i+1, h.N(), got.Messages)
+				}
 			}
 		})
 	}
@@ -253,5 +295,244 @@ func TestProbeZeroAllocPerCycle(t *testing.T) {
 	})
 	if added := withHists - bare; added > 0.05 {
 		t.Fatalf("live histograms add %.4f allocs/cycle (bare %.4f, with hists %.4f)", added, bare, withHists)
+	}
+}
+
+// hookSource wraps an arrival source and calls onNext, with the 1-based
+// pull count, before every block pull.
+type hookSource struct {
+	ArrivalSource
+	pulls  int
+	onNext func(pulls int)
+}
+
+func (h *hookSource) Next() (*TraceBlock, error) {
+	h.pulls++
+	h.onNext(h.pulls)
+	return h.ArrivalSource.Next()
+}
+
+// TestLiveHistsFlushOnEarlyStop: a run that stops early — cancelled by
+// its context, or killed by a chaos rep.panic — still flushes its
+// histogram buffers on the way out, so the live per-stage histograms
+// hold exactly the waits the same run recorded directly into
+// Config.WaitHists, and the total histogram one entry per message that
+// left the last stage.
+func TestLiveHistsFlushOnEarlyStop(t *testing.T) {
+	base := Config{K: 2, Stages: 3, P: 0.5, Cycles: 8000, Warmup: 100, Seed: 17}
+	for _, eng := range observedEngines {
+		for _, stop := range []string{"cancel", "panic"} {
+			t.Run(eng.name+"/"+stop, func(t *testing.T) {
+				cfg := base
+				if eng.set != nil {
+					eng.set(&cfg)
+				}
+				probe := fullProbe(&cfg)
+				st, err := NewTraceStream(&cfg, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				src := &hookSource{ArrivalSource: st, onNext: func(int) {}}
+				if stop == "cancel" {
+					src.onNext = func(pulls int) {
+						if pulls == 4 {
+							cancel()
+						}
+					}
+				} else {
+					sched, err := faultinject.Parse("rep.panic:cycle=2500")
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Fault = faultinject.New(sched).Rep(1, 0)
+				}
+				res, err, rec := runRecover(ctx, eng.e, &cfg, src)
+				if stop == "cancel" {
+					if !errors.Is(err, context.Canceled) || res == nil || !res.Truncated {
+						t.Fatalf("cancelled run: err %v, result %+v", err, res)
+					}
+				} else if fe, ok := rec.(*faultinject.Error); !ok || fe.Class != faultinject.RepPanic {
+					t.Fatalf("recovered %v, want the injected rep.panic", rec)
+				}
+				live := probe.Hists.Stages(cfg.Stages)
+				for i, wh := range cfg.WaitHists {
+					if wh.N() == 0 {
+						t.Fatalf("stage %d recorded nothing before the stop", i+1)
+					}
+					if live[i].N() != wh.N() || live[i].Max() != int64(wh.Max()) {
+						t.Fatalf("stage %d: live N %d max %d, recorded N %d max %d",
+							i+1, live[i].N(), live[i].Max(), wh.N(), wh.Max())
+					}
+				}
+				if got, want := probe.Hists.Total().N(), cfg.WaitHists[cfg.Stages-1].N(); got != want {
+					t.Fatalf("total hist N %d, messages through the last stage %d", got, want)
+				}
+			})
+		}
+	}
+}
+
+// runRecover runs cfg on engine e over src and returns whatever the run
+// panicked with alongside its results.
+func runRecover(ctx context.Context, e Engine, cfg *Config, src ArrivalSource) (res *Result, err error, rec any) {
+	defer func() { rec = recover() }()
+	res, err = RunEngine(ctx, e, cfg, src)
+	return res, err, nil
+}
+
+// TestSpanSlotReuse: a slot freed by a finished or dropped message is
+// reused by later messages, and must not carry the old span into them.
+// Drop-heavy literal and blocking graph points trace every message (and
+// every third, so unsampled messages reuse the slots of sampled ones):
+// every span has one entry per stage, numbered in order, chained from
+// the message's own arrival, with waits summing to its TotalWait.
+func TestSpanSlotReuse(t *testing.T) {
+	cases := []struct {
+		name string
+		e    Engine
+		cfg  Config
+	}{
+		{"literal-drop", Literal, Config{K: 2, Stages: 1, P: 0.9, BufferCap: 1, Cycles: 4000, Warmup: 100, Seed: 5}},
+		{"graph-blocking", Graph, Config{K: 2, Stages: 3, P: 0.6, StageBuffers: []int{1, 1, 1}, Cycles: 4000, Warmup: 100, Seed: 5}},
+	}
+	for _, c := range cases {
+		for _, every := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/every%d", c.name, every), func(t *testing.T) {
+				cfg := c.cfg
+				probe := obs.NewSimProbe()
+				probe.Tracer = obs.NewTracer(every, 1<<20)
+				cfg.Probe = probe
+				res, err, rec := runRecover(context.Background(), c.e, &cfg, nil)
+				if rec != nil || err != nil {
+					t.Fatalf("run failed: err %v, panic %v", err, rec)
+				}
+				if c.e == Literal && res.Dropped == 0 {
+					t.Fatal("the drop-heavy point dropped nothing")
+				}
+				spans := probe.Tracer.Spans()
+				if want := (res.Messages + int64(every) - 1) / int64(every); every == 1 && int64(len(spans)) != want {
+					t.Fatalf("%d spans, want one per measured message (%d)", len(spans), want)
+				}
+				if len(spans) == 0 {
+					t.Fatal("no spans collected")
+				}
+				for _, sp := range spans {
+					if len(sp.Stages) != cfg.Stages {
+						t.Fatalf("span %d has %d stages, want %d", sp.Msg, len(sp.Stages), cfg.Stages)
+					}
+					if sp.Stages[0].Enqueue != sp.Arrival {
+						t.Fatalf("span %d: first enqueue %d, arrival %d", sp.Msg, sp.Stages[0].Enqueue, sp.Arrival)
+					}
+					var sum int64
+					for i, st := range sp.Stages {
+						if st.Stage != i+1 || st.Wait != st.Start-st.Enqueue || st.Wait < 0 {
+							t.Fatalf("span %d: stage %d is %+v", sp.Msg, i+1, st)
+						}
+						sum += st.Wait
+					}
+					if sum != sp.TotalWait {
+						t.Fatalf("span %d: stage waits sum %d, total %d", sp.Msg, sum, sp.TotalWait)
+					}
+				}
+			})
+		}
+	}
+}
+
+// sparseSource delivers one message at the first cycle of every
+// gap-cycle block. Each message leaves the network within a few cycles,
+// so the kernel skips the rest of its block as idle, across
+// context-poll boundaries whenever gap exceeds the poll interval.
+type sparseSource struct {
+	meta   TraceMeta
+	gap    int
+	next   int
+	blk    TraceBlock
+	onNext func(t int64)
+}
+
+func (s *sparseSource) Meta() *TraceMeta { return &s.meta }
+
+func (s *sparseSource) Next() (*TraceBlock, error) {
+	s.onNext(int64(s.next))
+	if s.next >= s.meta.Horizon {
+		return nil, nil
+	}
+	end := min(s.next+s.gap, s.meta.Horizon)
+	i := s.next / s.gap
+	s.blk = TraceBlock{
+		Start: s.next, End: end, Base: int64(i),
+		T: []int32{int32(s.next)}, In: []int32{int32(i % s.meta.Rows)},
+		Dest: []uint32{uint32(3 * i % s.meta.Rows)}, Svc: []int16{1}, Meas: []bool{true},
+	}
+	s.next = end
+	return &s.blk, nil
+}
+
+// TestIdleSkipPolls: the kernel's idle-cycle skip polls the context and
+// ticks the probe whenever it jumps past a poll boundary, so on a
+// sparse run the live cycle meter and histograms lag the clock by at
+// most one poll interval, a cancellation lands before the next block,
+// and the results stay those of an unprobed run.
+func TestIdleSkipPolls(t *testing.T) {
+	cfg := Config{K: 2, Stages: 3, P: 0.001, Cycles: 29900, Warmup: 100, Seed: 3}
+	meta, err := newTraceMeta(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Not a multiple of the poll interval, and a divisor of the horizon,
+	// so every block's idle tail passes a poll boundary.
+	const gap = 3000
+	for _, e := range []Engine{Fast, Graph} {
+		t.Run(e.String(), func(t *testing.T) {
+			bare := cfg
+			want, err := RunEngine(context.Background(), e, &bare, &sparseSource{meta: meta, gap: gap, onNext: func(int64) {}})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			probed := cfg
+			probe := obs.NewSimProbe()
+			probe.Hists = obs.NewHistSet()
+			probed.Probe = probe
+			pulls := int64(0)
+			src := &sparseSource{meta: meta, gap: gap, onNext: func(at int64) {
+				if lag := at - probe.Snapshot().Cycles; lag > ctxCheckMask {
+					t.Errorf("pull at cycle %d: probe reports %d cycles, lag %d", at, at-lag, lag)
+				}
+				if n := probe.Hists.Total().N(); n != pulls {
+					t.Errorf("pull at cycle %d: live total hist N %d, want %d", at, n, pulls)
+				}
+				pulls++
+			}}
+			got, err := RunEngine(context.Background(), e, &probed, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("probe changed the result:\nbare %+v\ngot  %+v", want, got)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			const cancelAt = 2 * gap
+			cancelled := cfg
+			src = &sparseSource{meta: meta, gap: gap, onNext: func(at int64) {
+				if at == cancelAt {
+					cancel()
+				} else if at > cancelAt {
+					t.Errorf("pulled the block at cycle %d after the cancellation at %d", at, cancelAt)
+				}
+			}}
+			res, err := RunEngine(ctx, e, &cancelled, src)
+			if !errors.Is(err, context.Canceled) || res == nil || !res.Truncated {
+				t.Fatalf("cancelled run: err %v, result %+v", err, res)
+			}
+			if res.TruncatedAt <= cancelAt || res.TruncatedAt >= cancelAt+gap {
+				t.Fatalf("truncated at cycle %d, want within the block [%d, %d)", res.TruncatedAt, cancelAt, cancelAt+gap)
+			}
+		})
 	}
 }

@@ -5,9 +5,10 @@ import "banyan/internal/obs"
 // runProbe accumulates one run's engine instrumentation in plain local
 // counters — no synchronization on the hot path — and flushes them to
 // the shared obs.SimProbe once when the run finishes (plus periodic
-// cycle ticks on the context-poll cadence, so the cycles/sec meter is
-// live). It exists only when Config.Probe is set; a nil runProbe means
-// the engines skip every instrumentation branch.
+// ticks on the context-poll cadence, which keep the cycles/sec meter
+// and the live histograms current). It exists only when Config.Probe is
+// set; a nil runProbe means the engines skip every instrumentation
+// branch.
 //
 // "Backlog" per stage counts messages currently held for that stage:
 // queued at a stage's output ports in the literal engine, scheduled in
@@ -30,32 +31,50 @@ type runProbe struct {
 
 	// Distributional telemetry (Probe.Hists / Probe.Tracer); all nil
 	// when the probe carries neither, so the hooks below reduce to a
-	// couple of nil checks.
-	hists   []*obs.Hist // live per-stage waiting-time histograms, 0-based
-	histTot *obs.Hist   // live total-wait histogram
+	// couple of nil checks. The live histograms are fed through hbuf,
+	// run-local buffers flushed on every tick and at the end of the run.
+	hists   []*obs.Hist // live waiting-time histograms: per stage (0-based), then the total
+	hbuf    []obs.HistBuf
 	tracer  *obs.Tracer
 	sampleN int64
-	measSeq int64               // measured-message ordinal in trace order
-	spans   map[int32]*obs.Span // in-flight sampled spans by slot index
+	measSeq int64              // measured-message ordinal in trace order
+	spans   map[int32]obs.Span // in-flight sampled spans by slot index
+	sampled []uint64           // bitset of the slots in spans
+	scr     *probeScratch
+	stages  int
 	engine  string
 	seed    uint64
 }
 
-func newRunProbe(cfg *Config, stages int, engine string) *runProbe {
+// probeScratch is the reusable scratch of a run's probe: the histogram
+// buffers (one per stage, then one for the total) and the sampled-slot
+// bitset. The pooled engines keep it in their arena, so back-to-back
+// probed runs allocate neither.
+type probeScratch struct {
+	hbuf    []obs.HistBuf
+	sampled []uint64
+}
+
+func newRunProbe(cfg *Config, stages int, engine string, scr *probeScratch) *runProbe {
 	pc := &runProbe{
 		stageLoad: make([]int64, stages),
 		stageHW:   make([]int64, stages),
+		scr:       scr,
+		stages:    stages,
 		engine:    engine,
 		seed:      cfg.Seed,
 	}
 	if hs := cfg.Probe.Hists; hs != nil {
-		pc.hists = hs.Stages(stages)
-		pc.histTot = hs.Total()
+		pc.hists = append(hs.Stages(stages), hs.Total())
+		scr.hbuf = resized(scr.hbuf, stages+1)
+		clear(scr.hbuf)
+		pc.hbuf = scr.hbuf
 	}
 	if tr := cfg.Probe.Tracer; tr != nil {
 		pc.tracer = tr
 		pc.sampleN = tr.SampleN()
-		pc.spans = make(map[int32]*obs.Span)
+		pc.spans = make(map[int32]obs.Span)
+		pc.sampled = scr.sampled[:0]
 	}
 	return pc
 }
@@ -64,7 +83,10 @@ func newRunProbe(cfg *Config, stages int, engine string) *runProbe {
 // the arrival source; it assigns measured messages their ordinal and
 // opens a span for the sampled ones. Both engines consume schedule
 // blocks in trace order, so a message gets the same ordinal — and the
-// same sampling decision — in either engine.
+// same sampling decision — in either engine. A span's Stages is
+// allocated once at its final length, one entry per stage for stageObs
+// to fill; the slices are not pooled, since the tracer's ring keeps
+// them and Tracer.Spans hands them out.
 func (pc *runProbe) admit(si int32, meas bool, arrival int64, dest uint32) {
 	if !meas || pc.tracer == nil {
 		return
@@ -74,10 +96,31 @@ func (pc *runProbe) admit(si int32, meas bool, arrival int64, dest uint32) {
 	if seq%pc.sampleN != 0 {
 		return
 	}
-	pc.spans[si] = &obs.Span{
+	if w := int(si >> 6); w >= len(pc.sampled) {
+		pc.sampled = append(pc.sampled, make([]uint64, w+1-len(pc.sampled))...)
+	}
+	pc.sampled[si>>6] |= 1 << (uint(si) & 63)
+	pc.spans[si] = obs.Span{
 		Msg: seq, Seed: pc.seed, Engine: pc.engine,
 		Dest: dest, Arrival: arrival,
+		Stages: make([]obs.StageSpan, pc.stages),
 	}
+}
+
+// isSampled reports whether slot si holds an open span. The bitset
+// answers for the map: only about one stage visit in sampleN pays for a
+// lookup, and every set bit has its span.
+func (pc *runProbe) isSampled(si int32) bool {
+	w := int(si >> 6)
+	return w < len(pc.sampled) && pc.sampled[w]&(1<<(uint(si)&63)) != 0
+}
+
+// closeSpan removes slot si's open span and returns it.
+func (pc *runProbe) closeSpan(si int32) obs.Span {
+	pc.sampled[si>>6] &^= 1 << (uint(si) & 63)
+	sp := pc.spans[si]
+	delete(pc.spans, si)
+	return sp
 }
 
 // stageObs records one service start at a stage (0-based): the message
@@ -86,14 +129,12 @@ func (pc *runProbe) admit(si int32, meas bool, arrival int64, dest uint32) {
 // matching the reported statistics) and any open span.
 func (pc *runProbe) stageObs(si int32, stage int, meas bool, enq, start, depart int64) {
 	if meas && pc.hists != nil {
-		pc.hists[stage].Record(start - enq)
+		pc.hbuf[stage].Record(pc.hists[stage], start-enq)
 	}
-	if len(pc.spans) > 0 {
-		if sp, ok := pc.spans[si]; ok {
-			sp.Stages = append(sp.Stages, obs.StageSpan{
-				Stage: stage + 1, Enqueue: enq, Start: start, Depart: depart,
-				Wait: start - enq,
-			})
+	if pc.isSampled(si) {
+		pc.spans[si].Stages[stage] = obs.StageSpan{
+			Stage: stage + 1, Enqueue: enq, Start: start, Depart: depart,
+			Wait: start - enq,
 		}
 	}
 }
@@ -101,23 +142,21 @@ func (pc *runProbe) stageObs(si int32, stage int, meas bool, enq, start, depart 
 // finishObs records a message leaving the network with the given total
 // accumulated wait, closing its span if one is open.
 func (pc *runProbe) finishObs(si int32, meas bool, total int64) {
-	if meas && pc.histTot != nil {
-		pc.histTot.Record(total)
+	if meas && pc.hists != nil {
+		pc.hbuf[pc.stages].Record(pc.hists[pc.stages], total)
 	}
-	if len(pc.spans) > 0 {
-		if sp, ok := pc.spans[si]; ok {
-			delete(pc.spans, si)
-			sp.TotalWait = total
-			pc.tracer.Add(*sp)
-		}
+	if pc.isSampled(si) {
+		sp := pc.closeSpan(si)
+		sp.TotalWait = total
+		pc.tracer.Add(sp)
 	}
 }
 
 // dropSpan discards the span of a message dropped at a full buffer; its
 // slot index is about to be recycled and must not inherit the span.
 func (pc *runProbe) dropSpan(si int32) {
-	if len(pc.spans) > 0 {
-		delete(pc.spans, si)
+	if pc.isSampled(si) {
+		pc.closeSpan(si)
 	}
 }
 
@@ -143,14 +182,30 @@ func (pc *runProbe) active(v int64) {
 }
 
 // tick reports the cycles simulated since the last tick to the shared
-// probe; called on the engines' context-poll cadence.
+// probe and flushes the histogram buffers into the live histograms;
+// called on the engines' context-poll cadence.
 func (pc *runProbe) tick(p *obs.SimProbe, t int64) {
 	p.AddCycles(t - pc.lastFlush)
 	pc.lastFlush = t
+	pc.flushHists()
 }
 
-// flush hands the run's sample to the shared probe.
+// flushHists empties the histogram buffers into the live histograms.
+func (pc *runProbe) flushHists() {
+	for i, h := range pc.hists {
+		pc.hbuf[i].FlushTo(h)
+	}
+}
+
+// flush hands the run's sample to the shared probe, after the last of
+// its histogram buffers, on every exit path: the engines defer it. The
+// sampled-slot bitset goes back to the scratch it grew from, so the
+// next run on the same scratch reuses its capacity.
 func (pc *runProbe) flush(p *obs.SimProbe, t int64, res *Result) {
+	pc.flushHists()
+	if pc.tracer != nil {
+		pc.scr.sampled = pc.sampled
+	}
 	p.Record(obs.RunSample{
 		Cycles:         t - pc.lastFlush,
 		BlockPulls:     pc.blockPulls,
