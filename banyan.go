@@ -216,26 +216,18 @@ func SimulateGraph(cfg *SimConfig, tr *Trace) (*SimResult, error) {
 }
 
 // Stage2Exact is the exact (truncated Markov chain) analysis of the
-// second stage of a k=2, unit-service network — the noise-free benchmark
-// for the later-stage approximations. See internal/tandem.
+// second stage of a k=2 network with constant message size m — the
+// noise-free benchmark for the later-stage approximations. See
+// internal/tandem.
 type Stage2Exact = tandem.Result
 
 // AnalyzeStage2 solves the tagged stage-2 queue jointly with its two
-// feeder stage-1 queues. Reasonable settings: t1=40, t2=48,
-// maxSweeps=8000, tol=1e-13.
-func AnalyzeStage2(p float64, t1, t2, maxSweeps int, tol float64) (*Stage2Exact, error) {
-	return tandem.Solve(p, t1, t2, maxSweeps, tol)
-}
-
-// Stage2ExactM is the constant-service-m variant of the exact stage-2
-// analysis.
-type Stage2ExactM = tandem.ResultM
-
-// AnalyzeStage2M is AnalyzeStage2 for constant message size m ≥ 1
-// (validates the paper's Section IV-B scaled model exactly). Truncations
-// are in messages; keep m·p < 1.
-func AnalyzeStage2M(p float64, m, t1, t2, maxSweeps int, tol float64) (*Stage2ExactM, error) {
-	return tandem.SolveM(p, m, t1, t2, maxSweeps, tol)
+// feeder stage-1 queues for constant message size m ≥ 1 (m = 1 is the
+// paper's unit service; m ≥ 2 validates the Section IV-B scaled model).
+// Truncations are in messages; keep m·p < 1. Reasonable settings for
+// m = 1: t1=40, t2=48, maxSweeps=8000, tol=1e-13.
+func AnalyzeStage2(p float64, m, t1, t2, maxSweeps int, tol float64) (*Stage2Exact, error) {
+	return tandem.Solve(p, m, t1, t2, maxSweeps, tol)
 }
 
 // FiniteQueue is the exact Markov-chain analysis of a unit-service

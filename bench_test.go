@@ -234,7 +234,7 @@ func BenchmarkAblationEngines(b *testing.B) {
 func BenchmarkAblationExactStage2(b *testing.B) {
 	var exact float64
 	for i := 0; i < b.N; i++ {
-		r, err := banyan.AnalyzeStage2(0.5, 32, 40, 6000, 1e-12)
+		r, err := banyan.AnalyzeStage2(0.5, 1, 32, 40, 6000, 1e-12)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -259,9 +259,6 @@ func main() {
 	var res *banyan.SimResult
 	switch *engine {
 	case "fast":
-		if *buffers > 0 {
-			log.Fatal("finite buffers require -engine literal")
-		}
 		res, err = banyan.SimulateTrace(cfg, tr)
 	case "literal":
 		res, err = banyan.SimulateLiteral(cfg, tr)

@@ -5,11 +5,14 @@
 //     waiting-time distribution against simulation);
 //   - the exact second-stage Markov-chain analysis vs the Section IV
 //     interpolation (the paper's "we do not know how to analyze the later
-//     stages exactly", answered numerically for k=2, m=1);
+//     stages exactly", answered numerically for k=2, m=1), and the same
+//     chain for message size m=2 vs the Section IV-B scaled model;
 //   - the finite-buffer sweep (exact chain + simulated drops + tail
 //     estimates — the paper's Conclusion future work);
 //   - the heavy-traffic probe ((1-p)·w∞ toward saturation — the paper's
 //     conjectured limit);
+//   - the bursty-source sweep (Markov-modulated inputs at a fixed mean
+//     load, against the i.i.d. model);
 //   - the rare-event tail table (importance-split p99/p99.99/p99.9999
 //     waiting-time quantiles at ρ = 0.9, with honest CIs at depths
 //     plain simulation cannot reach).
@@ -24,196 +27,33 @@
 // The simulation-backed extensions (distribution check, finite buffers,
 // heavy traffic, bursty sources) run on one shared sweep runner, so the
 // usual fault-tolerance and observability flags apply; the exact
-// Markov-chain sections are purely numeric and run inline.
+// Markov-chain and tail sections are purely numeric and run inline.
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"os"
-	"time"
 
-	"banyan"
 	"banyan/internal/experiments"
-	"banyan/internal/stages"
-	"banyan/internal/sweep"
-	"banyan/internal/textplot"
-	"banyan/internal/traffic"
-	"banyan/internal/vr"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("extensions: ")
-	quick := flag.Bool("quick", false, "use the small test-sized simulation scale")
-	seed := flag.Uint64("seed", 0, "override the base random seed")
-	parallelism := flag.Int("parallelism", 0, "simulation worker count (0 = all cores); results are identical at every setting")
-	progress := flag.Bool("progress", false, "log per-point sweep progress to stderr")
-	var opts sweep.RunOptions
-	opts.RegisterFlags(flag.CommandLine)
+	f := experiments.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	sc := experiments.Full()
-	if *quick {
-		sc = experiments.Quick()
+	secs, err := experiments.Select(experiments.ExtensionKind, "")
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *seed != 0 {
-		sc.Seed = *seed
-	}
-	sc.Parallelism = *parallelism
-	sc.Runner = sc.NewRunner()
-	if *progress {
-		sc.Runner.Reporter = sweep.NewLogReporter(os.Stderr)
-	}
-	ctx, cleanup, err := opts.Apply(sc.Runner)
+	sc, cleanup, err := f.Scale()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer cleanup()
-	sc.Ctx = ctx
-
-	start := time.Now()
-	chk, err := experiments.DistributionCheck(sc)
-	if err != nil {
+	if err := experiments.Print(os.Stdout, sc, secs, ""); err != nil {
 		log.Fatal(err)
 	}
-	if err := chk.Render(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("(%v)\n\n", time.Since(start).Round(time.Millisecond))
-
-	// Exact stage 2 vs the Section IV interpolation.
-	start = time.Now()
-	md := stages.DefaultModel()
-	header := []string{"p", "exact w2", "approx w2", "rel err", "exact v2"}
-	var rows [][]string
-	t2 := map[bool]int{true: 40, false: 56}[*quick]
-	sweeps := map[bool]int{true: 4000, false: 12000}[*quick]
-	for _, p := range []float64{0.2, 0.35, 0.5, 0.65, 0.8} {
-		r, err := banyan.AnalyzeStage2(p, 40, t2, sweeps, 1e-13)
-		if err != nil {
-			log.Fatal(err)
-		}
-		approx := md.StageMeanWait(stages.Params{K: 2, M: 1, P: p}, 2)
-		rows = append(rows, []string{
-			fmt.Sprintf("%.2f", p),
-			fmt.Sprintf("%.5f", r.MeanWait2),
-			fmt.Sprintf("%.5f", approx),
-			fmt.Sprintf("%+.2f%%", 100*(approx-r.MeanWait2)/r.MeanWait2),
-			fmt.Sprintf("%.5f", r.VarWait2),
-		})
-	}
-	if err := textplot.Table(os.Stdout,
-		"Exact stage-2 Markov chain vs Section IV interpolation (k=2, m=1)",
-		header, rows); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("(%v)\n\n", time.Since(start).Round(time.Millisecond))
-
-	// Exact stage 2 for m = 2 vs the Section IV-B scaled model.
-	start = time.Now()
-	rows = rows[:0]
-	header = []string{"ρ", "exact w2 (m=2)", "scaled model", "rel err", "exact w1"}
-	for _, rho := range []float64{0.3, 0.5, 0.7} {
-		p := rho / 2
-		r, err := banyan.AnalyzeStage2M(p, 2, 28, 36, 9000, 1e-13)
-		if err != nil {
-			log.Fatal(err)
-		}
-		approx := md.StageMeanWait(stages.Params{K: 2, M: 2, P: p}, 2)
-		rows = append(rows, []string{
-			fmt.Sprintf("%.2f", rho),
-			fmt.Sprintf("%.5f", r.MeanWait2),
-			fmt.Sprintf("%.5f", approx),
-			fmt.Sprintf("%+.2f%%", 100*(approx-r.MeanWait2)/r.MeanWait2),
-			fmt.Sprintf("%.5f", r.MeanWait1),
-		})
-	}
-	if err := textplot.Table(os.Stdout,
-		"Exact stage-2 chain for message size m=2 vs the scaled model (Section IV-B)",
-		header, rows); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("(%v)\n\n", time.Since(start).Round(time.Millisecond))
-
-	// Finite buffers.
-	start = time.Now()
-	sw, err := experiments.BufferExperiment(sc, 2, 0.6, 1, 4, []int{1, 2, 4, 8, 16})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := sw.Render(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("(%v)\n\n", time.Since(start).Round(time.Millisecond))
-
-	// Heavy traffic.
-	start = time.Now()
-	ht, err := experiments.HeavyTrafficExperiment(sc, 2, []float64{0.5, 0.7, 0.8, 0.9, 0.95})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := ht.Render(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("(%v)\n\n", time.Since(start).Round(time.Millisecond))
-
-	// Bursty sources.
-	start = time.Now()
-	bu, err := experiments.BurstyExperiment(sc, 2, 0.4, []float64{2, 4, 8, 16, 32})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := bu.Render(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("(%v)\n\n", time.Since(start).Round(time.Millisecond))
-
-	// Rare-event tails: Siegmund-tilted importance splitting on the
-	// stage-1 unfinished-work walk (internal/vr). Deterministic for a
-	// fixed seed and purely numeric-plus-RNG, so it runs inline like the
-	// Markov-chain sections.
-	start = time.Now()
-	arr, err := traffic.Uniform(4, 4, 0.9)
-	if err != nil {
-		log.Fatal(err)
-	}
-	te, err := vr.NewTailEstimator(arr, traffic.UnitService(), sc.Seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	excursions := map[bool]int{true: 1500, false: 6000}[*quick]
-	curve, err := te.WaitTailCurve(300, excursions)
-	if err != nil {
-		log.Fatal(err)
-	}
-	header = []string{"quantile", "eps", "wait ≥", "P(W ≥ level)", "95% CI ±"}
-	rows = rows[:0]
-	for _, q := range []struct {
-		name string
-		eps  float64
-	}{
-		{"p99", 1e-2},
-		{"p99.99", 1e-4},
-		{"p99.9999", 1e-6},
-	} {
-		level, p, hw, ok := curve.Quantile(q.eps)
-		if !ok {
-			log.Fatalf("tail curve did not reach %g", q.eps)
-		}
-		rows = append(rows, []string{
-			q.name,
-			fmt.Sprintf("%.0e", q.eps),
-			fmt.Sprintf("%d", level),
-			fmt.Sprintf("%.3g", p),
-			fmt.Sprintf("%.2g", hw),
-		})
-	}
-	if err := textplot.Table(os.Stdout, fmt.Sprintf(
-		"Deep waiting-time quantiles at ρ=0.9 (k=4, stage 1; tilted splitting, %d excursions, z0=%.5f)",
-		excursions, te.Z0()), header, rows); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("(%v)\n", time.Since(start).Round(time.Millisecond))
 }

@@ -17,92 +17,30 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"os"
-	"path/filepath"
-	"strings"
-	"time"
 
 	"banyan/internal/experiments"
-	"banyan/internal/sweep"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
-	quick := flag.Bool("quick", false, "use the small test-sized simulation scale")
 	only := flag.String("only", "", "regenerate a single figure (e.g. \"Figure 5\" or \"5\")")
 	csvDir := flag.String("csv", "", "also write figure data as CSV files into this directory")
-	seed := flag.Uint64("seed", 0, "override the base random seed")
-	parallelism := flag.Int("parallelism", 0, "simulation worker count (0 = all cores); results are identical at every setting")
-	progress := flag.Bool("progress", false, "log per-point sweep progress to stderr")
-	var opts sweep.RunOptions
-	opts.RegisterFlags(flag.CommandLine)
+	f := experiments.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	sc := experiments.Full()
-	if *quick {
-		sc = experiments.Quick()
+	secs, err := experiments.Select(experiments.FigureKind, *only)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *seed != 0 {
-		sc.Seed = *seed
-	}
-	sc.Parallelism = *parallelism
-	sc.Runner = sc.NewRunner()
-	if *progress {
-		sc.Runner.Reporter = sweep.NewLogReporter(os.Stderr)
-	}
-	ctx, cleanup, err := opts.Apply(sc.Runner)
+	sc, cleanup, err := f.Scale()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer cleanup()
-	sc.Ctx = ctx
-
-	matched := false
-	for _, tc := range experiments.TotalCases() {
-		if *only != "" && !matches(tc.Fig, *only) {
-			continue
-		}
-		matched = true
-		start := time.Now()
-		f, err := experiments.FigureFor(sc, tc)
-		if err != nil {
-			log.Fatalf("%s: %v", tc.Fig, err)
-		}
-		if err := f.Render(os.Stdout); err != nil {
-			log.Fatalf("%s: render: %v", tc.Fig, err)
-		}
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				log.Fatalf("%s: %v", tc.Fig, err)
-			}
-			name := filepath.Join(*csvDir, strings.ReplaceAll(strings.ToLower(tc.Fig), " ", "_")+".csv")
-			out, err := os.Create(name)
-			if err != nil {
-				log.Fatalf("%s: %v", tc.Fig, err)
-			}
-			if err := f.RenderCSV(out); err != nil {
-				log.Fatalf("%s: csv: %v", tc.Fig, err)
-			}
-			if err := out.Close(); err != nil {
-				log.Fatalf("%s: csv: %v", tc.Fig, err)
-			}
-			fmt.Printf("(wrote %s)\n", name)
-		}
-		fmt.Printf("(%s regenerated in %v)\n\n", tc.Fig, time.Since(start).Round(time.Millisecond))
+	if err := experiments.Print(os.Stdout, sc, secs, *csvDir); err != nil {
+		log.Fatal(err)
 	}
-	if !matched {
-		log.Fatalf("no figure matches %q", *only)
-	}
-}
-
-func matches(name, sel string) bool {
-	sel = strings.TrimSpace(sel)
-	if strings.EqualFold(name, sel) {
-		return true
-	}
-	numeral := strings.TrimPrefix(name, "Figure ")
-	return strings.EqualFold(numeral, sel)
 }

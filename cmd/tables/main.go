@@ -17,113 +17,29 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"io"
 	"log"
 	"os"
-	"strings"
-	"time"
 
 	"banyan/internal/experiments"
-	"banyan/internal/sweep"
 )
-
-type renderer interface {
-	Render(io.Writer) error
-}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tables: ")
-	quick := flag.Bool("quick", false, "use the small test-sized simulation scale")
 	only := flag.String("only", "", "regenerate a single table (e.g. \"Table IX\" or \"IX\")")
-	seed := flag.Uint64("seed", 0, "override the base random seed")
-	parallelism := flag.Int("parallelism", 0, "simulation worker count (0 = all cores); results are identical at every setting")
-	progress := flag.Bool("progress", false, "log per-point sweep progress to stderr")
-	var opts sweep.RunOptions
-	opts.RegisterFlags(flag.CommandLine)
+	f := experiments.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	sc := experiments.Full()
-	if *quick {
-		sc = experiments.Quick()
+	secs, err := experiments.Select(experiments.TableKind, *only)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *seed != 0 {
-		sc.Seed = *seed
-	}
-	sc.Parallelism = *parallelism
-	// One shared runner: its cache dedupes operating points reused across
-	// tables, and its counters span the whole regeneration.
-	sc.Runner = sc.NewRunner()
-	if *progress {
-		sc.Runner.Reporter = sweep.NewLogReporter(os.Stderr)
-	}
-	ctx, cleanup, err := opts.Apply(sc.Runner)
+	sc, cleanup, err := f.Scale()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer cleanup()
-	sc.Ctx = ctx
-
-	jobs := []struct {
-		name string
-		run  func(experiments.Scale) (renderer, error)
-	}{
-		{"Table I", wrap(experiments.TableI)},
-		{"Table II", wrap(experiments.TableII)},
-		{"Table III", wrap(experiments.TableIII)},
-		{"Table IV", wrap(experiments.TableIV)},
-		{"Table V", wrap(experiments.TableV)},
-		{"Table VI", wrap(experiments.TableVI)},
-		{"Table VII", wrap(experiments.TableVII)},
-		{"Table VIII", wrap(experiments.TableVIII)},
-		{"Table IX", wrap(experiments.TableIX)},
-		{"Table X", wrap(experiments.TableX)},
-		{"Table XI", wrap(experiments.TableXI)},
-		{"Table XII", wrap(experiments.TableXII)},
+	if err := experiments.Print(os.Stdout, sc, secs, ""); err != nil {
+		log.Fatal(err)
 	}
-
-	matched := false
-	for _, j := range jobs {
-		if *only != "" && !matches(j.name, *only) {
-			continue
-		}
-		matched = true
-		start := time.Now()
-		r, err := j.run(sc)
-		if err != nil {
-			log.Fatalf("%s: %v", j.name, err)
-		}
-		if err := r.Render(os.Stdout); err != nil {
-			log.Fatalf("%s: render: %v", j.name, err)
-		}
-		fmt.Printf("(%s regenerated in %v)\n\n", j.name, time.Since(start).Round(time.Millisecond))
-	}
-	if !matched {
-		log.Fatalf("no table matches %q", *only)
-	}
-}
-
-// wrap adapts the concrete experiment constructors to the renderer
-// interface.
-func wrap[T renderer](f func(experiments.Scale) (T, error)) func(experiments.Scale) (renderer, error) {
-	return func(sc experiments.Scale) (renderer, error) {
-		v, err := f(sc)
-		if err != nil {
-			return nil, err
-		}
-		return v, nil
-	}
-}
-
-// matches reports whether the table name matches the -only selector,
-// comparing the full name or the bare numeral, so that "IX" does not
-// match "Table XII".
-func matches(name, sel string) bool {
-	sel = strings.TrimSpace(sel)
-	if strings.EqualFold(name, sel) {
-		return true
-	}
-	numeral := strings.TrimPrefix(name, "Table ")
-	return strings.EqualFold(numeral, sel)
 }

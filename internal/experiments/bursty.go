@@ -37,7 +37,7 @@ type Bursty struct {
 // load p with 50% duty cycle.
 func BurstyExperiment(sc Scale, k int, p float64, burstLens []float64) (*Bursty, error) {
 	if len(burstLens) == 0 {
-		burstLens = []float64{2, 4, 8, 16}
+		burstLens = []float64{2, 4, 8, 16, 32}
 	}
 	b := &Bursty{
 		Name:    "Bursty sources",

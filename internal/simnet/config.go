@@ -526,6 +526,19 @@ func (c *Config) requireStageModel(engine string) error {
 	return nil
 }
 
+// requireInfiniteBuffers rejects the cycle loop's knobs on the
+// message-level engines, which model infinite buffers and keep no
+// per-cycle queue state, so neither knob can be silently ignored.
+func (c *Config) requireInfiniteBuffers(engine string) error {
+	if c.BufferCap > 0 {
+		return fmt.Errorf("simnet: BufferCap requires the literal engine (RunEngine with Literal); the %s engine models infinite buffers", engine)
+	}
+	if c.TrackOccupancy {
+		return fmt.Errorf("simnet: TrackOccupancy requires the literal engine (RunEngine with Literal); the %s engine keeps no per-cycle queue state", engine)
+	}
+	return nil
+}
+
 // validateGraph checks the graph-engine knobs. They are legal only
 // alongside an explicit Topology (the graph engine fills in the omega
 // default itself before validating).

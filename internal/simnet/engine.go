@@ -76,6 +76,11 @@ func runEngine(ctx context.Context, e Engine, cfg *Config, src ArrivalSource, ar
 			return nil, err
 		}
 	}
+	if e == Fast || e == Reference {
+		if err := cfg.requireInfiniteBuffers(e.String()); err != nil {
+			return nil, err
+		}
+	}
 	if ar == nil {
 		ar = getArena()
 		defer ar.release()

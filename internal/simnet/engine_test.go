@@ -38,3 +38,27 @@ func TestRunEngineRejectsForeignSource(t *testing.T) {
 		}
 	}
 }
+
+// TestRunEngineRejectsCycleLoopKnobs: the message-level engines model
+// infinite buffers, so BufferCap and TrackOccupancy are errors there
+// rather than silently ignored (a capped Fast run used to report zero
+// drops and skip the unstable-load check).
+func TestRunEngineRejectsCycleLoopKnobs(t *testing.T) {
+	knobs := map[string]func(*Config){
+		"BufferCap":      func(c *Config) { c.BufferCap = 1 },
+		"TrackOccupancy": func(c *Config) { c.TrackOccupancy = true },
+	}
+	for _, e := range []Engine{Fast, Reference} {
+		for name, set := range knobs {
+			cfg := Config{K: 2, Stages: 2, P: 0.9, Cycles: 300, Seed: 3}
+			set(&cfg)
+			res, err := RunEngine(context.Background(), e, &cfg, nil)
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Fatalf("%s on the %s engine: got %+v, %v; want an error naming %s", name, e, res, err, name)
+			}
+			if _, err := RunEngine(context.Background(), Literal, &cfg, nil); err != nil {
+				t.Fatalf("%s on the literal engine: %v", name, err)
+			}
+		}
+	}
+}
