@@ -144,25 +144,31 @@ func (a *Analysis) VarDelay() float64 {
 	return a.VarWait() + a.svc.PMF().Variance()
 }
 
+// transformBasis returns the series Theorem 1's transforms are built
+// from, truncated to n ≥ 2 terms: 1, z, U(z) and A(z) = R(U(z)), the PGF
+// of one cycle's batch of work (traffic.Service has U(0) = 0).
+func (a *Analysis) transformBasis(n int) (one, z, U, A dist.Series, err error) {
+	if n < 2 {
+		return one, z, U, A, fmt.Errorf("core: transform truncation %d too short", n)
+	}
+	U = a.svc.PGF(n)
+	if A, err = a.arr.PGF(n).Compose(U); err != nil {
+		err = fmt.Errorf("core: composing R(U(z)): %w", err)
+	}
+	return dist.ConstSeries(1, n), dist.IdentitySeries(n), U, A, err
+}
+
 // WaitPGF returns the waiting-time transform t(z) of Theorem 1 as a power
 // series truncated to n terms; coefficient j is P(w = j) up to truncation.
 func (a *Analysis) WaitPGF(n int) (dist.Series, error) {
-	if n < 2 {
-		return dist.Series{}, fmt.Errorf("core: transform truncation %d too short", n)
+	one, z, U, A, err := a.transformBasis(n)
+	if err != nil {
+		return dist.Series{}, err
 	}
 	if a.lambda == 0 {
 		// No arrivals: waiting time is identically zero.
-		return dist.ConstSeries(1, n), nil
+		return one, nil
 	}
-	R := a.arr.PGF(n)
-	U := a.svc.PGF(n)
-	A, err := R.Compose(U) // A(z) = R(U(z)); U(0)=0 is enforced by traffic.Service
-	if err != nil {
-		return dist.Series{}, fmt.Errorf("core: composing R(U(z)): %w", err)
-	}
-	one := dist.ConstSeries(1, n)
-	z := dist.IdentitySeries(n)
-
 	num := one.Sub(z).Mul(one.Sub(A)) // (1-z)(1-A(z))
 	den := A.Sub(z).Mul(one.Sub(U))   // (A(z)-z)(1-U(z))
 	t, err := num.Div(den)
@@ -205,17 +211,10 @@ func (a *Analysis) DelayDistribution(n int) (dist.PMF, float64, error) {
 // batch (and, by the memoryless-arrivals argument, the time-stationary
 // unfinished work).
 func (a *Analysis) UnfinishedWorkPGF(n int) (dist.Series, error) {
-	if n < 2 {
-		return dist.Series{}, fmt.Errorf("core: transform truncation %d too short", n)
-	}
-	R := a.arr.PGF(n)
-	U := a.svc.PGF(n)
-	A, err := R.Compose(U)
+	one, z, _, A, err := a.transformBasis(n)
 	if err != nil {
 		return dist.Series{}, err
 	}
-	one := dist.ConstSeries(1, n)
-	z := dist.IdentitySeries(n)
 	psi, err := one.Sub(z).Div(A.Sub(z))
 	if err != nil {
 		return dist.Series{}, fmt.Errorf("core: unfinished-work division: %w", err)

@@ -297,3 +297,19 @@ func TestAccessors(t *testing.T) {
 	almost(t, an.Rate(), 0.5, 0, "rate")
 	almost(t, an.MeanService(), 1, 0, "mean service")
 }
+
+// TestWaitDistributionAllocs bounds the allocations of one 512-term
+// stage-1 model (k=2, p=0.8). Compose runs Horner's rule in two buffers
+// from R's highest nonzero coefficient: 15 allocations, where a fresh
+// product series per coefficient of R took 526.
+func TestWaitDistributionAllocs(t *testing.T) {
+	an := MustNew(uniform(t, 2, 2, 0.8), traffic.UnitService())
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := an.WaitDistribution(512); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 20 {
+		t.Fatalf("WaitDistribution(512) made %v allocations, want ≤ 20", allocs)
+	}
+}

@@ -128,3 +128,38 @@ func TestGammaTail(t *testing.T) {
 		prev = tl
 	}
 }
+
+// TestDiscretizeMatchesCellProb: Discretize carries each cell's upper
+// CDF value forward as the next cell's lower one; its cells must have
+// the bits of the CellProb sum it replaced, residual tail and negative
+// clamp included.
+func TestDiscretizeMatchesCellProb(t *testing.T) {
+	for _, shape := range []float64{0.4, 1, 3.7} {
+		g, err := NewGamma(shape, 2.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 2, 256} {
+			want := make([]float64, n)
+			acc := 0.0
+			for j := range want {
+				want[j] = g.CellProb(j)
+				acc += want[j]
+			}
+			if acc < 1 {
+				want[n-1] += 1 - acc
+			}
+			for j := range want {
+				if want[j] < 0 {
+					want[j] = 0
+				}
+			}
+			d := g.Discretize(n)
+			for j, w := range want {
+				if math.Float64bits(d.Prob(j)) != math.Float64bits(w) {
+					t.Fatalf("shape %g, n=%d: cell %d = %v, CellProb sum %v", shape, n, j, d.Prob(j), w)
+				}
+			}
+		}
+	}
+}

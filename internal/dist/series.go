@@ -135,18 +135,23 @@ func (s Series) AddConst(a float64) Series {
 // Mul returns the product s·t truncated to the common order.
 func (s Series) Mul(t Series) Series {
 	s.sameLen(t, "Mul")
-	n := len(s.c)
-	r := ZeroSeries(n)
-	for i := 0; i < n; i++ {
-		si := s.c[i]
+	r := ZeroSeries(len(s.c))
+	mulInto(r.c, s.c, t.c)
+	return r
+}
+
+// mulInto adds the product s·t, truncated to len(s) terms, to r; the
+// three slices have equal length.
+func mulInto(r, s, t []float64) {
+	n := len(s)
+	for i, si := range s {
 		if si == 0 {
 			continue
 		}
 		for j := 0; i+j < n; j++ {
-			r.c[i+j] += si * t.c[j]
+			r[i+j] += si * t[j]
 		}
 	}
-	return r
 }
 
 // ErrNotInvertible reports a series division whose divisor has zero
@@ -192,18 +197,27 @@ func (s Series) MustDiv(t Series) Series {
 // all (untruncated) coefficients of s to get even the constant term right.
 // All compositions in this package have the form R(U(z)) with U a service
 // PGF and service times ≥ 1 cycle, so U(0) = 0 always holds.
+//
+// Composition costs O(deg s · n²) time and two n-term buffers: Horner's
+// rule starts at the highest nonzero coefficient of s, since every step
+// above it would multiply the zero series and add a zero.
 func (s Series) Compose(t Series) (Series, error) {
 	s.sameLen(t, "Compose")
 	if t.c[0] != 0 {
 		return Series{}, fmt.Errorf("dist: Compose requires inner series with zero constant term, got %g", t.c[0])
 	}
 	n := len(s.c)
-	// Horner evaluation over series arithmetic:
-	// r = s[n-1]; r = r·t + s[n-2]; …
-	r := ConstSeries(s.c[n-1], n)
-	for j := n - 2; j >= 0; j-- {
-		r = r.Mul(t)
-		r.c[0] += s.c[j]
+	top := n - 1
+	for top > 0 && s.c[top] == 0 {
+		top--
+	}
+	// Horner evaluation over series arithmetic: r = r·t + s[j].
+	r, next := ConstSeries(s.c[top], n), ZeroSeries(n)
+	for j := top - 1; j >= 0; j-- {
+		clear(next.c)
+		mulInto(next.c, r.c, t.c)
+		next.c[0] += s.c[j]
+		r, next = next, r
 	}
 	return r, nil
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -132,6 +133,75 @@ func TestSeriesCompose(t *testing.T) {
 	want := []float64{1, 2, 4}
 	for j, w := range want {
 		almost(t, c.Coeff(j), w, 1e-14, "compose")
+	}
+}
+
+// fullHornerCompose is Compose as it ran before it skipped the leading
+// zero coefficients of s: Horner's rule over all n coefficients, with a
+// fresh product series per step, written out here so that it stays
+// independent of the package's product code.
+func fullHornerCompose(s, t Series) Series {
+	n := s.Len()
+	r := ConstSeries(s.c[n-1], n)
+	for j := n - 2; j >= 0; j-- {
+		p := ZeroSeries(n)
+		for i := 0; i < n; i++ {
+			ri := r.c[i]
+			if ri == 0 {
+				continue
+			}
+			for k := 0; i+k < n; k++ {
+				p.c[i+k] += ri * t.c[k]
+			}
+		}
+		r = p
+		r.c[0] += s.c[j]
+	}
+	return r
+}
+
+// TestComposeMatchesFullHorner: starting Horner's rule at the highest
+// nonzero coefficient, in two alternating buffers, must leave every
+// coefficient's bits as the full-length loop computes them.
+func TestComposeMatchesFullHorner(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	check := func(name string, s, u Series) {
+		t.Helper()
+		got, err := s.Compose(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fullHornerCompose(s, u)
+		for j := range want.c {
+			if math.Float64bits(got.c[j]) != math.Float64bits(want.c[j]) {
+				t.Fatalf("%s: coefficient %d = %v, full Horner %v", name, j, got.c[j], want.c[j])
+			}
+		}
+	}
+	for _, n := range []int{2, 3, 17, 64} {
+		// Inner series: a random PGF with zero constant term.
+		inner := ZeroSeries(n)
+		mass := 0.0
+		for j := 1; j < n; j++ {
+			inner.c[j] = rng.Float64()
+			mass += inner.c[j]
+		}
+		inner = inner.Scale(1 / mass)
+		for zeros := 0; zeros < n; zeros++ {
+			outer := ZeroSeries(n)
+			for j := 0; j < n-zeros; j++ {
+				outer.c[j] = 2*rng.Float64() - 1
+			}
+			check(fmt.Sprintf("n=%d trailing zeros=%d", n, zeros), outer, inner)
+		}
+		check(fmt.Sprintf("n=%d zero series", n), ZeroSeries(n), inner)
+	}
+	// The transform's own shape: the binomial R of uniform traffic over
+	// unit service, U(z) = z, and over constant service, U(z) = z³.
+	for _, n := range []int{256, 300} {
+		r := Binomial(4, 0.2).PGF(n)
+		check(fmt.Sprintf("binomial over z, n=%d", n), r, IdentitySeries(n))
+		check(fmt.Sprintf("binomial over z³, n=%d", n), r, PointPMF(3).PGF(n))
 	}
 }
 

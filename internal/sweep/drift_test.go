@@ -300,3 +300,25 @@ func TestDriftTruncatedAndCachedSkipped(t *testing.T) {
 		}
 	}
 }
+
+// TestDriftCheckAllocs bounds the allocations of one drift check on a
+// k=8, n=2, ρ=0.78 point: the stage-1 Theorem 1 model, the stage-2
+// discretized gamma and two KS verdicts, both at the minimum support of
+// 256. It makes 39 allocations; with a fresh product series per
+// coefficient of R in the stage-1 composition it made 294.
+func TestDriftCheckAllocs(t *testing.T) {
+	cfg := simnet.Config{K: 8, Stages: 2, P: 0.78, Cycles: 4000, Warmup: 500, Seed: 11}
+	cfg.WaitHists = []*stats.Hist{{}, {}}
+	if _, err := simnet.Run(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	mon := &DriftMonitor{}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := mon.Check(&cfg, cfg.WaitHists); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 60 {
+		t.Fatalf("DriftMonitor.Check made %v allocations, want ≤ 60", allocs)
+	}
+}
