@@ -340,7 +340,7 @@ func main() {
 		} else {
 			dh := []string{"stage", "n", "KS", "trigger", "drift"}
 			var drows [][]string
-			for _, sd := range rep.Stages {
+			for _, sd := range rep.Verdicts {
 				drows = append(drows, []string{
 					fmt.Sprintf("%d", sd.Stage),
 					fmt.Sprintf("%d", sd.N),

@@ -106,14 +106,16 @@ func (g Gamma) CellProb(j int) float64 {
 // Discretize returns the lattice discretization of g as a PMF over
 // {0, …, n-1} with the residual tail folded into the last cell. Cell j
 // is CellProb(j), with one CDF evaluation per cell: the upper edge
-// j + ½ is, exactly in float64, the next cell's lower edge.
+// j + ½ is, exactly in float64, the next cell's lower edge. Once an
+// edge's CDF reads exactly 1 it stays 1 further out, so the remaining
+// cells are 0 and are not evaluated.
 func (g Gamma) Discretize(n int) PMF {
 	if n < 1 {
 		panic("dist: gamma discretization needs at least one cell")
 	}
 	p := make([]float64, n)
 	acc, lo := 0.0, 0.0
-	for j := 0; j < n; j++ {
+	for j := 0; j < n && lo != 1; j++ {
 		hi := g.CDF(float64(j) + 0.5)
 		p[j] = hi - lo
 		lo = hi

@@ -134,7 +134,7 @@ func TestGammaTail(t *testing.T) {
 // the bits of the CellProb sum it replaced, residual tail and negative
 // clamp included.
 func TestDiscretizeMatchesCellProb(t *testing.T) {
-	for _, shape := range []float64{0.4, 1, 3.7} {
+	for _, shape := range []float64{0.02, 0.17, 0.4, 1, 3.7} {
 		g, err := NewGamma(shape, 2.5)
 		if err != nil {
 			t.Fatal(err)

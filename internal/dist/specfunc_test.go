@@ -129,3 +129,42 @@ func TestNormQuantile(t *testing.T) {
 		almost(t, NormQuantile(p), -NormQuantile(1-p), 1e-9, "symmetry")
 	}
 }
+
+// TestRegLowerGammaStaysOne: once P(a, x) has rounded to exactly 1 it
+// stays exactly 1 for every larger x, so Gamma.Discretize may stop at
+// the first cell whose upper CDF edge reads 1 — every later cell is
+// 1 - 1 = 0. It walks the cell edges (j + ½)/θ that Discretize
+// evaluates, for shapes log-spaced over 0.01–40 (the drift monitor's
+// stage ≥ 2 gammas reach shape ≈ 0.02 at light load) and scales
+// 0.05–20, out to 1024 cells (the monitor's models have at least 256).
+func TestRegLowerGammaStaysOne(t *testing.T) {
+	var shapes []float64
+	for a := 0.01; a <= 40; a *= 1.03 {
+		shapes = append(shapes, a)
+	}
+	shapes = append(shapes, 40)
+	scales := []float64{0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1, 1.5, 2, 3, 5, 10, 20}
+	for _, a := range shapes {
+		for _, scale := range scales {
+			first := -1
+			for j := 0; j < 1024; j++ {
+				x := (float64(j) + 0.5) / scale
+				p, err := RegLowerGamma(a, x)
+				if err != nil {
+					t.Fatalf("P(%g, %g): %v", a, x, err)
+				}
+				switch {
+				case p == 1 && first < 0:
+					first = j
+				case p != 1 && first >= 0:
+					t.Fatalf("P(%g, %g) = %v after reading 1 at cell %d (scale %g)", a, x, p, first, scale)
+				}
+			}
+			// The check says nothing for a gamma that never reaches 1:
+			// every one with mean below 64 cells must get there.
+			if first < 0 && a*scale < 64 {
+				t.Fatalf("gamma(%g, %g) with mean %g never reached 1 within 1024 cells", a, scale, a*scale)
+			}
+		}
+	}
+}

@@ -35,67 +35,32 @@ type DistCheck struct {
 
 // DistributionCheck runs the check over the paper's traffic classes.
 func DistributionCheck(sc Scale) (*DistCheck, error) {
-	type class struct {
+	mix, err := traffic.MultiService([]traffic.SizeMix{{Size: 4, Prob: 0.75}, {Size: 8, Prob: 0.25}})
+	if err != nil {
+		return nil, err
+	}
+	geo, err := traffic.GeomService(0.5, 512)
+	if err != nil {
+		return nil, err
+	}
+	// Each class's arrival and service laws are the ones Theorem 1 holds
+	// its configuration to (simnet.Config.Stage1Law).
+	classes := []struct {
 		name string
 		cfg  simnet.Config
-		arr  func() (traffic.Arrivals, error)
-		svc  func() (traffic.Service, error)
-	}
-	unit := func() (traffic.Service, error) { return traffic.UnitService(), nil }
-	classes := []class{
-		{
-			name: "uniform k=2 p=0.5 m=1",
-			cfg:  simnet.Config{K: 2, Stages: 1, P: 0.5},
-			arr:  func() (traffic.Arrivals, error) { return traffic.Uniform(2, 2, 0.5) },
-			svc:  unit,
-		},
-		{
-			name: "uniform k=4 p=0.8 m=1",
-			cfg:  simnet.Config{K: 4, Stages: 1, P: 0.8},
-			arr:  func() (traffic.Arrivals, error) { return traffic.Uniform(4, 4, 0.8) },
-			svc:  unit,
-		},
-		{
-			name: "bulk b=3 p=0.15",
-			cfg:  simnet.Config{K: 2, Stages: 1, P: 0.15, Bulk: 3},
-			arr:  func() (traffic.Arrivals, error) { return traffic.Bulk(2, 2, 0.15, 3) },
-			svc:  unit,
-		},
-		{
-			name: "hot-spot q=0.4 (exclusive)",
-			cfg:  simnet.Config{K: 2, Stages: 1, P: 0.5, Q: 0.4},
-			arr:  func() (traffic.Arrivals, error) { return traffic.NonuniformExclusive(2, 0.5, 0.4, 1) },
-			svc:  unit,
-		},
-		{
-			name: "constant m=4 ρ=0.5",
-			cfg:  simnet.Config{K: 2, Stages: 1, P: 0.125},
-			arr:  func() (traffic.Arrivals, error) { return traffic.Uniform(2, 2, 0.125) },
-			svc:  func() (traffic.Service, error) { return traffic.ConstService(4) },
-		},
-		{
-			name: "multi-size {4:.75, 8:.25}",
-			cfg:  simnet.Config{K: 2, Stages: 1, P: 0.08},
-			arr:  func() (traffic.Arrivals, error) { return traffic.Uniform(2, 2, 0.08) },
-			svc: func() (traffic.Service, error) {
-				return traffic.MultiService([]traffic.SizeMix{{Size: 4, Prob: 0.75}, {Size: 8, Prob: 0.25}})
-			},
-		},
-		{
-			name: "geometric μ=0.5 p=0.25",
-			cfg:  simnet.Config{K: 2, Stages: 1, P: 0.25},
-			arr:  func() (traffic.Arrivals, error) { return traffic.Uniform(2, 2, 0.25) },
-			svc:  func() (traffic.Service, error) { return traffic.GeomService(0.5, 512) },
-		},
+	}{
+		{"uniform k=2 p=0.5 m=1", simnet.Config{K: 2, Stages: 1, P: 0.5}},
+		{"uniform k=4 p=0.8 m=1", simnet.Config{K: 4, Stages: 1, P: 0.8}},
+		{"bulk b=3 p=0.15", simnet.Config{K: 2, Stages: 1, P: 0.15, Bulk: 3}},
+		{"hot-spot q=0.4 (exclusive)", simnet.Config{K: 2, Stages: 1, P: 0.5, Q: 0.4}},
+		{"constant m=4 ρ=0.5", simnet.Config{K: 2, Stages: 1, P: 0.125, Service: mustConst(4)}},
+		{"multi-size {4:.75, 8:.25}", simnet.Config{K: 2, Stages: 1, P: 0.08, Service: mix}},
+		{"geometric μ=0.5 p=0.25", simnet.Config{K: 2, Stages: 1, P: 0.25, Service: geo}},
 	}
 
 	chk := &DistCheck{Name: "Stage-1 distribution check (Theorem 1)"}
 	for _, c := range classes {
-		arr, err := c.arr()
-		if err != nil {
-			return nil, err
-		}
-		svc, err := c.svc()
+		arr, svc, err := c.cfg.Stage1Law()
 		if err != nil {
 			return nil, err
 		}

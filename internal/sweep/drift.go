@@ -17,20 +17,24 @@ import (
 // never flagged, regardless of sample size. The stage-1 comparison is
 // against the exact Theorem-1 distribution, but stages ≥ 2 are held
 // against the Section IV gamma approximation, whose own model error
-// reaches a few hundredths of KS distance at deep stages — the floor
-// keeps that approximation error from tripping the monitor on perfectly
-// healthy runs, while a genuinely mismatched model (wrong m or λ) moves
-// the whole distribution and clears it easily.
+// reaches a few hundredths of KS distance at deep stages; the floor
+// absorbs that error, while a genuinely mismatched model (wrong m or λ)
+// moves the whole distribution and clears it easily. The floor does not
+// hold for long service times: the gamma puts too little mass at w = 0
+// for m ≥ 4, so full-scale Table III trips it on correct runs at m = 8
+// and m = 16 (KS 0.169–0.253 at stages ≥ 2; ROADMAP item 11).
 const DefaultDriftThreshold = 0.15
 
-// defaultDriftAlpha is the significance of the statistical component of
-// the trigger (the sample-size-dependent KS critical value).
-const defaultDriftAlpha = 0.01
+// driftAlpha is the significance of the statistical component of the
+// trigger (the sample-size-dependent KS critical value).
+const driftAlpha = 0.01
 
-// StageDrift is one stage's verdict in a drift check.
-type StageDrift struct {
+// Verdict is one drift check: a stage's pooled waiting times, or one
+// switch's, held against the stage's analytic model.
+type Verdict struct {
 	Stage    int     // 1-based
-	N        int64   // measured waits at this stage
+	Switch   int     // 1-based within the stage; 0 = the whole stage
+	N        int64   // measured waits
 	KS       float64 // empirical vs analytic KS distance
 	Critical float64 // autocorrelation-corrected critical value
 	Trigger  float64 // effective trigger: max(threshold floor, Critical)
@@ -41,18 +45,20 @@ type StageDrift struct {
 type DriftReport struct {
 	// Skipped is non-empty when the point has no analytic reference
 	// model (bursty or hot-module traffic, resampled service, …); the
-	// Stages slice is then empty.
+	// report then holds no verdicts.
 	Skipped string
-	Stages  []StageDrift
-	Drifted bool
+	// Verdicts holds one verdict per stage in stage order, then, on a
+	// per-switch check, one per measured switch, stage by stage.
+	Verdicts []Verdict
+	Drifted  bool // some verdict drifted
 }
 
 // MaxKS returns the report's worst per-stage statistic and its stage
 // (0, 0 for a skipped report).
 func (r *DriftReport) MaxKS() (stage int, ks float64) {
-	for _, s := range r.Stages {
-		if s.KS >= ks {
-			stage, ks = s.Stage, s.KS
+	for _, v := range r.Verdicts {
+		if v.Switch == 0 && v.KS >= ks {
+			stage, ks = v.Stage, v.KS
 		}
 	}
 	return
@@ -65,33 +71,24 @@ func (r *DriftReport) MaxKS() (stage int, ks float64) {
 // paper's theory into a runtime self-check: a sweep whose simulator,
 // seeds, or configuration plumbing has been miswired drifts away from
 // the model it is supposed to reproduce, and the monitor names the
-// offending stage. Safe for concurrent use by the runner's workers.
+// offending stage (and, on graph points, switch). Safe for concurrent
+// use by the runner's workers.
 type DriftMonitor struct {
 	// Threshold is the KS floor below which no stage is flagged
 	// (0 = DefaultDriftThreshold). The effective trigger per stage is
-	// max(Threshold, critical value at Alpha for the stage's effective
-	// sample size).
+	// max(Threshold, critical value at α = 0.01 for the stage's
+	// effective sample size).
 	Threshold float64
-	// Alpha is the significance of the statistical trigger component
-	// (0 = 0.01).
-	Alpha float64
 	// Reference, when non-nil, replaces the analytic model: it must
 	// return the predicted waiting-time PMF for the given stage
 	// (1-based) with at least the given support. The monitor's own
 	// tests use it to verify a mismatched model is caught.
 	Reference func(cfg *simnet.Config, stage, support int) (dist.PMF, error)
 
-	mu      sync.Mutex
-	reg     *obs.Registry
-	lastKS  []float64 // most recent KS per stage (gauge backing)
-	checked int64
-	drifted int64
-	skipped int64
-
-	// Per-switch verdict counters (graph-engine points): individual
-	// switch checks and how many of them drifted.
-	swChecked int64
-	swDrifted int64
+	mu     sync.Mutex
+	reg    *obs.Registry
+	lastKS []float64 // most recent KS per stage (gauge backing)
+	tot    DriftTotals
 }
 
 func (d *DriftMonitor) floor() float64 {
@@ -101,46 +98,31 @@ func (d *DriftMonitor) floor() float64 {
 	return DefaultDriftThreshold
 }
 
-func (d *DriftMonitor) alpha() float64 {
-	if d.Alpha > 0 {
-		return d.Alpha
-	}
-	return defaultDriftAlpha
-}
-
 // Register exposes the monitor in a metrics registry:
 // drift.points_checked / drift.points_drifted / drift.points_skipped,
-// plus one drift.stage<i>.ks gauge per stage (registered lazily as
-// stages appear, holding the most recent KS distance).
+// drift.switches_checked / drift.switches_drifted, plus one
+// drift.stage<i>.ks gauge per stage (registered lazily as stages
+// appear, holding the most recent KS distance).
 func (d *DriftMonitor) Register(reg *obs.Registry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.reg = reg
-	reg.Func("drift.points_checked", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(d.checked)
-	})
-	reg.Func("drift.points_drifted", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(d.drifted)
-	})
-	reg.Func("drift.points_skipped", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(d.skipped)
-	})
-	reg.Func("drift.switches_checked", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(d.swChecked)
-	})
-	reg.Func("drift.switches_drifted", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(d.swDrifted)
-	})
+	for _, c := range []struct {
+		name string
+		n    *int64
+	}{
+		{"drift.points_checked", &d.tot.Checked},
+		{"drift.points_drifted", &d.tot.Drifted},
+		{"drift.points_skipped", &d.tot.Skipped},
+		{"drift.switches_checked", &d.tot.SwitchesChecked},
+		{"drift.switches_drifted", &d.tot.SwitchesDrifted},
+	} {
+		reg.Func(c.name, func() float64 {
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			return float64(*c.n)
+		})
+	}
 	for i := range d.lastKS {
 		d.registerStageLocked(i)
 	}
@@ -162,21 +144,10 @@ func (d *DriftMonitor) registerStageLocked(i int) {
 	})
 }
 
-// setKS publishes a stage's latest statistic, growing (and lazily
-// registering) the gauge vector as deeper networks appear.
-func (d *DriftMonitor) setKS(stage int, ks float64) { // 1-based
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for len(d.lastKS) < stage {
-		d.lastKS = append(d.lastKS, 0)
-		d.registerStageLocked(len(d.lastKS) - 1)
-	}
-	d.lastKS[stage-1] = ks
-}
-
-// DriftTotals is the monitor's cumulative verdict counts. The switch
-// counters tally individual per-switch checks on graph-engine points
-// (a point with s stages of w switches contributes up to s·w).
+// DriftTotals is the monitor's cumulative verdict counts. A point
+// counts as drifted when a stage verdict drifts; the switch counters
+// tally individual per-switch verdicts on graph-engine points (a point
+// with s stages of w switches contributes up to s·w).
 type DriftTotals struct {
 	Checked         int64 `json:"checked"`
 	Drifted         int64 `json:"drifted"`
@@ -190,22 +161,38 @@ type DriftTotals struct {
 func (d *DriftMonitor) Totals() DriftTotals {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return DriftTotals{
-		Checked: d.checked, Drifted: d.drifted, Skipped: d.skipped,
-		SwitchesChecked: d.swChecked, SwitchesDrifted: d.swDrifted,
-	}
+	return d.tot
 }
 
-func (d *DriftMonitor) account(rep *DriftReport) {
+// tally adds one report to the counters and publishes its stage
+// statistics on the drift.stage<i>.ks gauges, growing (and lazily
+// registering) the gauge vector as deeper networks appear.
+func (d *DriftMonitor) tally(rep *DriftReport) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if rep.Skipped != "" {
-		d.skipped++
+		d.tot.Skipped++
 		return
 	}
-	d.checked++
-	if rep.Drifted {
-		d.drifted++
+	d.tot.Checked++
+	stageDrifted := false
+	for _, v := range rep.Verdicts {
+		if v.Switch != 0 {
+			d.tot.SwitchesChecked++
+			if v.Drifted {
+				d.tot.SwitchesDrifted++
+			}
+			continue
+		}
+		stageDrifted = stageDrifted || v.Drifted
+		for len(d.lastKS) < v.Stage {
+			d.lastKS = append(d.lastKS, 0)
+			d.registerStageLocked(len(d.lastKS) - 1)
+		}
+		d.lastKS[v.Stage-1] = v.KS
+	}
+	if stageDrifted {
+		d.tot.Drifted++
 	}
 }
 
@@ -270,70 +257,202 @@ func (d *DriftMonitor) model(cfg *simnet.Config, stage, support int) (dist.PMF, 
 }
 
 // verdict holds one measured histogram against a stage's model PMF:
-// the KS distance, the critical value at Alpha for the sample size
-// shrunk by utilization rho (waits at one queue share busy periods, so
-// N is scaled by (1-ρ)/(1+ρ)), the trigger max(floor, critical), and
-// whether the distance exceeds it.
-func (d *DriftMonitor) verdict(stage int, h *stats.Hist, model dist.PMF, rho float64) (StageDrift, error) {
-	kr, err := dist.OneSampleKS(h.Counts(), model, d.alpha(), rho)
+// the KS distance, the critical value at α for the sample size shrunk
+// by utilization rho (waits at one queue share busy periods, so N is
+// scaled by (1-ρ)/(1+ρ)), the trigger max(floor, critical), and whether
+// the distance exceeds it.
+func (d *DriftMonitor) verdict(stage, sw int, h *stats.Hist, model dist.PMF, rho float64) (Verdict, error) {
+	kr, err := dist.OneSampleKS(h.Counts(), model, driftAlpha, rho)
 	if err != nil {
-		return StageDrift{}, err
+		return Verdict{}, err
 	}
 	trigger := d.floor()
 	if kr.Critical > trigger {
 		trigger = kr.Critical
 	}
-	return StageDrift{
-		Stage: stage, N: h.N(),
+	return Verdict{
+		Stage: stage, Switch: sw, N: h.N(),
 		KS: kr.KS, Critical: kr.Critical, Trigger: trigger,
 		Drifted: kr.KS > trigger,
 	}, nil
 }
 
-// mergeWaitHists pools per-replication stage histograms in replication
-// order into one histogram per stage. It returns nil when drift data is
-// absent or unusable: no histograms were collected, a replication's set
-// is incomplete, or the point was truncated (a run stopped mid-stream
-// measures a biased waiting-time sample that would register as
-// spurious drift).
-func mergeWaitHists(reps [][]*stats.Hist, nStages int, truncated bool) []*stats.Hist {
-	if reps == nil || truncated || nStages <= 0 {
-		return nil
-	}
-	merged := make([]*stats.Hist, nStages)
-	for s := range merged {
-		merged[s] = &stats.Hist{}
-	}
-	for _, wh := range reps {
-		if len(wh) < nStages {
-			return nil
-		}
-		for s := 0; s < nStages; s++ {
-			merged[s].Merge(wh[s])
-		}
-	}
-	return merged
+// Check compares a point's merged per-stage waiting-time histograms
+// (hists[i] = stage i+1) against the analytic model and returns the
+// per-stage verdicts, updating the monitor's counters and gauges.
+func (d *DriftMonitor) Check(cfg *simnet.Config, hists []*stats.Hist) (*DriftReport, error) {
+	return d.check(cfg, hists, nil)
 }
 
-// newDriftHists gives one replication fresh, empty drift histograms:
-// one per stage (cfg.WaitHists) and, when perSwitch is set, one per
-// (stage, switch) (cfg.SwitchWaitHists, graph engine only). The engine
-// fills them; they are hash-excluded and result-neutral.
+// check holds each stage's pooled histogram (stageHists[i] = stage i+1)
+// and, when switches is non-nil (graph points), each of the stage's
+// switch histograms (switches[i][s] = stage i+1, switch s+1) against
+// the stage's analytic model, built once per stage. Under uniform
+// traffic every switch of a stage draws from the stage's law, so a
+// single miswired switch stands out while the stage aggregate still
+// averages clean; traffic with a favorite output loads switches
+// asymmetrically, so its switches are not checked. Switches with no
+// measured waits are passed over (short runs may miss one entirely).
+func (d *DriftMonitor) check(cfg *simnet.Config, stageHists []*stats.Hist, switches [][]*stats.Hist) (*DriftReport, error) {
+	rep := &DriftReport{Skipped: driftIneligible(cfg)}
+	if rep.Skipped != "" {
+		d.tally(rep)
+		return rep, nil
+	}
+	if len(stageHists) < cfg.Stages {
+		return nil, fmt.Errorf("sweep: drift check needs %d stage histograms, got %d", cfg.Stages, len(stageHists))
+	}
+	if cfg.Q != 0 {
+		switches = nil
+	}
+	rho := cfg.Utilization()
+	var perSwitch []Verdict
+	for i := 0; i < cfg.Stages; i++ {
+		h := stageHists[i]
+		if h == nil || h.N() == 0 {
+			return nil, fmt.Errorf("sweep: drift check: stage %d has no measured waits", i+1)
+		}
+		model, err := d.model(cfg, i+1, max(h.Max()+65, 256))
+		if err != nil {
+			return nil, fmt.Errorf("sweep: drift model for stage %d: %w", i+1, err)
+		}
+		v, err := d.verdict(i+1, 0, h, model, rho)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: drift check stage %d: %w", i+1, err)
+		}
+		rep.Verdicts = append(rep.Verdicts, v)
+		if switches == nil {
+			continue
+		}
+		for s, sh := range switches[i] {
+			if sh.N() == 0 {
+				continue
+			}
+			v, err := d.verdict(i+1, s+1, sh, model, rho)
+			if err != nil {
+				return nil, fmt.Errorf("sweep: per-switch drift check stage %d switch %d: %w", i+1, s, err)
+			}
+			perSwitch = append(perSwitch, v)
+		}
+	}
+	rep.Verdicts = append(rep.Verdicts, perSwitch...)
+	for _, v := range rep.Verdicts {
+		rep.Drifted = rep.Drifted || v.Drifted
+	}
+	d.tally(rep)
+	return rep, nil
+}
+
+// checkDrift runs the drift monitor on a completed point's pooled
+// histograms (see poolDriftHists) and emits one drift event per drifted
+// verdict, stages before switches. The monitor is diagnostic-only: a
+// modelling failure surfaces as a drift event carrying the error, never
+// as a point failure.
+func (r *Runner) checkDrift(pr *PointResult, stageHists []*stats.Hist, switches [][]*stats.Hist) {
+	rep, err := r.Drift.check(&pr.Point.Cfg, stageHists, switches)
+	if err != nil {
+		ev := pointEvent(obs.EventDrift, pr)
+		ev.Err = err.Error()
+		r.emit(ev)
+		return
+	}
+	for _, v := range rep.Verdicts {
+		if !v.Drifted {
+			continue
+		}
+		ev := pointEvent(obs.EventDrift, pr)
+		ev.Stage = v.Stage
+		ev.Switch = v.Switch
+		ev.KS = v.KS
+		ev.Threshold = v.Trigger
+		r.emit(ev)
+	}
+}
+
+// newDriftHists gives one replication fresh, empty drift histograms,
+// one list per stage: a single histogram per stage (cfg.WaitHists) on
+// the stage-model engines, one per switch (cfg.SwitchWaitHists) on the
+// graph engine. The engine fills them; they are hash-excluded and
+// result-neutral.
 func newDriftHists(cfg *simnet.Config, perSwitch bool) {
-	cfg.WaitHists = make([]*stats.Hist, cfg.Stages)
-	for s := range cfg.WaitHists {
-		cfg.WaitHists[s] = &stats.Hist{}
+	fresh := func(n int) []*stats.Hist {
+		hs := make([]*stats.Hist, n)
+		for i := range hs {
+			hs[i] = &stats.Hist{}
+		}
+		return hs
 	}
 	if !perSwitch {
+		cfg.WaitHists = fresh(cfg.Stages)
 		return
 	}
 	cfg.SwitchWaitHists = make([][]*stats.Hist, cfg.Stages)
 	for s := range cfg.SwitchWaitHists {
-		cfg.SwitchWaitHists[s] = make([]*stats.Hist, switchCount(cfg))
-		for id := range cfg.SwitchWaitHists[s] {
-			cfg.SwitchWaitHists[s][id] = &stats.Hist{}
+		cfg.SwitchWaitHists[s] = fresh(switchCount(cfg))
+	}
+}
+
+// driftRow returns a replication's drift histograms for stage i+1 from
+// cfg (see newDriftHists): its one stage histogram, or its switches'.
+// It returns nil when cfg has none.
+func driftRow(cfg *simnet.Config, i int) []*stats.Hist {
+	switch {
+	case cfg == nil:
+	case cfg.SwitchWaitHists != nil:
+		if i < len(cfg.SwitchWaitHists) {
+			return cfg.SwitchWaitHists[i]
+		}
+	case i < len(cfg.WaitHists):
+		return cfg.WaitHists[i : i+1]
+	}
+	return nil
+}
+
+// poolDriftHists pools a point's per-replication drift histograms
+// (reps[r] = replication r's config, see newDriftHists) in replication
+// order. It returns each stage's histogram and, when the replications
+// recorded per-switch histograms, each switch's histogram pooled over the
+// replications (switches[i][s] = stage i+1, switch s+1). A stage is the
+// sum of its switches — exact, because every engine adds each measured
+// wait to both a stage's and its switch's histogram, and histogram
+// counts and integer sums add without rounding. It returns nils when
+// drift data is absent or unusable: no histograms were collected, a
+// replication's set is incomplete, or the point was truncated (a run
+// stopped mid-stream measures a biased waiting-time sample that would
+// register as spurious drift).
+func poolDriftHists(reps []*simnet.Config, nStages int, truncated bool) (stageHists []*stats.Hist, switches [][]*stats.Hist) {
+	if len(reps) == 0 || truncated || nStages <= 0 {
+		return nil, nil
+	}
+	stageHists = make([]*stats.Hist, nStages)
+	pooled := make([][]*stats.Hist, nStages)
+	for i := range pooled {
+		width := len(driftRow(reps[0], i))
+		if width == 0 {
+			return nil, nil
+		}
+		pooled[i] = make([]*stats.Hist, width)
+		for s := range pooled[i] {
+			pooled[i][s] = &stats.Hist{}
+		}
+		for _, c := range reps {
+			row := driftRow(c, i)
+			if len(row) != width {
+				return nil, nil
+			}
+			for s, h := range row {
+				pooled[i][s].Merge(h)
+			}
+		}
+		stageHists[i] = &stats.Hist{}
+		for _, h := range pooled[i] {
+			stageHists[i].Merge(h)
 		}
 	}
+	if reps[0].SwitchWaitHists == nil {
+		return stageHists, nil
+	}
+	return stageHists, pooled
 }
 
 // stageQuantiles digests merged per-stage histograms for attachment to
@@ -352,182 +471,4 @@ func stageQuantiles(hists []*stats.Hist) []obs.StageQuantiles {
 		})
 	}
 	return out
-}
-
-// SwitchDrift is one switch's verdict in a per-switch drift check; N
-// counts the measured waits at the switch's output ports.
-type SwitchDrift struct {
-	StageDrift
-	Switch int // 0-based within the stage
-}
-
-// SwitchDriftReport is the outcome of checking one graph-engine point
-// switch by switch.
-type SwitchDriftReport struct {
-	// Skipped is non-empty when the configuration's per-switch loads are
-	// not exchangeable (or no analytic model exists at all), so holding
-	// each switch to the stage distribution would flag healthy runs.
-	Skipped  string
-	Switches []SwitchDrift
-	Drifted  bool
-}
-
-// CheckSwitches compares each switch's pooled waiting-time histogram
-// (hists[i][s] = stage i+1, switch s) against the analytic stage
-// distribution — under uniform traffic every switch of a stage draws
-// from the same law, so a single miswired switch stands out while the
-// stage aggregate still averages clean. Switches with no measured
-// waits are passed over rather than failed (short runs may miss a
-// switch entirely).
-func (d *DriftMonitor) CheckSwitches(cfg *simnet.Config, hists [][]*stats.Hist) (*SwitchDriftReport, error) {
-	// Beyond the point-level eligibility, per-switch checks need uniform
-	// traffic: anything that loads switches asymmetrically makes
-	// per-switch deviation expected.
-	rep := &SwitchDriftReport{Skipped: driftIneligible(cfg)}
-	if rep.Skipped == "" && cfg.Q != 0 {
-		rep.Skipped = "favorite-output traffic loads switches asymmetrically"
-	}
-	if rep.Skipped != "" {
-		return rep, nil
-	}
-	if len(hists) < cfg.Stages {
-		return nil, fmt.Errorf("sweep: per-switch drift check needs %d stage rows, got %d", cfg.Stages, len(hists))
-	}
-	rho := cfg.Utilization()
-	for i := 0; i < cfg.Stages; i++ {
-		support := 256
-		for _, h := range hists[i] {
-			if h != nil {
-				support = max(support, h.Max()+65)
-			}
-		}
-		model, err := d.model(cfg, i+1, support)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: drift model for stage %d: %w", i+1, err)
-		}
-		for id, h := range hists[i] {
-			if h == nil || h.N() == 0 {
-				continue
-			}
-			v, err := d.verdict(i+1, h, model, rho)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: per-switch drift check stage %d switch %d: %w", i+1, id, err)
-			}
-			rep.Switches = append(rep.Switches, SwitchDrift{StageDrift: v, Switch: id})
-			rep.Drifted = rep.Drifted || v.Drifted
-		}
-	}
-	d.mu.Lock()
-	d.swChecked += int64(len(rep.Switches))
-	for _, sd := range rep.Switches {
-		if sd.Drifted {
-			d.swDrifted++
-		}
-	}
-	d.mu.Unlock()
-	return rep, nil
-}
-
-// mergeSwitchHists pools per-replication (stage, switch) histograms,
-// merging each stage's switches under mergeWaitHists' completeness
-// rules.
-func mergeSwitchHists(reps [][][]*stats.Hist, nStages, nSwitches int, truncated bool) [][]*stats.Hist {
-	if reps == nil || nStages <= 0 {
-		return nil
-	}
-	merged := make([][]*stats.Hist, nStages)
-	for s := range merged {
-		stage := make([][]*stats.Hist, len(reps))
-		for r, wh := range reps {
-			if len(wh) < nStages {
-				return nil
-			}
-			stage[r] = wh[s]
-		}
-		if merged[s] = mergeWaitHists(stage, nSwitches, truncated); merged[s] == nil {
-			return nil
-		}
-	}
-	return merged
-}
-
-// checkSwitchDrift runs the per-switch monitor on a completed
-// graph-engine point, emitting one drift event per offending switch.
-func (r *Runner) checkSwitchDrift(pr *PointResult, merged [][]*stats.Hist) {
-	rep, err := r.Drift.CheckSwitches(&pr.Point.Cfg, merged)
-	if err != nil {
-		ev := pointEvent(obs.EventDrift, pr)
-		ev.Err = err.Error()
-		r.emit(ev)
-		return
-	}
-	for _, sd := range rep.Switches {
-		if !sd.Drifted {
-			continue
-		}
-		ev := pointEvent(obs.EventDrift, pr)
-		ev.Stage = sd.Stage
-		ev.Switch = sd.Switch + 1 // 1-based in events so switch 0 survives omitempty
-		ev.KS = sd.KS
-		ev.Threshold = sd.Trigger
-		r.emit(ev)
-	}
-}
-
-// checkDrift runs the drift monitor on a completed point's merged
-// histograms and emits one drift event per offending stage. The monitor
-// is diagnostic-only: a modelling failure surfaces as a drift event
-// carrying the error, never as a point failure.
-func (r *Runner) checkDrift(pr *PointResult, merged []*stats.Hist) {
-	rep, err := r.Drift.Check(&pr.Point.Cfg, merged)
-	if err != nil {
-		ev := pointEvent(obs.EventDrift, pr)
-		ev.Err = err.Error()
-		r.emit(ev)
-		return
-	}
-	for _, sd := range rep.Stages {
-		if !sd.Drifted {
-			continue
-		}
-		ev := pointEvent(obs.EventDrift, pr)
-		ev.Stage = sd.Stage
-		ev.KS = sd.KS
-		ev.Threshold = sd.Trigger
-		r.emit(ev)
-	}
-}
-
-// Check compares a point's merged per-stage waiting-time histograms
-// (hists[i] = stage i+1) against the analytic model and returns the
-// per-stage verdicts, updating the monitor's counters and gauges.
-func (d *DriftMonitor) Check(cfg *simnet.Config, hists []*stats.Hist) (*DriftReport, error) {
-	rep := &DriftReport{Skipped: driftIneligible(cfg)}
-	if rep.Skipped != "" {
-		d.account(rep)
-		return rep, nil
-	}
-	if len(hists) < cfg.Stages {
-		return nil, fmt.Errorf("sweep: drift check needs %d stage histograms, got %d", cfg.Stages, len(hists))
-	}
-	rho := cfg.Utilization()
-	for i := 0; i < cfg.Stages; i++ {
-		h := hists[i]
-		if h == nil || h.N() == 0 {
-			return nil, fmt.Errorf("sweep: drift check: stage %d has no measured waits", i+1)
-		}
-		model, err := d.model(cfg, i+1, max(h.Max()+65, 256))
-		if err != nil {
-			return nil, fmt.Errorf("sweep: drift model for stage %d: %w", i+1, err)
-		}
-		sd, err := d.verdict(i+1, h, model, rho)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: drift check stage %d: %w", i+1, err)
-		}
-		rep.Stages = append(rep.Stages, sd)
-		rep.Drifted = rep.Drifted || sd.Drifted
-		d.setKS(i+1, sd.KS)
-	}
-	d.account(rep)
-	return rep, nil
 }

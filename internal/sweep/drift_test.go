@@ -136,7 +136,7 @@ func TestDriftCheckDirect(t *testing.T) {
 	if rep.Skipped != "" || rep.Drifted {
 		t.Fatalf("calibrated stage-1 check failed: %+v", rep)
 	}
-	if len(rep.Stages) != 1 || rep.Stages[0].N == 0 {
+	if len(rep.Verdicts) != 1 || rep.Verdicts[0].N == 0 {
 		t.Fatalf("report malformed: %+v", rep)
 	}
 
@@ -266,15 +266,15 @@ func TestDriftTruncatedAndCachedSkipped(t *testing.T) {
 	if _, err := r.Run([]Point{pt}); err != nil {
 		t.Fatal(err)
 	}
-	if mon.checked != 1 {
-		t.Fatalf("first run checked %d points, want 1", mon.checked)
+	if got := mon.Totals().Checked; got != 1 {
+		t.Fatalf("first run checked %d points, want 1", got)
 	}
 	// Second run hits the cache: no fresh simulation, no second check.
 	if _, err := r.Run([]Point{pt}); err != nil {
 		t.Fatal(err)
 	}
-	if mon.checked != 1 {
-		t.Fatalf("cached replay re-checked: %d", mon.checked)
+	if got := mon.Totals().Checked; got != 1 {
+		t.Fatalf("cached replay re-checked: %d", got)
 	}
 
 	// A truncated point produces no drift verdict and no Waits digest.
@@ -291,7 +291,7 @@ func TestDriftTruncatedAndCachedSkipped(t *testing.T) {
 	if !prs[0].Truncated() {
 		t.Skip("saturation guard did not trip; nothing to assert")
 	}
-	if mon.checked != 1 {
+	if mon.Totals().Checked != 1 {
 		t.Fatalf("truncated point reached the monitor")
 	}
 	for _, ev := range ring2.Events() {
@@ -321,4 +321,21 @@ func TestDriftCheckAllocs(t *testing.T) {
 	if allocs > 60 {
 		t.Fatalf("DriftMonitor.Check made %v allocations, want ≤ 60", allocs)
 	}
+}
+
+// pinCheck replays one point's captured replication configurations
+// through the runner's drift path — pooling in replication order, then
+// the one check over stages and, on graph points, switches — and
+// returns every verdict, stage verdicts first, with the skip reason.
+func pinCheck(mon *DriftMonitor, pt *Point, reps []*simnet.Config) ([]pinVerdict, string, error) {
+	stageHists, switches := poolDriftHists(reps, pt.Cfg.Stages, false)
+	rep, err := mon.check(&pt.Cfg, stageHists, switches)
+	if err != nil {
+		return nil, "", err
+	}
+	var out []pinVerdict
+	for _, v := range rep.Verdicts {
+		out = append(out, pinVerdict(v))
+	}
+	return out, rep.Skipped, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"banyan/internal/dist"
@@ -212,6 +213,31 @@ func TestGraphSwitchDriftWrongModelTriggers(t *testing.T) {
 	}
 	if swEvents == 0 {
 		t.Fatal("no drift event carried a switch index")
+	}
+}
+
+// TestGraphSwitchDriftOneModelPerStage: a graph point's stage and
+// switch verdicts are held against one model per stage, so a 3-stage
+// point asks its reference for three models, not one per check path.
+func TestGraphSwitchDriftOneModelPerStage(t *testing.T) {
+	var calls atomic.Int64
+	mon := &DriftMonitor{
+		Reference: func(cfg *simnet.Config, stage, support int) (dist.PMF, error) {
+			calls.Add(1)
+			return (&DriftMonitor{}).model(cfg, stage, support)
+		},
+	}
+	r := &Runner{RootSeed: 5, Drift: mon}
+	pt := Point{Label: "graph-models", Engine: Graph,
+		Cfg: simnet.Config{K: 2, Stages: 3, P: 0.4, Cycles: 4000, Warmup: 400}}
+	if _, err := r.Run([]Point{pt}); err != nil {
+		t.Fatal(err)
+	}
+	if tot := mon.Totals(); tot.Checked != 1 || tot.SwitchesChecked != 12 {
+		t.Fatalf("point not checked by stage and switch: %+v", tot)
+	}
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("Reference called %d times for 3 stages, want 3", got)
 	}
 }
 

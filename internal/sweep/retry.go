@@ -131,7 +131,7 @@ func (r *Runner) attempt(ctx context.Context, pr *PointResult, rep int, cfg *sim
 		// The retry reuses cfg, so it must not pool the partial waits
 		// of the failed attempt; the caller reads the histograms back
 		// from cfg afterwards.
-		if cfg.WaitHists != nil {
+		if cfg.WaitHists != nil || cfg.SwitchWaitHists != nil {
 			newDriftHists(cfg, cfg.SwitchWaitHists != nil)
 		}
 		if sleepCtx(ctx, r.backoff(pr.Seed, rep, a)) != nil {

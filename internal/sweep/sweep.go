@@ -35,7 +35,6 @@ import (
 	"banyan/internal/faultinject"
 	"banyan/internal/obs"
 	"banyan/internal/simnet"
-	"banyan/internal/stats"
 	"banyan/internal/vr"
 )
 
@@ -373,14 +372,10 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 		failed    bool
 		started   bool
 		startedAt time.Time
-		// hists holds each replication's per-stage waiting-time
-		// histograms (drift-monitor data path); nil unless r.Drift is set
-		// and the point is freshly simulated.
-		hists [][]*stats.Hist
-		// swHists holds each replication's per-(stage, switch)
-		// waiting-time histograms; nil unless r.Drift is set and the
-		// point runs on the graph engine.
-		swHists [][][]*stats.Hist
+		// drift holds each replication's config, whose drift histograms
+		// the engine filled (see newDriftHists); nil unless r.Drift is
+		// set and the point is freshly simulated.
+		drift []*simnet.Config
 	}
 	states := make([]pointState, len(points))
 	repsTotal := 0
@@ -454,10 +449,7 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 		}
 		st.pending = st.waves[0]
 		if r.Drift != nil {
-			st.hists = make([][]*stats.Hist, budget)
-			if p.Engine == Graph {
-				st.swHists = make([][][]*stats.Hist, budget)
-			}
+			st.drift = make([]*simnet.Config, budget)
 		}
 		jobs = append(jobs, repJobs(i, 0, st.waves[0])...)
 	}
@@ -502,18 +494,15 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 				// retries share its one-shot state.
 				cfg.Fault = r.Fault.Rep(st.pr.Key, j.rep)
 			}
-			if st.hists != nil {
-				newDriftHists(&cfg, st.swHists != nil)
+			if st.drift != nil {
+				newDriftHists(&cfg, st.pr.Point.Engine == Graph)
 			}
 			res, err = r.attempt(ctx, st.pr, j.rep, &cfg)
-			if st.hists != nil {
-				// Read back after attempt, which gives every retry fresh
-				// histograms. Each replication slot is owned by exactly
-				// one worker, like Runs.
-				st.hists[j.rep] = cfg.WaitHists
-				if st.swHists != nil {
-					st.swHists[j.rep] = cfg.SwitchWaitHists
-				}
+			if st.drift != nil {
+				// attempt gives every retry fresh histograms in cfg.
+				// Each replication slot is owned by exactly one worker,
+				// like Runs.
+				st.drift[j.rep] = &cfg
 			}
 		}
 		// A cancelled or skipped replication (a sibling already failed
@@ -593,11 +582,8 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 		st.pr.VR = est
 		if unrun > 0 {
 			st.pr.Runs = st.pr.Runs[:n]
-			if st.hists != nil {
-				st.hists = st.hists[:n]
-			}
-			if st.swHists != nil {
-				st.swHists = st.swHists[:n]
+			if st.drift != nil {
+				st.drift = st.drift[:n]
 			}
 		}
 		if est != nil && est.Stopped {
@@ -635,19 +621,13 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 				ev.Dropped += run.Dropped
 			}
 		}
-		merged := mergeWaitHists(st.hists, st.pr.Point.Cfg.Stages, st.pr.Truncated())
-		if merged != nil {
-			ev.Waits = stageQuantiles(merged)
+		stageHists, switches := poolDriftHists(st.drift, st.pr.Point.Cfg.Stages, st.pr.Truncated())
+		if stageHists != nil {
+			ev.Waits = stageQuantiles(stageHists)
 		}
 		r.settle(st.pr, LedgerDone, unrun, ev)
-		if merged != nil {
-			r.checkDrift(st.pr, merged)
-		}
-		if st.swHists != nil {
-			cfg := &st.pr.Point.Cfg
-			if msw := mergeSwitchHists(st.swHists, cfg.Stages, switchCount(cfg), st.pr.Truncated()); msw != nil {
-				r.checkSwitchDrift(st.pr, msw)
-			}
+		if stageHists != nil {
+			r.checkDrift(st.pr, stageHists, switches)
 		}
 		return nil
 	}
