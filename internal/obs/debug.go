@@ -41,12 +41,10 @@ type DebugOptions struct {
 	Tracer   *Tracer
 	TSDB     *TSDB
 	// Probe, when set, adds the graph engine's per-switch telemetry
-	// (backlog high-water marks, blocked cycles, saturation verdicts) to
-	// the /debug/hist response as a "switches" section.
+	// (backlog high-water marks, blocked cycles, and the saturation
+	// verdicts the engine decided) to the /debug/hist response as a
+	// "switches" section.
 	Probe *SimProbe
-	// SatDepth is the backlog high-water mark at or above which a switch
-	// is reported saturated (0 = 32, simnet's default).
-	SatDepth int
 }
 
 // Query-parameter bounds: values outside these are a client error, and
@@ -122,8 +120,8 @@ func histFamilies(hists *HistSet) []HistFamily {
 
 // switchJSON is one switch's graph-engine telemetry in the /debug/hist
 // response: aggregate backlog high-water mark and blocked-cycle count
-// across the probe's runs, plus the saturation verdict at the
-// configured depth.
+// across the probe's runs, plus the saturation verdict (saturated in
+// some run, at that run's configured depth).
 type switchJSON struct {
 	Stage     int   `json:"stage"`  // 1-based
 	Switch    int   `json:"switch"` // 0-based within the stage
@@ -132,18 +130,14 @@ type switchJSON struct {
 	Saturated bool  `json:"saturated"`
 }
 
-func switchesToJSON(snap *ProbeSnapshot, satDepth int) []switchJSON {
+func switchesToJSON(snap *ProbeSnapshot) []switchJSON {
 	var out []switchJSON
 	for s, hws := range snap.SwitchHighWater {
 		for id, hw := range hws {
-			var blocked int64
-			if s < len(snap.SwitchBlocked) && id < len(snap.SwitchBlocked[s]) {
-				blocked = snap.SwitchBlocked[s][id]
-			}
 			out = append(out, switchJSON{
-				Stage: s + 1, Switch: id,
-				HighWater: hw, Blocked: blocked,
-				Saturated: blocked > 0 || hw >= int64(satDepth),
+				Stage: s + 1, Switch: id, HighWater: hw,
+				Blocked:   snap.SwitchBlocked[s][id],
+				Saturated: snap.SwitchSaturated[s][id],
 			})
 		}
 	}
@@ -168,10 +162,7 @@ func StartDebugServer(addr string, opts DebugOptions) (*DebugServer, error) {
 		})
 	}
 	if opts.Hists != nil {
-		hists, probe, satDepth := opts.Hists, opts.Probe, opts.SatDepth
-		if satDepth <= 0 {
-			satDepth = 32
-		}
+		hists, probe := opts.Hists, opts.Probe
 		mux.HandleFunc("/debug/hist", func(w http.ResponseWriter, r *http.Request) {
 			width, ok := intParam(r, "width", sparkWidthDefault, sparkWidthMin, sparkWidthMax)
 			if !ok {
@@ -194,7 +185,7 @@ func StartDebugServer(addr string, opts DebugOptions) (*DebugServer, error) {
 			}
 			if probe != nil {
 				snap := probe.Snapshot()
-				resp.Switches = switchesToJSON(&snap, satDepth)
+				resp.Switches = switchesToJSON(&snap)
 				resp.BlockedCycles = snap.BlockedCycles
 			}
 			w.Header().Set("Content-Type", "application/json")

@@ -261,8 +261,8 @@ func TestDebugConcurrentScrape(t *testing.T) {
 
 // TestDebugHistSwitches checks the /debug/hist "switches" section: with
 // a probe carrying graph-engine per-switch telemetry the endpoint
-// reports high-water marks, blocked cycles, and saturation verdicts;
-// without one the section is absent entirely.
+// reports high-water marks, blocked cycles, and the engine's saturation
+// verdicts; without one the section is absent entirely.
 func TestDebugHistSwitches(t *testing.T) {
 	hs := NewHistSet()
 	hs.Total().Record(1)
@@ -270,6 +270,7 @@ func TestDebugHistSwitches(t *testing.T) {
 	probe.Record(RunSample{
 		SwitchHW:      [][]int64{{40, 3}, {1, 0}},
 		SwitchBlocked: [][]int64{{0, 7}, {0, 0}},
+		SwitchSat:     [][]bool{{true, true}, {false, false}},
 		BlockedCycles: 7,
 	})
 	srv := startTestServer(t, DebugOptions{Hists: hs, Probe: probe})

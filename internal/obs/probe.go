@@ -28,9 +28,12 @@ type RunSample struct {
 	StageHighWater []int64
 	// SwitchHW[i][s] / SwitchBlocked[i][s] are the graph engine's
 	// per-switch backlog high-water marks and blocked-cycle counts
-	// (stage i+1, switch s); nil for the stage-model engines.
+	// (stage i+1, switch s), and SwitchSat[i][s] the run's saturation
+	// verdict, decided by the engine at the run's saturation depth; all
+	// nil for the stage-model engines.
 	SwitchHW      [][]int64
 	SwitchBlocked [][]int64
+	SwitchSat     [][]bool
 	// BlockedCycles is the run's total count of (port, cycle) pairs the
 	// graph engine spent blocked on a full downstream buffer.
 	BlockedCycles int64
@@ -65,6 +68,7 @@ type SimProbe struct {
 	stageHW       []int64
 	switchHW      [][]int64
 	switchBlocked [][]int64
+	switchSat     [][]bool
 	blockedCycles int64
 }
 
@@ -109,11 +113,13 @@ func (p *SimProbe) Record(s RunSample) {
 	for len(p.switchHW) < len(s.SwitchHW) {
 		p.switchHW = append(p.switchHW, nil)
 		p.switchBlocked = append(p.switchBlocked, nil)
+		p.switchSat = append(p.switchSat, nil)
 	}
 	for i, hws := range s.SwitchHW {
 		for len(p.switchHW[i]) < len(hws) {
 			p.switchHW[i] = append(p.switchHW[i], 0)
 			p.switchBlocked[i] = append(p.switchBlocked[i], 0)
+			p.switchSat[i] = append(p.switchSat[i], false)
 		}
 		for j, hw := range hws {
 			if hw > p.switchHW[i][j] {
@@ -123,6 +129,14 @@ func (p *SimProbe) Record(s RunSample) {
 		if i < len(s.SwitchBlocked) {
 			for j, b := range s.SwitchBlocked[i] {
 				p.switchBlocked[i][j] += b
+			}
+		}
+		// A switch saturated in any run is saturated in the aggregate:
+		// the same verdict the rule gives on the max high-water mark and
+		// the summed blocked count.
+		if i < len(s.SwitchSat) {
+			for j, sat := range s.SwitchSat[i] {
+				p.switchSat[i][j] = p.switchSat[i][j] || sat
 			}
 		}
 	}
@@ -140,12 +154,13 @@ type ProbeSnapshot struct {
 	Messages       int64
 	MaxInFlight    int64
 	StageHighWater []int64
-	// SwitchHighWater / SwitchBlocked carry the graph engine's
-	// per-switch aggregates (max and sum across runs respectively);
-	// empty when no graph run flushed into this probe. BlockedCycles is
-	// the summed blocked-(port, cycle) count.
+	// SwitchHighWater / SwitchBlocked / SwitchSaturated carry the graph
+	// engine's per-switch aggregates (max, sum and OR across runs
+	// respectively); empty when no graph run flushed into this probe.
+	// BlockedCycles is the summed blocked-(port, cycle) count.
 	SwitchHighWater [][]int64
 	SwitchBlocked   [][]int64
+	SwitchSaturated [][]bool
 	BlockedCycles   int64
 }
 
@@ -169,6 +184,7 @@ func (p *SimProbe) Snapshot() ProbeSnapshot {
 	for i := range p.switchHW {
 		s.SwitchHighWater = append(s.SwitchHighWater, append([]int64(nil), p.switchHW[i]...))
 		s.SwitchBlocked = append(s.SwitchBlocked, append([]int64(nil), p.switchBlocked[i]...))
+		s.SwitchSaturated = append(s.SwitchSaturated, append([]bool(nil), p.switchSat[i]...))
 	}
 	if n := s.FreeListHits + s.SlotAllocs; n > 0 {
 		s.FreeListRate = float64(s.FreeListHits) / float64(n)

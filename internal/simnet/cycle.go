@@ -182,8 +182,7 @@ func runCycle(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena, g 
 			pc = newRunProbe(cfg, n, "literal", &ar.probe)
 		} else {
 			pc = newRunProbe(cfg, n, "graph", &ar.probe)
-			pc.switchHW = g.hw
-			pc.switchBlocked = g.blocked
+			pc.graph = g
 		}
 		defer func() { pc.flush(cfg.Probe, t, res) }()
 	}

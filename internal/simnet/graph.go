@@ -174,9 +174,15 @@ func (g *graphNet) swBlock(stage int, port int32) {
 	g.blocked[stage][g.swid[stage][port]]++
 }
 
+// saturated is the one switch saturation rule, applied at cfg's
+// SatDepth: switch id of 0-based stage s blocked at least once, or its
+// backlog reached the depth.
+func (g *graphNet) saturated(cfg *Config, s, id int) bool {
+	return g.blocked[s][id] > 0 || g.hw[s][id] >= int64(cfg.satDepth())
+}
+
 // switchSat renders the counters into Result.SwitchSat verdicts.
 func (g *graphNet) switchSat(cfg *Config) []SwitchStat {
-	sd := int64(cfg.satDepth())
 	out := make([]SwitchStat, 0, g.n*g.rows/g.k)
 	for s := 0; s < g.n; s++ {
 		for id := range g.hw[s] {
@@ -184,8 +190,22 @@ func (g *graphNet) switchSat(cfg *Config) []SwitchStat {
 				Stage: s + 1, Switch: id,
 				HighWater: g.hw[s][id],
 				Blocked:   g.blocked[s][id],
-				Saturated: g.blocked[s][id] > 0 || g.hw[s][id] >= sd,
+				Saturated: g.saturated(cfg, s, id),
 			})
+		}
+	}
+	return out
+}
+
+// satVerdicts writes the run's saturation verdict of every switch into
+// out, stage by stage, reusing its capacity (the probe's per-run
+// sample), and returns it.
+func (g *graphNet) satVerdicts(cfg *Config, out [][]bool) [][]bool {
+	out = resized(out, g.n)
+	for s := range out {
+		out[s] = resized(out[s], len(g.hw[s]))
+		for id := range out[s] {
+			out[s][id] = g.saturated(cfg, s, id)
 		}
 	}
 	return out

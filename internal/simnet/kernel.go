@@ -85,9 +85,7 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena, g
 	var pc *runProbe
 	if cfg.Probe != nil {
 		pc = newRunProbe(cfg, n, engine, &ar.probe)
-		if g != nil {
-			pc.switchHW, pc.switchBlocked = g.hw, g.blocked
-		}
+		pc.graph = g
 		defer func() { pc.flush(cfg.Probe, t, res) }()
 	}
 	wh := cfg.WaitHists

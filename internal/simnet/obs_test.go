@@ -2,9 +2,11 @@ package simnet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"reflect"
 	"sort"
 	"testing"
@@ -535,4 +537,65 @@ func TestIdleSkipPolls(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDebugHistSwitchVerdicts: the /debug/hist switches section reports
+// the saturation verdicts the engine decided at the run's own
+// Config.SatDepth, so they equal Result.SwitchSat at a shallow depth and
+// at the default one, with no depth handed to the debug server.
+func TestDebugHistSwitchVerdicts(t *testing.T) {
+	saturated := map[int]int{}
+	for _, depth := range []int{4, 0} {
+		cfg := Config{
+			K: 2, Stages: 4, P: 0.5, HotModule: 0.1, Cycles: 3000, Warmup: 300, Seed: 3,
+			Topology: topology.Omega, TrackSwitches: true, SatDepth: depth,
+		}
+		probe := obs.NewSimProbe()
+		probe.Hists = obs.NewHistSet()
+		cfg.Probe = probe
+		res := mustRun(t, Graph, &cfg)
+
+		srv, err := obs.StartDebugServer("127.0.0.1:0", obs.DebugOptions{Hists: probe.Hists, Probe: probe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get("http://" + srv.Addr() + "/debug/hist")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Switches []struct {
+				Stage     int   `json:"stage"`
+				Switch    int   `json:"switch"`
+				HighWater int64 `json:"high_water"`
+				Blocked   int64 `json:"blocked"`
+				Saturated bool  `json:"saturated"`
+			} `json:"switches"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		srv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body.Switches) != len(res.SwitchSat) {
+			t.Fatalf("depth %d: /debug/hist has %d switches, Result.SwitchSat %d", depth, len(body.Switches), len(res.SwitchSat))
+		}
+		for i, sw := range body.Switches {
+			want := res.SwitchSat[i]
+			if sw.Stage != want.Stage || sw.Switch != want.Switch || sw.HighWater != want.HighWater ||
+				sw.Blocked != want.Blocked || sw.Saturated != want.Saturated {
+				t.Fatalf("depth %d: /debug/hist switch %+v, Result.SwitchSat %+v", depth, sw, want)
+			}
+			if sw.Saturated {
+				saturated[depth]++
+			}
+		}
+	}
+	// The depths must tell the run's switches apart, or the test could
+	// pass on a server that ignored the run's depth.
+	if saturated[4] <= saturated[0] {
+		t.Fatalf("depth 4 saturates %d switches, the default depth %d", saturated[4], saturated[0])
+	}
+	t.Logf("saturated switches: depth 4 → %d, default → %d", saturated[4], saturated[0])
 }

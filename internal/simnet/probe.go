@@ -23,11 +23,11 @@ type runProbe struct {
 	stageLoad  []int64
 	stageHW    []int64
 
-	// Per-switch counters, aliased to the graph engine's live arrays
-	// (nil for the stage-model engines): backlog high-water marks and
-	// blocked-cycle counts per (stage, switch).
-	switchHW      [][]int64
-	switchBlocked [][]int64
+	// graph is the graph engine's routing state, whose per-switch
+	// counters the flush reports with their saturation verdicts under
+	// cfg; nil for the stage-model engines.
+	graph *graphNet
+	cfg   *Config
 
 	// Distributional telemetry (Probe.Hists / Probe.Tracer); all nil
 	// when the probe carries neither, so the hooks below reduce to a
@@ -43,16 +43,17 @@ type runProbe struct {
 	scr     *probeScratch
 	stages  int
 	engine  string
-	seed    uint64
 }
 
 // probeScratch is the reusable scratch of a run's probe: the histogram
-// buffers (one per stage, then one for the total) and the sampled-slot
-// bitset. The pooled engines keep it in their arena, so back-to-back
-// probed runs allocate neither.
+// buffers (one per stage, then one for the total), the sampled-slot
+// bitset and the graph engine's per-switch saturation verdicts. The
+// pooled engines keep it in their arena, so back-to-back probed runs
+// allocate none of them.
 type probeScratch struct {
 	hbuf    []obs.HistBuf
 	sampled []uint64
+	sat     [][]bool
 }
 
 func newRunProbe(cfg *Config, stages int, engine string, scr *probeScratch) *runProbe {
@@ -62,7 +63,7 @@ func newRunProbe(cfg *Config, stages int, engine string, scr *probeScratch) *run
 		scr:       scr,
 		stages:    stages,
 		engine:    engine,
-		seed:      cfg.Seed,
+		cfg:       cfg,
 	}
 	if hs := cfg.Probe.Hists; hs != nil {
 		pc.hists = append(hs.Stages(stages), hs.Total())
@@ -101,7 +102,7 @@ func (pc *runProbe) admit(si int32, meas bool, arrival int64, dest uint32) {
 	}
 	pc.sampled[si>>6] |= 1 << (uint(si) & 63)
 	pc.spans[si] = obs.Span{
-		Msg: seq, Seed: pc.seed, Engine: pc.engine,
+		Msg: seq, Seed: pc.cfg.Seed, Engine: pc.engine,
 		Dest: dest, Arrival: arrival,
 		Stages: make([]obs.StageSpan, pc.stages),
 	}
@@ -206,7 +207,7 @@ func (pc *runProbe) flush(p *obs.SimProbe, t int64, res *Result) {
 	if pc.tracer != nil {
 		pc.scr.sampled = pc.sampled
 	}
-	p.Record(obs.RunSample{
+	s := obs.RunSample{
 		Cycles:         t - pc.lastFlush,
 		BlockPulls:     pc.blockPulls,
 		FreeListHits:   pc.freeHits,
@@ -214,8 +215,12 @@ func (pc *runProbe) flush(p *obs.SimProbe, t int64, res *Result) {
 		Messages:       res.Messages,
 		MaxInFlight:    pc.maxActive,
 		StageHighWater: pc.stageHW,
-		SwitchHW:       pc.switchHW,
-		SwitchBlocked:  pc.switchBlocked,
 		BlockedCycles:  res.BlockedCycles,
-	})
+	}
+	if g := pc.graph; g != nil {
+		// Record copies the sample, so the verdicts can live in scratch.
+		pc.scr.sat = g.satVerdicts(pc.cfg, pc.scr.sat)
+		s.SwitchHW, s.SwitchBlocked, s.SwitchSat = g.hw, g.blocked, pc.scr.sat
+	}
+	p.Record(s)
 }

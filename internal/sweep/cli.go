@@ -241,6 +241,7 @@ func (o *RunOptions) Apply(r *Runner) (context.Context, func(), error) {
 			Hists:    r.Probe.Hists,
 			Tracer:   r.Probe.Tracer,
 			TSDB:     tsdb,
+			Probe:    r.Probe,
 		})
 		if err != nil {
 			tsdb.Stop()

@@ -343,20 +343,18 @@ func (d *DriftMonitor) check(cfg *simnet.Config, stageHists []*stats.Hist, switc
 	return rep, nil
 }
 
-// checkDrift runs the drift monitor on a completed point's pooled
-// histograms (see poolDriftHists) and emits one drift event per drifted
-// verdict, stages before switches. The monitor is diagnostic-only: a
-// modelling failure surfaces as a drift event carrying the error, never
-// as a point failure.
-func (r *Runner) checkDrift(pr *PointResult, stageHists []*stats.Hist, switches [][]*stats.Hist) {
-	rep, err := r.Drift.check(&pr.Point.Cfg, stageHists, switches)
+// emitDrift emits a checked point's drift events: one per drifted
+// verdict of pr.Drift, stages before switches, or one carrying err when
+// the check failed. The monitor is diagnostic-only: a modelling failure
+// surfaces as a drift event, never as a point failure.
+func (r *Runner) emitDrift(pr *PointResult, err error) {
 	if err != nil {
 		ev := pointEvent(obs.EventDrift, pr)
 		ev.Err = err.Error()
 		r.emit(ev)
 		return
 	}
-	for _, v := range rep.Verdicts {
+	for _, v := range pr.Drift.Verdicts {
 		if !v.Drifted {
 			continue
 		}

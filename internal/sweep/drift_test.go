@@ -1,6 +1,10 @@
 package sweep
 
 import (
+	"context"
+	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"banyan/internal/dist"
@@ -338,4 +342,144 @@ func pinCheck(mon *DriftMonitor, pt *Point, reps []*simnet.Config) ([]pinVerdict
 		out = append(out, pinVerdict(v))
 	}
 	return out, rep.Skipped, nil
+}
+
+// TestPointResultDrift: PointResult.Drift is the monitor's report on the
+// point's replications pooled. On a fast point its verdicts are those
+// DriftMonitor.Check gives on the pooled stage histograms; on a graph
+// point those come first, followed by the verdicts of the pooled
+// per-switch histograms. It is nil without a monitor, on cache shares,
+// on journal resumes and on truncated points.
+func TestPointResultDrift(t *testing.T) {
+	base := simnet.Config{K: 2, Stages: 3, P: 0.4, Cycles: 4000, Warmup: 400}
+	for _, pt := range []Point{
+		{Label: "fast", Reps: 2, Cfg: base},
+		{Label: "graph", Engine: Graph, Reps: 2, Cfg: base},
+	} {
+		var (
+			mu   sync.Mutex
+			reps = map[uint64]*simnet.Config{}
+		)
+		r := &Runner{RootSeed: 5, Drift: &DriftMonitor{}, Cache: NewCache()}
+		r.runRep = func(ctx context.Context, e Engine, cfg *simnet.Config) (*simnet.Result, error) {
+			res, err := simnet.RunEngine(ctx, e, cfg, nil)
+			mu.Lock()
+			reps[cfg.Seed] = cfg
+			mu.Unlock()
+			return res, err
+		}
+		prs, err := r.Run([]Point{pt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := prs[0]
+		if pr.Drift == nil || pr.Drift.Skipped != "" {
+			t.Fatalf("%s: no drift report: %+v", pt.Label, pr.Drift)
+		}
+		// Pool the captured histograms independently of the runner: every
+		// stage histogram is the sum of the stage's histograms over the
+		// replications and, on the graph point, over its switches.
+		stageHists := make([]*stats.Hist, base.Stages)
+		var switches [][]*stats.Hist
+		if pt.Engine == Graph {
+			switches = make([][]*stats.Hist, base.Stages)
+		}
+		for i := range stageHists {
+			stageHists[i] = &stats.Hist{}
+			for rep := range pr.Runs {
+				cfg := reps[simnet.SplitSeed(pr.Seed, uint64(rep))]
+				if switches == nil {
+					stageHists[i].Merge(cfg.WaitHists[i])
+					continue
+				}
+				for s, h := range cfg.SwitchWaitHists[i] {
+					if rep == 0 {
+						switches[i] = append(switches[i], &stats.Hist{})
+					}
+					switches[i][s].Merge(h)
+					stageHists[i].Merge(h)
+				}
+			}
+		}
+		want, err := (&DriftMonitor{}).Check(&pr.Point.Cfg, stageHists)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pr.Drift.Verdicts
+		if len(got) < len(want.Verdicts) || !slices.Equal(got[:len(want.Verdicts)], want.Verdicts) {
+			t.Fatalf("%s: stage verdicts %+v, Check on the pooled histograms gives %+v", pt.Label, got, want.Verdicts)
+		}
+		if switches == nil {
+			if len(got) != base.Stages {
+				t.Fatalf("fast point has %d verdicts, want %d", len(got), base.Stages)
+			}
+		} else {
+			full, err := (&DriftMonitor{}).check(&pr.Point.Cfg, stageHists, switches)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) <= base.Stages || !slices.Equal(got, full.Verdicts) {
+				t.Fatalf("graph verdicts %+v, want %+v", got, full.Verdicts)
+			}
+		}
+		if pr.Drift.Drifted {
+			t.Fatalf("%s: healthy point drifted: %+v", pt.Label, pr.Drift)
+		}
+		// A cache share was not checked by this run.
+		prs, err = r.Run([]Point{pt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prs[0].Drift != nil {
+			t.Fatalf("%s: cache share carries a drift report", pt.Label)
+		}
+	}
+
+	pt := calibratedPoint(2)
+	pt.Cfg.Cycles = 4000
+	prs, err := (&Runner{RootSeed: 5}).Run([]Point{pt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prs[0].Drift != nil {
+		t.Fatalf("point run without a monitor carries a drift report")
+	}
+
+	path := filepath.Join(t.TempDir(), "drift.ckpt")
+	for pass, want := range []LedgerStatus{LedgerDone, LedgerResumed} {
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		led := NewLedgerCollector()
+		r := &Runner{RootSeed: 5, Journal: j, Drift: &DriftMonitor{}, Ledger: led}
+		prs, err := r.Run([]Point{pt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := led.Rows()[0].Status; got != want {
+			t.Fatalf("pass %d settled %s, want %s", pass, got, want)
+		}
+		if (prs[0].Drift != nil) != (want == LedgerDone) {
+			t.Fatalf("pass %d (%s): drift report %+v", pass, want, prs[0].Drift)
+		}
+	}
+
+	sat := Point{Label: "saturated", Cfg: simnet.Config{
+		K: 2, Stages: 2, P: 0.9, Cycles: 5000, Warmup: 100,
+		AllowUnstable: true, MaxInFlight: 1, DrainCycles: 1,
+	}}
+	prs, err = (&Runner{RootSeed: 5, Drift: &DriftMonitor{}}).Run([]Point{sat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !prs[0].Truncated() {
+		t.Fatal("saturation guard did not trip")
+	}
+	if prs[0].Drift != nil {
+		t.Fatalf("truncated point carries a drift report: %+v", prs[0].Drift)
+	}
 }

@@ -89,6 +89,12 @@ type PointResult struct {
 	// Student-t interval — computed whenever the runner has a VR plan.
 	// Nil on failed points and on runs without a plan.
 	VR *vr.Estimate
+	// Drift is the drift monitor's report on the point's waiting times,
+	// pooled over its replications (see Runner.Drift). Nil without a
+	// monitor, on failed and truncated points, when the check itself
+	// failed, and on points this run did not simulate: cache shares,
+	// journal resumes and in-batch aliases, like Cost.
+	Drift *DriftReport
 
 	// Err is the point's terminal error: a validation failure, a
 	// recovered panic (*PanicError), a simulation error that survived
@@ -189,8 +195,9 @@ type Runner struct {
 	// histograms for every freshly simulated point
 	// (simnet.Config.WaitHists — also hash-excluded and result-neutral)
 	// and checks the merged distributions against the analytic model
-	// when the point completes, emitting an EventDrift naming the
-	// offending stage on divergence. Cached, journaled and aliased
+	// when the point completes, recording the report in
+	// PointResult.Drift and emitting an EventDrift naming the offending
+	// stage on divergence. Cached, journaled and aliased
 	// points are served without re-simulation and are not re-checked.
 	Drift *DriftMonitor
 	// Fault, when non-nil, arms the deterministic chaos injection points
@@ -430,8 +437,8 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 				shared.Point = *p
 				// The hit's cost was attributed where it was paid; a
 				// share costs (essentially) nothing and must not
-				// double-count.
-				shared.Cost = nil
+				// double-count. Nor was it checked for drift here.
+				shared.Cost, shared.Drift = nil, nil
 				if shared.VR == nil || !r.VR.Enabled() {
 					shared.VR = r.estimate(p, shared.Runs)
 				}
@@ -595,6 +602,13 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 		// Aggregation iterates replications in order, so the pooled
 		// statistics do not depend on which worker finished last.
 		st.pr.Agg = simnet.Aggregate(st.pr.Runs, st.pr.Point.Cfg.Stages)
+		// The drift check completes the result before it is shared
+		// through the cache.
+		stageHists, switches := poolDriftHists(st.drift, st.pr.Point.Cfg.Stages, st.pr.Truncated())
+		var driftErr error
+		if stageHists != nil {
+			st.pr.Drift, driftErr = r.Drift.check(&st.pr.Point.Cfg, stageHists, switches)
+		}
 		if r.Cache != nil {
 			r.Cache.put(r.artifactKey(st.pr.Key), st.pr)
 		}
@@ -621,13 +635,12 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 				ev.Dropped += run.Dropped
 			}
 		}
-		stageHists, switches := poolDriftHists(st.drift, st.pr.Point.Cfg.Stages, st.pr.Truncated())
 		if stageHists != nil {
 			ev.Waits = stageQuantiles(stageHists)
 		}
 		r.settle(st.pr, LedgerDone, unrun, ev)
 		if stageHists != nil {
-			r.checkDrift(st.pr, stageHists, switches)
+			r.emitDrift(st.pr, driftErr)
 		}
 		return nil
 	}
@@ -679,7 +692,7 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 			// shares, an alias carries no cost of its own.
 			shared := *states[st.aliasOf].pr
 			shared.Point = points[i]
-			shared.Cost = nil
+			shared.Cost, shared.Drift = nil, nil
 			out[i] = &shared
 			if r.Ledger != nil {
 				r.Ledger.Observe(&shared, LedgerAliased)
