@@ -511,10 +511,14 @@ func runCycle(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena, g 
 		}
 
 		// 5. Occupancy sampling at end of cycle: queued messages plus an
-		// in-service message whose packets are still draining.
+		// in-service message whose packets are still draining. Ports run
+		// in the outer loop so the stages' accumulators form n independent
+		// dependency chains instead of one; each QueueDepth[s] still sees
+		// its ports in order, so the sums are unchanged bit for bit.
 		if cfg.TrackOccupancy && t >= int64(cfg.Warmup) && t < int64(meta.Horizon) {
-			for s := 0; s < n; s++ {
-				for _, q := range queues[s*rows : (s+1)*rows] {
+			for r := 0; r < rows; r++ {
+				for s := 0; s < n; s++ {
+					q := &queues[s*rows+r]
 					occ := int(q.n)
 					if q.freeAt > t {
 						occ++

@@ -85,10 +85,12 @@ func fuzzRingChunk(seed uint64) int {
 
 // FuzzEngineEquivalence cross-checks the four engines on arbitrary
 // bounded configurations: the batch kernel must match the scalar
-// reference engine bit for bit (the determinism contract); the
-// topology-true graph engine, under its default omega wiring with
-// unlimited buffers, must collapse to the kernel bit for bit (the
-// graph-collapse contract); and, when the run is not truncated, all must
+// reference engine bit for bit (the determinism contract), and so must
+// the kernel with its stages split over two goroutines at a drawn stage
+// (the split contract); the topology-true graph engine, under its
+// default omega wiring with unlimited buffers, must collapse to the
+// kernel bit for bit (the graph-collapse contract); and, when the run
+// is not truncated, all must
 // agree with the cycle-driven literal engine on the measured population
 // and, statistically, on the mean wait. The seed corpus covers the edge
 // regimes: saturation and truncation (with AllowUnstable draws past
@@ -168,8 +170,30 @@ func FuzzEngineEquivalence(f *testing.F) {
 			t.Fatalf("error mismatch: kernel %v, graph %v (cfg %+v)", kerr, werr, cfg)
 		}
 
+		// Split leg: the kernel with its stages split over two groups at a
+		// drawn stage (pipeline.go) must be the one-group kernel bit for
+		// bit — same errors, same Result.
+		var sres *Result
+		var serr error
+		if cfg.Stages > 1 {
+			scfg := cfg
+			ssrc, err := NewTraceStream(&scfg, bc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ssrc.blockMsgs = bm
+			h := 1 + int(seed>>45)%(cfg.Stages-1)
+			sres, serr = runEngine(context.Background(), Fast, &scfg, ssrc, &arena{ringChunk: rc, split: h})
+			if (kerr == nil) != (serr == nil) {
+				t.Fatalf("error mismatch: kernel %v, split kernel %v (cfg %+v)", kerr, serr, cfg)
+			}
+		}
+
 		if kerr != nil {
 			return // all rejected (no measured messages)
+		}
+		if sres != nil && !reflect.DeepEqual(kres, sres) {
+			t.Fatalf("kernel and split kernel diverge (cfg %+v)\nkernel %+v\nsplit  %+v", cfg, kres, sres)
 		}
 		if !reflect.DeepEqual(kres, rres) {
 			t.Fatalf("kernel and reference diverge (cfg %+v)\nkernel %+v\nref    %+v", cfg, kres, rres)

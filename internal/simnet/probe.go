@@ -43,6 +43,10 @@ type runProbe struct {
 	scr     *probeScratch
 	stages  int
 	engine  string
+
+	// histLo and histHi bound the histogram buffers this view owns and
+	// flushes: all of them, or one stage group's share in a split run.
+	histLo, histHi int
 }
 
 // probeScratch is the reusable scratch of a run's probe: the histogram
@@ -51,9 +55,10 @@ type runProbe struct {
 // pooled engines keep it in their arena, so back-to-back probed runs
 // allocate none of them.
 type probeScratch struct {
-	hbuf    []obs.HistBuf
-	sampled []uint64
-	sat     [][]bool
+	hbuf          []obs.HistBuf
+	sampled       []uint64
+	helperSampled []uint64 // the helper stage group's bitset in a split kernel run
+	sat           [][]bool
 }
 
 func newRunProbe(cfg *Config, stages int, engine string, scr *probeScratch) *runProbe {
@@ -64,6 +69,7 @@ func newRunProbe(cfg *Config, stages int, engine string, scr *probeScratch) *run
 		stages:    stages,
 		engine:    engine,
 		cfg:       cfg,
+		histHi:    stages + 1,
 	}
 	if hs := cfg.Probe.Hists; hs != nil {
 		pc.hists = append(hs.Stages(stages), hs.Total())
@@ -97,15 +103,20 @@ func (pc *runProbe) admit(si int32, meas bool, arrival int64, dest uint32) {
 	if seq%pc.sampleN != 0 {
 		return
 	}
+	pc.openSpan(si, obs.Span{
+		Msg: seq, Seed: pc.cfg.Seed, Engine: pc.engine,
+		Dest: dest, Arrival: arrival,
+		Stages: make([]obs.StageSpan, pc.stages),
+	})
+}
+
+// openSpan files sp as the open span of slot si.
+func (pc *runProbe) openSpan(si int32, sp obs.Span) {
 	if w := int(si >> 6); w >= len(pc.sampled) {
 		pc.sampled = append(pc.sampled, make([]uint64, w+1-len(pc.sampled))...)
 	}
 	pc.sampled[si>>6] |= 1 << (uint(si) & 63)
-	pc.spans[si] = obs.Span{
-		Msg: seq, Seed: pc.cfg.Seed, Engine: pc.engine,
-		Dest: dest, Arrival: arrival,
-		Stages: make([]obs.StageSpan, pc.stages),
-	}
+	pc.spans[si] = sp
 }
 
 // isSampled reports whether slot si holds an open span. The bitset
@@ -170,6 +181,16 @@ func (pc *runProbe) enter(stage int) {
 	}
 }
 
+// enterN records n messages arriving at a stage's backlog at once: the
+// high-water mark n calls of enter would leave.
+func (pc *runProbe) enterN(stage int, n int64) {
+	v := pc.stageLoad[stage] + n
+	pc.stageLoad[stage] = v
+	if v > pc.stageHW[stage] {
+		pc.stageHW[stage] = v
+	}
+}
+
 // leave records n messages departing a stage's backlog.
 func (pc *runProbe) leave(stage int, n int64) {
 	pc.stageLoad[stage] -= n
@@ -193,8 +214,40 @@ func (pc *runProbe) tick(p *obs.SimProbe, t int64) {
 
 // flushHists empties the histogram buffers into the live histograms.
 func (pc *runProbe) flushHists() {
-	for i, h := range pc.hists {
-		pc.hbuf[i].FlushTo(h)
+	for i := pc.histLo; i < pc.histHi && i < len(pc.hists); i++ {
+		pc.hbuf[i].FlushTo(pc.hists[i])
+	}
+}
+
+// split hands the stages from h on to a helper view for a split kernel
+// run. The two views share the per-stage counters and histogram
+// buffers, each touching only its own stages' entries (the helper also
+// the total's), but each has its own span map and bitset — they index
+// separate slot stores — and its own free-list counters. join folds the
+// helper view back once the helper has stopped.
+func (pc *runProbe) split(h int) *runProbe {
+	side := &runProbe{
+		stageLoad: pc.stageLoad, stageHW: pc.stageHW,
+		cfg: pc.cfg, hists: pc.hists, hbuf: pc.hbuf, tracer: pc.tracer,
+		scr: pc.scr, stages: pc.stages, engine: pc.engine,
+		histLo: h, histHi: pc.histHi,
+	}
+	if pc.tracer != nil {
+		side.spans = make(map[int32]obs.Span)
+		side.sampled = pc.scr.helperSampled[:0]
+	}
+	pc.histHi = h
+	return side
+}
+
+// join folds a stopped helper view into pc: its histogram buffers are
+// flushed, its free-list counters added, its bitset returned to scratch.
+func (pc *runProbe) join(side *runProbe) {
+	side.flushHists()
+	pc.freeHits += side.freeHits
+	pc.slotAllocs += side.slotAllocs
+	if side.tracer != nil {
+		pc.scr.helperSampled = side.sampled
 	}
 }
 
