@@ -124,9 +124,20 @@ type groupScratch struct {
 
 	freeSlots []int32 // the cycle loop's free list
 
-	batch  []int32 // the cycle's batches, one stage after another
-	bounds []int32 // stage lo+i's batch is batch[bounds[i]:bounds[i+1]]
-	svc    []int64 // resampled service times of the batches, in draw order
+	batch  []int32   // the cycle's batches, one stage after another
+	bounds []int32   // stage lo+i's batch is batch[bounds[i]:bounds[i+1]]
+	svc    []int64   // resampled service times of the batches, in draw order
+	outs   []outcome // the outcomes of the batch being served, for the observer passes
+}
+
+// outcome is what serving a message at a stage decided, kept for the
+// kernel's observer passes: its wait and the output port it took (-1
+// when a failed link dropped it), with the message's measurement flag,
+// so that most passes read no slot.
+type outcome struct {
+	wait int32
+	port int32
+	meas bool
 }
 
 // mrec is one in-flight message: the port it last departed (its input
@@ -270,7 +281,7 @@ func resized[T any](s []T, n int) []T {
 // for a slot store of the given size over stride stages, keeping their
 // contents.
 func (g *groupScratch) fitSlotScratch(slots, stride int, trackWaits bool) {
-	g.freeSlots = growFree(g.freeSlots, slots)
+	g.freeSlots = withCap(g.freeSlots, slots)
 	g.fitWaits(slots, stride, trackWaits)
 }
 
@@ -319,13 +330,12 @@ func growCopy[T any](s []T, n int) []T {
 	return ns
 }
 
-// growFree returns free list s with capacity for n entries, keeping its
-// contents.
-func growFree(s []int32, n int) []int32 {
+// withCap returns s with capacity for n entries, keeping its contents.
+func withCap[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s
 	}
-	ns := make([]int32, len(s), n)
+	ns := make([]T, len(s), n)
 	copy(ns, s)
 	return ns
 }
@@ -422,6 +432,16 @@ func (g *groupScratch) reserve(want int) {
 	}
 }
 
+// outcomes returns the outcome scratch for a batch of n messages. It
+// grows by doubling, so a run's first batches regrow it only a few
+// times, and is kept across runs like the batch scratch.
+func (g *groupScratch) outcomes(n int) []outcome {
+	if cap(g.outs) < n {
+		g.outs = make([]outcome, max(n, 2*cap(g.outs)))
+	}
+	return g.outs[:n]
+}
+
 // trim drops the scratch a run grew past the retention caps.
 func (g *groupScratch) trim() {
 	if len(g.msl) > maxRetainSlots {
@@ -439,6 +459,9 @@ func (g *groupScratch) trim() {
 	}
 	if cap(g.svc) > maxRetainBatch {
 		g.svc = nil
+	}
+	if cap(g.outs) > maxRetainBatch {
+		g.outs = nil
 	}
 }
 

@@ -152,6 +152,28 @@ func (g *graphNet) swLeave(stage int, port int32) {
 	g.load[stage][g.swid[stage][port]]--
 }
 
+// joinBatch records a committed-mode stage's served batch (0-based
+// stage, cycle t) from the kernel's outcomes, in batch order: each
+// measured wait into its switch's wait hist (swh, when kept), and each
+// message joining its switch until the cycle after its service starts,
+// when rel releases it (when the counters are kept).
+func (g *graphNet) joinBatch(t int64, stage int, out []outcome, swh [][]*stats.Hist, rel *kring) {
+	swid := g.swid[stage]
+	relBase := int32(stage * g.rows / g.k)
+	for _, o := range out {
+		if o.port < 0 {
+			continue
+		}
+		if swh != nil && o.meas {
+			swh[stage][swid[o.port]].Add(int(o.wait))
+		}
+		if rel != nil {
+			g.swJoin(stage, o.port)
+			rel.push(t+int64(o.wait)+1, relBase+swid[o.port])
+		}
+	}
+}
+
 // release applies the switch releases r schedules at cycles up to t
 // (flat loadFlat indices; committed mode only), taking each cycle's
 // bucket into scratch, which it returns for reuse.
@@ -174,11 +196,11 @@ func (g *graphNet) swBlock(stage int, port int32) {
 	g.blocked[stage][g.swid[stage][port]]++
 }
 
-// saturated is the one switch saturation rule, applied at cfg's
+// saturated is the one switch saturation rule, applied at a config's
 // SatDepth: switch id of 0-based stage s blocked at least once, or its
 // backlog reached the depth.
-func (g *graphNet) saturated(cfg *Config, s, id int) bool {
-	return g.blocked[s][id] > 0 || g.hw[s][id] >= int64(cfg.satDepth())
+func (g *graphNet) saturated(depth int, s, id int) bool {
+	return g.blocked[s][id] > 0 || g.hw[s][id] >= int64(depth)
 }
 
 // switchSat renders the counters into Result.SwitchSat verdicts.
@@ -190,22 +212,22 @@ func (g *graphNet) switchSat(cfg *Config) []SwitchStat {
 				Stage: s + 1, Switch: id,
 				HighWater: g.hw[s][id],
 				Blocked:   g.blocked[s][id],
-				Saturated: g.saturated(cfg, s, id),
+				Saturated: g.saturated(cfg.satDepth(), s, id),
 			})
 		}
 	}
 	return out
 }
 
-// satVerdicts writes the run's saturation verdict of every switch into
-// out, stage by stage, reusing its capacity (the probe's per-run
-// sample), and returns it.
-func (g *graphNet) satVerdicts(cfg *Config, out [][]bool) [][]bool {
+// satVerdicts writes the run's saturation verdict of every switch at
+// SatDepth depth into out, stage by stage, reusing its capacity (the
+// probe's per-run sample), and returns it.
+func (g *graphNet) satVerdicts(depth int, out [][]bool) [][]bool {
 	out = resized(out, g.n)
 	for s := range out {
 		out[s] = resized(out[s], len(g.hw[s]))
 		for id := range out[s] {
-			out[s][id] = g.saturated(cfg, s, id)
+			out[s][id] = g.saturated(depth, s, id)
 		}
 	}
 	return out

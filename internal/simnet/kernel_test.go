@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"banyan/internal/obs"
 	"banyan/internal/stats"
 	"banyan/internal/traffic"
 )
@@ -154,5 +155,46 @@ func TestGoldenReferenceEngine(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		checkGolden(t, c.name, res, fastGolden)
+	}
+}
+
+// BenchmarkKernelObserved prices the whole telemetry stack on the batch
+// kernel at the shape of the paper's largest total-delay points: k=2,
+// 12 stages, 4096 rows, p=0.8, served by one stage group. "bare" runs
+// with nothing observed; "full" attaches a probe with live histograms
+// and 1-in-64 trace sampling plus the drift histograms, and reports its
+// time over the "bare" run just before it as full/bare, so each
+// invocation with -count 1 is one alternating pair. BENCH.json gates
+// both rows' B/op and allocs/op: the observers' per-batch scratch lives
+// in the arena, so "full" allocates only what it records (spans, map
+// entries, histogram growth), never per batch.
+func BenchmarkKernelObserved(b *testing.B) {
+	cfg := Config{K: 2, Stages: 12, P: 0.8, Cycles: 200, Warmup: 50, Seed: 1986}
+	probe := obs.NewSimProbe()
+	probe.Hists = obs.NewHistSet()
+	probe.Tracer = obs.NewTracer(64, 1<<12)
+	var bareNs float64
+	for _, full := range []bool{false, true} {
+		name := map[bool]string{false: "bare", true: "full"}[full]
+		b.Run(name, func(b *testing.B) {
+			a := new(arena)
+			a.split = -1
+			benchWarm(b, func() {
+				cfg := cfg
+				if full {
+					cfg.Probe = probe
+					cfg.WaitHists = freshHists(&cfg)
+				}
+				if _, err := runEngine(context.Background(), Fast, &cfg, nil, a); err != nil {
+					b.Fatal(err)
+				}
+			})
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			if !full {
+				bareNs = ns
+			} else if bareNs > 0 {
+				b.ReportMetric(ns/bareNs, "full/bare")
+			}
+		})
 	}
 }

@@ -81,6 +81,13 @@ type TraceBlock struct {
 // Len returns the number of messages in the block.
 func (b *TraceBlock) Len() int { return len(b.T) }
 
+// reserve gives every column of the block room for n messages, keeping
+// their contents.
+func (b *TraceBlock) reserve(n int) {
+	b.T, b.In, b.Dest = withCap(b.T, n), withCap(b.In, n), withCap(b.Dest, n)
+	b.Svc, b.Meas = withCap(b.Svc, n), withCap(b.Meas, n)
+}
+
 // ArrivalSource supplies the stage-1 arrival schedule to an engine in
 // cycle-ordered, non-overlapping blocks. Implementations: TraceStream
 // (chunked on-the-fly generation, O(block) memory) and Trace.Source
@@ -232,7 +239,16 @@ func (s *TraceStream) Next() (*TraceBlock, error) {
 	destSpace := s.destSpace
 	anti, sync := s.anti, s.sync
 	t := s.next
+
+	// Reserve the block's expected size, up to the most it can hold, and
+	// double past it: append's gentler growth for large slices copied a
+	// cold wide network's block about four times over.
+	perCycle := rows * bulk
+	blk.reserve(min(int(float64(end-t)*float64(perCycle)*p)+perCycle, s.blockMsgs+perCycle))
 	for ; t < end && len(blk.T) < s.blockMsgs; t++ {
+		if cap(blk.T)-len(blk.T) < perCycle {
+			blk.reserve(2*cap(blk.T) + perCycle)
+		}
 		meas := t >= s.warmup
 		for in := 0; in < rows; in++ {
 			if s.on != nil {
