@@ -292,15 +292,17 @@ func BenchmarkWaitDistribution512(b *testing.B) {
 // "hists" (live log-bucketed waiting-time histograms: one plain store
 // per stage visit into a run-local buffer, flushed into the shared
 // histograms every 1024 cycles), "trace64" (1-in-64 span sampling: a
-// bit test per stage visit, and one span map entry plus one exact-size
-// stage slice per sampled message), and "full" (everything plus the
-// exact drift histograms). On this k=2, 6-stage network the layers read
+// bit test per stage visit, and per sampled message a handle in the
+// arena's span slab and a copy into the tracer's ring, neither of which
+// allocates once warm), and "full" (everything plus the exact drift
+// histograms). On this k=2, 6-stage network the layers read
 // probe 1.09, hists 1.13, trace64 1.24 and full 1.37 times bare
 // (medians of six alternating -cpu 1 runs on a shared 2-vCPU VM; the
 // general per-message loop before the passes read 1.22, 1.44, 1.47 and
 // 1.66). BenchmarkKernelObserved in internal/simnet prices "full" on a
-// 4096-row network. BENCH.json gates full's B/op and allocs/op; ns/op
-// keeps the layers' prices visible.
+// 4096-row network. BENCH.json gates the B/op and allocs/op of trace64,
+// which must stay what probe allocates, and of full; ns/op keeps the
+// layers' prices visible.
 //
 // Pooled arenas live in a sync.Pool, which garbage collection empties:
 // each layer collects and runs one untimed op first, so its counts do

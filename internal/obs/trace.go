@@ -44,8 +44,15 @@ const defaultTraceRing = 4096
 // their measured messages — deterministically, by measured-message
 // ordinal, never by consuming simulation randomness — and deposit the
 // completed spans into a bounded ring. Safe for concurrent use.
+//
+// The ring owns its spans' stage storage: Add copies the stages into
+// the slot it fills, reusing the capacity of the span it evicts, so a
+// full ring records without allocating; Spans and WriteJSONL hand out
+// copies, so no caller ever aliases ring storage. The ring grows as it
+// fills, so a large ring that a short run barely uses costs little.
 type Tracer struct {
 	sampleN int64
+	ring    int
 
 	mu    sync.Mutex
 	buf   []Span
@@ -63,22 +70,26 @@ func NewTracer(sampleN, ring int) *Tracer {
 	if ring < 1 {
 		ring = defaultTraceRing
 	}
-	return &Tracer{sampleN: int64(sampleN), buf: make([]Span, 0, ring)}
+	return &Tracer{sampleN: int64(sampleN), ring: ring}
 }
 
 // SampleN returns the 1-in-N sampling rate.
 func (t *Tracer) SampleN() int64 { return t.sampleN }
 
-// Add deposits one completed span, evicting the oldest when full.
+// Add deposits a copy of one completed span, evicting the oldest when
+// full. The tracer keeps none of s's storage: the caller may reuse
+// s.Stages as soon as Add returns.
 func (t *Tracer) Add(s Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, s)
-	} else {
-		t.buf[t.next] = s
+	if len(t.buf) < t.ring {
+		t.buf = append(t.buf, Span{})
 	}
-	t.next = (t.next + 1) % cap(t.buf)
+	slot := &t.buf[t.next]
+	stages := append(slot.Stages[:0], s.Stages...)
+	*slot = s
+	slot.Stages = stages
+	t.next = (t.next + 1) % t.ring
 	t.total++
 }
 
@@ -89,22 +100,34 @@ func (t *Tracer) Total() int64 {
 	return t.total
 }
 
-// Spans returns the retained spans, oldest first.
+// Spans returns copies of the retained spans, oldest first; their stage
+// slices share one fresh backing array, none of it the ring's.
 func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Span, 0, len(t.buf))
-	if len(t.buf) == cap(t.buf) {
+	if len(t.buf) == t.ring {
 		out = append(out, t.buf[t.next:]...)
 		out = append(out, t.buf[:t.next]...)
 	} else {
 		out = append(out, t.buf...)
 	}
+	var n int
+	for _, s := range out {
+		n += len(s.Stages)
+	}
+	flat := make([]StageSpan, 0, n)
+	for i, s := range out {
+		off := len(flat)
+		flat = append(flat, s.Stages...)
+		out[i].Stages = flat[off:len(flat):len(flat)]
+	}
 	return out
 }
 
 // WriteJSONL renders the retained spans as JSON lines, oldest first —
-// the -trace-out file format and the /debug/trace wire format.
+// the -trace-out file format and the /debug/trace wire format. It
+// renders a copy, so writing to a slow reader does not hold up Add.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	for _, s := range t.Spans() {
 		line, err := json.Marshal(s)

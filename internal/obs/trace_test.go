@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -19,11 +20,15 @@ func span(msg int64) Span {
 }
 
 func TestTracerDefaults(t *testing.T) {
-	if tr := NewTracer(0, 0); tr.SampleN() != 1 || cap(tr.buf) != defaultTraceRing {
-		t.Fatalf("defaults: sampleN %d ring %d", tr.SampleN(), cap(tr.buf))
+	if tr := NewTracer(0, 0); tr.SampleN() != 1 || tr.ring != defaultTraceRing {
+		t.Fatalf("defaults: sampleN %d ring %d", tr.SampleN(), tr.ring)
 	}
-	if tr := NewTracer(64, 16); tr.SampleN() != 64 || cap(tr.buf) != 16 {
-		t.Fatalf("explicit: sampleN %d ring %d", tr.SampleN(), cap(tr.buf))
+	if tr := NewTracer(64, 16); tr.SampleN() != 64 || tr.ring != 16 {
+		t.Fatalf("explicit: sampleN %d ring %d", tr.SampleN(), tr.ring)
+	}
+	// The ring grows as it fills: a large ring costs nothing up front.
+	if tr := NewTracer(1, 1<<16); cap(tr.buf) != 0 {
+		t.Fatalf("a fresh tracer reserved %d spans", cap(tr.buf))
 	}
 }
 
@@ -80,5 +85,76 @@ func TestTracerWriteJSONL(t *testing.T) {
 	}
 	if lines != 2 {
 		t.Fatalf("wrote %d lines, want 2", lines)
+	}
+}
+
+// stagedSpan is span msg with n stages, stage i waiting i+1 cycles.
+func stagedSpan(msg int64, n int) Span {
+	s := Span{Msg: msg, Dest: uint32(msg), Arrival: 10 * msg}
+	at := s.Arrival
+	for i := 0; i < n; i++ {
+		w := int64(i + 1)
+		s.Stages = append(s.Stages, StageSpan{Stage: i + 1, Enqueue: at, Start: at + w, Depart: at + w + 1, Wait: w})
+		s.TotalWait += w
+		at += w + 1
+	}
+	return s
+}
+
+// TestTracerOwnsItsStorage: the ring keeps copies, and hands out
+// copies. Spans taken from the tracer do not change when later Adds
+// wrap the ring — including a wrap that reuses a 12-stage span's
+// storage for a 3-stage one — changing the slice passed to Add does not
+// change the span the ring keeps, and WriteJSONL after wraps renders no
+// stage entry left over from an evicted span.
+func TestTracerOwnsItsStorage(t *testing.T) {
+	tr := NewTracer(1, 2)
+	tr.Add(stagedSpan(0, 12))
+	tr.Add(stagedSpan(1, 12))
+	before := tr.Spans()
+	want := []Span{stagedSpan(0, 12), stagedSpan(1, 12)}
+	if !reflect.DeepEqual(before, want) {
+		t.Fatalf("retained spans %+v, want %+v", before, want)
+	}
+
+	// Wrap twice with 3-stage spans, each filling a 12-stage slot, and
+	// scribble over the caller's slice after every Add.
+	for msg := int64(2); msg < 6; msg++ {
+		s := stagedSpan(msg, 3)
+		tr.Add(s)
+		for i := range s.Stages {
+			s.Stages[i] = StageSpan{Stage: -1, Wait: -1}
+		}
+	}
+	if !reflect.DeepEqual(before, want) {
+		t.Fatalf("earlier Spans() result changed after the ring wrapped: %+v", before)
+	}
+	after := tr.Spans()
+	if want := []Span{stagedSpan(4, 3), stagedSpan(5, 3)}; !reflect.DeepEqual(after, want) {
+		t.Fatalf("after wraps: retained %+v, want %+v", after, want)
+	}
+
+	// Appending to a returned span's stages must not reach the next one.
+	_ = append(after[0].Stages, StageSpan{Stage: 99})
+	if again := tr.Spans(); !reflect.DeepEqual(again, after) || after[1].Stages[0].Stage != 1 {
+		t.Fatalf("appending to a returned span changed another: %+v", after)
+	}
+
+	var sb strings.Builder
+	if err := tr.WriteJSONL(&sb); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("wrote %d lines, want 2:\n%s", len(lines), sb.String())
+	}
+	for i, line := range lines {
+		var s Span
+		if err := json.Unmarshal([]byte(line), &s); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s, stagedSpan(int64(4+i), 3)) {
+			t.Fatalf("line %d renders %+v, want the 3-stage span %d", i, s, 4+i)
+		}
 	}
 }

@@ -30,7 +30,7 @@ func getArena() *arena {
 // rings, the per-port free-time table and (on the streaming path) the
 // trace-block buffers. The finite-buffer cycle loop (cycle.go) keeps
 // its slots, queue rings and buffers here too, and a probed run its
-// histogram buffers and sampled-slot bitsets. One arena serves one run
+// histogram buffers and open trace spans. One arena serves one run
 // at a time; runs obtain it from arenaPool, so replications executed
 // back to back — the sweep worker loop — reuse the same backing arrays
 // instead of regrowing them every run. The kernel's steady-state hot
@@ -92,7 +92,7 @@ type arena struct {
 	blkSvc  []int16
 	blkMeas []bool
 
-	probe probeScratch // a probed run's histogram buffers and span bitset
+	probe probeScratch // a probed run's histogram buffers and open spans
 
 	checkedOut bool // set by getArena, cleared by release (ArenaLive accounting)
 }
@@ -168,6 +168,7 @@ const (
 	maxRetainQueueStore = 1 << 18 // queue-ring storage kept per stage, in slots
 	maxRetainBlk        = 1 << 20 // trace-block entries kept across runs
 	maxRetainHistBufs   = 64      // probe histogram buffers (stages + 1) kept across runs
+	maxRetainSpanStages = 1 << 17 // open-span stage entries kept per span slab
 )
 
 // prepare resets the arena for a run over n stages and rows ports per
@@ -340,6 +341,20 @@ func withCap[T any](s []T, n int) []T {
 	return ns
 }
 
+// grown returns s lengthened by n zeroed entries, keeping its contents
+// and doubling its capacity when it must grow: append's gentler growth
+// for large slices would copy a store that fills over a run several
+// times over.
+func grown[T any](s []T, n int) []T {
+	l := len(s) + n
+	if l > cap(s) {
+		s = withCap(s, max(2*cap(s), l))
+	}
+	s = s[:l]
+	clear(s[l-n:])
+	return s
+}
+
 // lendBlockScratch hands the arena's trace-block arrays to a freshly
 // created stream so its first block reuses their capacity. Only the
 // kernel's own private streams are lent scratch: an externally supplied
@@ -417,11 +432,8 @@ func (a *arena) trim() {
 	if cap(a.probe.hbuf) > maxRetainHistBufs {
 		a.probe.hbuf = nil
 	}
-	for _, b := range []*[]uint64{&a.probe.sampled, &a.probe.helperSampled} {
-		if cap(*b) > bitmapWords(maxRetainSlots) {
-			*b = nil
-		}
-	}
+	a.probe.spans.trim()
+	a.probe.helperSpans.trim()
 }
 
 // reserve gives the batch scratch room for want entries, within the

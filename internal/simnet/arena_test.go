@@ -169,8 +169,11 @@ func TestArenaReleaseRetentionCaps(t *testing.T) {
 	a.delivery = [2][]int32{make([]int32, 0, maxRetainBatch+1), make([]int32, 0, maxRetainBatch+1)}
 	// A probed run's scratch.
 	a.probe = probeScratch{
-		hbuf:    make([]obs.HistBuf, maxRetainHistBufs+1),
-		sampled: make([]uint64, bitmapWords(maxRetainSlots)+1),
+		hbuf: make([]obs.HistBuf, maxRetainHistBufs+1),
+		spans: spanSlab{
+			sampled: make([]uint64, bitmapWords(maxRetainSlots)+1),
+			stages:  make([]obs.StageSpan, maxRetainSpanStages+1),
+		},
 	}
 	a.release()
 	if a.msl != nil || a.waits != nil || a.batch != nil || a.free != nil || a.blkT != nil {
@@ -189,7 +192,7 @@ func TestArenaReleaseRetentionCaps(t *testing.T) {
 	if a.qstore[1] == nil {
 		t.Fatal("release dropped a queue store at the cap")
 	}
-	if a.probe.hbuf != nil || a.probe.sampled != nil {
+	if a.probe.hbuf != nil || a.probe.spans.sampled != nil || a.probe.spans.stages != nil {
 		t.Fatal("release retained probe scratch past the caps")
 	}
 
@@ -200,7 +203,8 @@ func TestArenaReleaseRetentionCaps(t *testing.T) {
 	b.queues = make([]cycleQueue, 2048)
 	b.qstore = [][]int32{make([]int32, 8192)}
 	b.held = make([]int32, 0, 1024)
-	b.probe = probeScratch{hbuf: make([]obs.HistBuf, 13), sampled: make([]uint64, 4)}
+	b.probe = probeScratch{hbuf: make([]obs.HistBuf, 13),
+		spans: spanSlab{sampled: make([]uint64, 4), stages: make([]obs.StageSpan, 1024)}}
 	b.release()
 	if len(b.msl) != 256 || cap(b.batch) != 1024 {
 		t.Fatal("release dropped ordinarily sized scratch")
@@ -208,15 +212,15 @@ func TestArenaReleaseRetentionCaps(t *testing.T) {
 	if len(b.cmsl) != 256 || len(b.queues) != 2048 || len(b.qstore[0]) != 8192 || cap(b.held) != 1024 {
 		t.Fatal("release dropped ordinarily sized cycle-loop scratch")
 	}
-	if len(b.probe.hbuf) != 13 || len(b.probe.sampled) != 4 {
+	if len(b.probe.hbuf) != 13 || len(b.probe.spans.sampled) != 4 || len(b.probe.spans.stages) != 1024 {
 		t.Fatal("release dropped ordinarily sized probe scratch")
 	}
 }
 
 // TestProbeScratchReusesWarmArena: a probed run keeps its histogram
-// buffers and sampled-slot bitset in the arena, so the next probed run
-// on the same arena — the kernel's or the cycle loop's — reuses both
-// instead of allocating them again.
+// buffers and its open spans' bitset and stage entries in the arena, so
+// the next probed run on the same arena — the kernel's or the cycle
+// loop's — reuses them instead of allocating them again.
 func TestProbeScratchReusesWarmArena(t *testing.T) {
 	base := Config{K: 2, Stages: 4, P: 0.5, Cycles: 3000, Warmup: 200, Seed: 8}
 	for _, e := range []Engine{Fast, Literal} {
@@ -235,13 +239,14 @@ func TestProbeScratchReusesWarmArena(t *testing.T) {
 			mem := func() []unsafe.Pointer {
 				return []unsafe.Pointer{
 					unsafe.Pointer(unsafe.SliceData(a.probe.hbuf)),
-					unsafe.Pointer(unsafe.SliceData(a.probe.sampled)),
+					unsafe.Pointer(unsafe.SliceData(a.probe.spans.sampled)),
+					unsafe.Pointer(unsafe.SliceData(a.probe.spans.stages)),
 				}
 			}
 			run()
 			first := mem()
 			if len(a.probe.hbuf) != base.Stages+1 || slices.Contains(first, nil) {
-				t.Fatalf("first run left %d histogram buffers and bitset %v", len(a.probe.hbuf), first)
+				t.Fatalf("first run left %d histogram buffers and span scratch %v", len(a.probe.hbuf), first)
 			}
 			run()
 			if got := mem(); !slices.Equal(got, first) {

@@ -165,9 +165,10 @@ func TestGoldenReferenceEngine(t *testing.T) {
 // and 1-in-64 trace sampling plus the drift histograms, and reports its
 // time over the "bare" run just before it as full/bare, so each
 // invocation with -count 1 is one alternating pair. BENCH.json gates
-// both rows' B/op and allocs/op: the observers' per-batch scratch lives
-// in the arena, so "full" allocates only what it records (spans, map
-// entries, histogram growth), never per batch.
+// both rows' B/op and allocs/op: the observers' per-batch scratch and
+// the open spans live in the arena, and the tracer's ring owns the
+// stages it copies, so "full" allocates only histogram growth and
+// per-run constants, never per batch or per span.
 func BenchmarkKernelObserved(b *testing.B) {
 	cfg := Config{K: 2, Stages: 12, P: 0.8, Cycles: 200, Warmup: 50, Seed: 1986}
 	probe := obs.NewSimProbe()

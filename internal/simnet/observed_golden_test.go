@@ -56,6 +56,14 @@ func observedCases(t *testing.T) []observedCase {
 // the digest of what the run shows.
 func observedDigest(t *testing.T, c observedCase) string {
 	t.Helper()
+	a := getArena()
+	defer a.release()
+	return observedDigestOn(t, c, a)
+}
+
+// observedDigestOn is observedDigest on arena a.
+func observedDigestOn(t *testing.T, c observedCase, a *arena) string {
+	t.Helper()
 	cfg := c.cfg
 	probe := obs.NewSimProbe()
 	probe.Hists = obs.NewHistSet()
@@ -71,11 +79,9 @@ func observedDigest(t *testing.T, c observedCase) string {
 			}
 		}
 	}
-	a := getArena()
 	a.split = c.split
 	res, err := runEngine(context.Background(), c.engine, &cfg, nil, a)
 	a.split = 0
-	a.release()
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}

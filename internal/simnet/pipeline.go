@@ -88,11 +88,13 @@ func splitAt(n int) int { return (5*n + 6) / 12 }
 // crossings are the messages group A's last stage sent on during one
 // cycle, by value, in service order: each with the cycle it joins B's
 // first stage, its wait lane when per-stage waits are tracked, and its
-// open trace span when it has one.
+// open trace span when it has one — the span's header and its first h
+// stage entries, copied out of A's span slab into B's.
 type crossings struct {
-	recs  []xrec
-	waits []int32 // h entries per record (TrackStageWaits only)
-	spans []xspan
+	recs       []xrec
+	waits      []int32 // h entries per record (TrackStageWaits only)
+	spans      []xspan
+	spanStages []obs.StageSpan // h entries per span
 }
 
 type xrec struct {
@@ -101,15 +103,15 @@ type xrec struct {
 }
 
 type xspan struct {
-	i  int // index of the span's message in recs
-	sp obs.Span
+	i    int // index of the span's message in recs
+	head spanHead
 }
 
 func (x *crossings) reset() {
 	x.recs = x.recs[:0]
 	x.waits = x.waits[:0]
-	clear(x.spans)
 	x.spans = x.spans[:0]
+	x.spanStages = x.spanStages[:0]
 }
 
 // prepare empties x for a run with room for a cycle's crossings, within
@@ -132,7 +134,9 @@ func (x *crossings) trim() {
 	if cap(x.waits) > maxRetainWaits {
 		x.waits = nil
 	}
-	x.spans = nil
+	if cap(x.spans) > maxRetainBatch || cap(x.spanStages) > maxRetainSpanStages {
+		x.spans, x.spanStages = nil, nil
+	}
 }
 
 // crossOut hands slot si, served at the group's last stage and due at
@@ -144,8 +148,10 @@ func (gr *stageGroup) crossOut(at int64, si int32) {
 		base := int(si) * gr.n
 		x.waits = append(x.waits, st.waits[base:base+gr.hi]...)
 	}
-	if gr.pc != nil && gr.pc.isSampled(si) {
-		x.spans = append(x.spans, xspan{i: len(x.recs) - 1, sp: gr.pc.closeSpan(si)})
+	if gr.pc != nil && gr.pc.spans.isSampled(si) {
+		head, st := gr.pc.spans.close(si)
+		x.spans = append(x.spans, xspan{i: len(x.recs) - 1, head: head})
+		x.spanStages = append(x.spanStages, st[:gr.hi]...)
 	}
 	st.freeSlot(si)
 	gr.crossed++
@@ -170,7 +176,8 @@ func (gr *stageGroup) receive(x *crossings) {
 			copy(gr.st.waits[int(si)*gr.n:], x.waits[i*lane:(i+1)*lane])
 		}
 		if sp < len(x.spans) && x.spans[sp].i == i {
-			gr.pc.openSpan(si, x.spans[sp].sp)
+			st := gr.pc.spans.open(si, x.spans[sp].head)
+			copy(st, x.spanStages[sp*lane:(sp+1)*lane])
 			sp++
 		}
 		r.push(x.recs[i].at, si)

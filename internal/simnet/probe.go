@@ -40,9 +40,8 @@ type runProbe struct {
 	hbuf    []obs.HistBuf
 	tracer  *obs.Tracer
 	sampleN int64
-	measSeq int64              // measured-message ordinal in trace order
-	spans   map[int32]obs.Span // in-flight sampled spans by slot index
-	sampled []uint64           // bitset of the slots in spans
+	measSeq int64     // measured-message ordinal in trace order
+	spans   *spanSlab // the open spans of this view's slot store, in scratch
 	scr     *probeScratch
 	stages  int
 	engine  string
@@ -53,15 +52,108 @@ type runProbe struct {
 }
 
 // probeScratch is the reusable scratch of a run's probe: the histogram
-// buffers (one per stage, then one for the total), the sampled-slot
-// bitset and the graph engine's per-switch saturation verdicts. The
-// pooled engines keep it in their arena, so back-to-back probed runs
-// allocate none of them.
+// buffers (one per stage, then one for the total), the open trace spans
+// and the graph engine's per-switch saturation verdicts. The pooled
+// engines keep it in their arena, so back-to-back probed runs allocate
+// none of them.
 type probeScratch struct {
-	hbuf          []obs.HistBuf
-	sampled       []uint64
-	helperSampled []uint64 // the helper stage group's bitset in a split kernel run
-	sat           [][]bool
+	hbuf        []obs.HistBuf
+	spans       spanSlab
+	helperSpans spanSlab // the helper stage group's open spans in a split kernel run
+	sat         [][]bool
+}
+
+// spanSlab holds the open trace spans of one slot store. An open span
+// is a handle: an index into heads, its message's header, and into
+// stages, its stage entries at stride stages per handle. Closing or
+// dropping a span puts its handle on the free list for the next span
+// to reuse, and the sampled-slot bitset, with handle for the slot →
+// handle lookup behind it, says which slots hold one. Every array keeps
+// its capacity across runs, so a warm traced run opens, fills and
+// closes spans without allocating; the tracer copies a closed span's
+// entries into its own ring.
+type spanSlab struct {
+	sampled []uint64        // bitset of the slots with an open span
+	handle  []int32         // handle[si]: slot si's span, valid where its bit is set
+	heads   []spanHead      // by handle
+	stages  []obs.StageSpan // handle h's entries are stages[h*stride : (h+1)*stride]
+	free    []int32         // released handles, the last released last
+	stride  int
+}
+
+// spanHead is what an open span knows of its message before it leaves
+// the network; the run supplies the rest (seed, engine) at close.
+type spanHead struct {
+	msg, arrival int64
+	dest         uint32
+}
+
+// reset empties the slab for a run of the given stage count. Nothing a
+// previous run left open — a cancelled or truncated run stops with
+// spans in flight — survives: every bit is clear, every handle free.
+func (sl *spanSlab) reset(stride int) {
+	sl.sampled = sl.sampled[:0]
+	sl.handle = sl.handle[:0]
+	sl.heads = sl.heads[:0]
+	sl.stages = sl.stages[:0]
+	sl.free = sl.free[:0]
+	sl.stride = stride
+}
+
+// open files a span for slot si and returns its stage entries, zeroed.
+func (sl *spanSlab) open(si int32, head spanHead) []obs.StageSpan {
+	if w := int(si >> 6); w >= len(sl.sampled) {
+		n := w + 1 - len(sl.sampled)
+		sl.sampled = grown(sl.sampled, n)
+		sl.handle = grown(sl.handle, 64*n)
+	}
+	var h int32
+	if f := len(sl.free); f > 0 {
+		h = sl.free[f-1]
+		sl.free = sl.free[:f-1]
+	} else {
+		h = int32(len(sl.heads))
+		sl.heads = grown(sl.heads, 1)
+		sl.stages = grown(sl.stages, sl.stride)
+	}
+	sl.heads[h] = head
+	sl.sampled[si>>6] |= 1 << (uint(si) & 63)
+	sl.handle[si] = h
+	st := sl.entries(si)
+	clear(st)
+	return st
+}
+
+// isSampled reports whether slot si holds an open span. Only about one
+// stage visit in sampleN gets past the bit test to the handle.
+func (sl *spanSlab) isSampled(si int32) bool {
+	w := int(si >> 6)
+	return w < len(sl.sampled) && sl.sampled[w]&(1<<(uint(si)&63)) != 0
+}
+
+// entries returns the stage entries of slot si's open span.
+func (sl *spanSlab) entries(si int32) []obs.StageSpan {
+	off := int(sl.handle[si]) * sl.stride
+	return sl.stages[off : off+sl.stride : off+sl.stride]
+}
+
+// close removes slot si's open span and returns its header and stage
+// entries, which stay intact until the next open reuses the handle.
+func (sl *spanSlab) close(si int32) (spanHead, []obs.StageSpan) {
+	sl.sampled[si>>6] &^= 1 << (uint(si) & 63)
+	h := sl.handle[si]
+	sl.free = append(sl.free, h)
+	return sl.heads[h], sl.entries(si)
+}
+
+// trim drops the slab's storage past the retention caps.
+func (sl *spanSlab) trim() {
+	if cap(sl.sampled) > bitmapWords(maxRetainSlots) {
+		sl.sampled, sl.handle = nil, nil
+	}
+	if cap(sl.stages) > maxRetainSpanStages {
+		sl.heads, sl.stages, sl.free = nil, nil, nil
+	}
 }
 
 func newRunProbe(cfg *Config, stages int, engine string, scr *probeScratch) *runProbe {
@@ -81,11 +173,11 @@ func newRunProbe(cfg *Config, stages int, engine string, scr *probeScratch) *run
 		clear(scr.hbuf)
 		pc.hbuf = scr.hbuf
 	}
+	pc.spans = &scr.spans
+	pc.spans.reset(stages)
 	if tr := cfg.Probe.Tracer; tr != nil {
 		pc.tracer = tr
 		pc.sampleN = tr.SampleN()
-		pc.spans = make(map[int32]obs.Span)
-		pc.sampled = scr.sampled[:0]
 	}
 	return pc
 }
@@ -94,10 +186,9 @@ func newRunProbe(cfg *Config, stages int, engine string, scr *probeScratch) *run
 // the arrival source; it assigns measured messages their ordinal and
 // opens a span for the sampled ones. Both engines consume schedule
 // blocks in trace order, so a message gets the same ordinal — and the
-// same sampling decision — in either engine. A span's Stages is
-// allocated once at its final length, one entry per stage for stageObs
-// to fill; the slices are not pooled, since the tracer's ring keeps
-// them and Tracer.Spans hands them out.
+// same sampling decision — in either engine. A span's header and stage
+// entries live in the slab until the message leaves the network, when
+// the tracer copies them into its ring.
 func (pc *runProbe) admit(si int32, meas bool, arrival int64, dest uint32) {
 	if !meas || pc.tracer == nil {
 		return
@@ -107,36 +198,7 @@ func (pc *runProbe) admit(si int32, meas bool, arrival int64, dest uint32) {
 	if seq%pc.sampleN != 0 {
 		return
 	}
-	pc.openSpan(si, obs.Span{
-		Msg: seq, Seed: pc.seed, Engine: pc.engine,
-		Dest: dest, Arrival: arrival,
-		Stages: make([]obs.StageSpan, pc.stages),
-	})
-}
-
-// openSpan files sp as the open span of slot si.
-func (pc *runProbe) openSpan(si int32, sp obs.Span) {
-	if w := int(si >> 6); w >= len(pc.sampled) {
-		pc.sampled = append(pc.sampled, make([]uint64, w+1-len(pc.sampled))...)
-	}
-	pc.sampled[si>>6] |= 1 << (uint(si) & 63)
-	pc.spans[si] = sp
-}
-
-// isSampled reports whether slot si holds an open span. The bitset
-// answers for the map: only about one stage visit in sampleN pays for a
-// lookup, and every set bit has its span.
-func (pc *runProbe) isSampled(si int32) bool {
-	w := int(si >> 6)
-	return w < len(pc.sampled) && pc.sampled[w]&(1<<(uint(si)&63)) != 0
-}
-
-// closeSpan removes slot si's open span and returns it.
-func (pc *runProbe) closeSpan(si int32) obs.Span {
-	pc.sampled[si>>6] &^= 1 << (uint(si) & 63)
-	sp := pc.spans[si]
-	delete(pc.spans, si)
-	return sp
+	pc.spans.open(si, spanHead{msg: seq, arrival: arrival, dest: dest})
 }
 
 // stageObs records one service start at a stage (0-based): the message
@@ -147,14 +209,14 @@ func (pc *runProbe) stageObs(si int32, stage int, meas bool, enq, start, depart 
 	if meas && pc.hists != nil {
 		pc.hbuf[stage].Record(pc.hists[stage], start-enq)
 	}
-	if pc.isSampled(si) {
+	if pc.spans.isSampled(si) {
 		pc.spanStage(si, stage, enq, start, depart)
 	}
 }
 
 // spanStage fills the stage entry of slot si's open span.
 func (pc *runProbe) spanStage(si int32, stage int, enq, start, depart int64) {
-	pc.spans[si].Stages[stage] = obs.StageSpan{
+	pc.spans.entries(si)[stage] = obs.StageSpan{
 		Stage: stage + 1, Enqueue: enq, Start: start, Depart: depart,
 		Wait: start - enq,
 	}
@@ -166,7 +228,7 @@ func (pc *runProbe) finishObs(si int32, meas bool, total int64) {
 	if meas && pc.hists != nil {
 		pc.hbuf[pc.stages].Record(pc.hists[pc.stages], total)
 	}
-	if pc.isSampled(si) {
+	if pc.spans.isSampled(si) {
 		pc.finishSpan(si, total)
 	}
 }
@@ -174,9 +236,12 @@ func (pc *runProbe) finishObs(si int32, meas bool, total int64) {
 // finishSpan closes slot si's open span with the message's total wait
 // into the tracer.
 func (pc *runProbe) finishSpan(si int32, total int64) {
-	sp := pc.closeSpan(si)
-	sp.TotalWait = total
-	pc.tracer.Add(sp)
+	h, st := pc.spans.close(si)
+	pc.tracer.Add(obs.Span{
+		Msg: h.msg, Seed: pc.seed, Engine: pc.engine,
+		Dest: h.dest, Arrival: h.arrival, TotalWait: total,
+		Stages: st,
+	})
 }
 
 // serveBatch records one stage's served batch (0-based stage, cycle t)
@@ -215,7 +280,7 @@ func (pc *runProbe) serveBatch(t int64, stage int, last bool, bk []int32, out []
 			continue
 		}
 		pos++
-		if !pc.isSampled(si) {
+		if !pc.spans.isSampled(si) {
 			continue
 		}
 		m := &msl[si]
@@ -234,8 +299,8 @@ func (pc *runProbe) serveBatch(t int64, stage int, last bool, bk []int32, out []
 // dropSpan discards the span of a message dropped at a full buffer; its
 // slot index is about to be recycled and must not inherit the span.
 func (pc *runProbe) dropSpan(si int32) {
-	if pc.isSampled(si) {
-		pc.closeSpan(si)
+	if pc.spans.isSampled(si) {
+		pc.spans.close(si)
 	}
 }
 
@@ -283,44 +348,34 @@ func (pc *runProbe) flushHists() {
 // split hands the stages from h on to a helper view for a split kernel
 // run. The two views share the per-stage counters and histogram
 // buffers, each touching only its own stages' entries (the helper also
-// the total's), but each has its own span map and bitset — they index
-// separate slot stores — and its own free-list counters. join folds the
-// helper view back once the helper has stopped.
+// the total's), but each has its own span slab — they index separate
+// slot stores, and no storage is shared between the goroutines — and
+// its own free-list counters. join folds the helper view back once the
+// helper has stopped.
 func (pc *runProbe) split(h int) *runProbe {
 	side := &runProbe{
 		stageLoad: pc.stageLoad, stageHW: pc.stageHW,
 		seed: pc.seed, hists: pc.hists, hbuf: pc.hbuf, tracer: pc.tracer,
-		scr: pc.scr, stages: pc.stages, engine: pc.engine,
+		spans: &pc.scr.helperSpans, scr: pc.scr, stages: pc.stages, engine: pc.engine,
 		histLo: h, histHi: pc.histHi,
 	}
-	if pc.tracer != nil {
-		side.spans = make(map[int32]obs.Span)
-		side.sampled = pc.scr.helperSampled[:0]
-	}
+	side.spans.reset(pc.stages)
 	pc.histHi = h
 	return side
 }
 
 // join folds a stopped helper view into pc: its histogram buffers are
-// flushed, its free-list counters added, its bitset returned to scratch.
+// flushed and its free-list counters added.
 func (pc *runProbe) join(side *runProbe) {
 	side.flushHists()
 	pc.freeHits += side.freeHits
 	pc.slotAllocs += side.slotAllocs
-	if side.tracer != nil {
-		pc.scr.helperSampled = side.sampled
-	}
 }
 
 // flush hands the run's sample to the shared probe, after the last of
-// its histogram buffers, on every exit path: the engines defer it. The
-// sampled-slot bitset goes back to the scratch it grew from, so the
-// next run on the same scratch reuses its capacity.
+// its histogram buffers, on every exit path: the engines defer it.
 func (pc *runProbe) flush(p *obs.SimProbe, t int64, res *Result) {
 	pc.flushHists()
-	if pc.tracer != nil {
-		pc.scr.sampled = pc.sampled
-	}
 	s := obs.RunSample{
 		Cycles:         t - pc.lastFlush,
 		BlockPulls:     pc.blockPulls,

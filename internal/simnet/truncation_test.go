@@ -3,9 +3,13 @@ package simnet
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
+
+	"banyan/internal/obs"
+	"banyan/internal/topology"
 )
 
 // unstableCfg is a configuration past the stability boundary
@@ -145,5 +149,88 @@ func TestCancellation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, plain) {
 		t.Fatal("RunEngine(Background) differs from Run")
+	}
+}
+
+// TestTracedScratchAfterTruncatedRun: a traced run that stops with
+// spans still open — cancelled by its context, or truncated by the
+// in-flight guard — leaves them in its arena's span slabs, and the next
+// run on that arena starts clean: it shows exactly what the same run
+// shows on a fresh arena, spans in tracer order included, so no stale
+// span is closed into its tracer or inherited by a recycled slot. It
+// covers every observed kernel configuration (one group and split, the
+// graph wiring) but the two 4096-row ones, whose cancelled run would
+// have to pass the first context poll at cycle 1024, and the cycle
+// loop's literal and blocking-graph runs.
+func TestTracedScratchAfterTruncatedRun(t *testing.T) {
+	var cases []observedCase
+	for _, c := range observedCases(t) {
+		if c.cfg.Stages < 12 {
+			cases = append(cases, c)
+		}
+	}
+	cases = append(cases,
+		observedCase{"literal", Literal, Config{K: 2, Stages: 5, P: 0.5, BufferCap: 4, Cycles: 1500, Warmup: 200, Seed: 28}, 0},
+		observedCase{"graph-blocking", Graph, Config{K: 2, Stages: 4, P: 0.6, TrackSwitches: true, Cycles: 1500, Warmup: 200,
+			Seed: 29, Topology: topology.Omega, StageBuffers: []int{2, 2, 2, 2}}, 0},
+	)
+	for _, c := range cases {
+		fresh := observedDigestOn(t, c, new(arena))
+		for _, stop := range []string{"cancel", "in-flight"} {
+			t.Run(c.name+"/"+stop, func(t *testing.T) {
+				a := new(arena)
+				stopTraced(t, c, stop, a)
+				open := 0
+				for _, w := range append(a.probe.spans.sampled, a.probe.helperSpans.sampled...) {
+					open += bits.OnesCount64(w)
+				}
+				if open == 0 {
+					t.Fatal("the stopped run left no open span")
+				}
+				if got := observedDigestOn(t, c, a); got != fresh {
+					t.Fatalf("after a stopped run with %d open spans: digest %s, fresh arena %s", open, got, fresh)
+				}
+			})
+		}
+	}
+}
+
+// stopTraced runs c traced on arena a and stops it early: by cancelling
+// its context before the second context poll, or by an in-flight budget
+// of half the population Little's law gives for unit service, with
+// messages measured from the first cycle so that sampled ones are in
+// flight when the budget trips.
+func stopTraced(t *testing.T, c observedCase, stop string, a *arena) {
+	t.Helper()
+	cfg := c.cfg
+	if c.engine == Graph && cfg.Topology == "" {
+		cfg.Topology = topology.Omega
+	}
+	probe := obs.NewSimProbe()
+	probe.Tracer = obs.NewTracer(4, 1<<10)
+	cfg.Probe = probe
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var src ArrivalSource
+	if stop == "cancel" {
+		cfg.Cycles = 4 * (ctxCheckMask + 1)
+		st, err := NewTraceStream(&cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src = &stopper{ArrivalSource: st, at: ctxCheckMask / 2, cancel: cancel}
+	} else {
+		cfg.Warmup = 1
+		rows, _, err := cfg.rows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.MaxInFlight = max(1, int(float64(rows)*cfg.P*float64(cfg.Stages)/2))
+	}
+	a.split = c.split
+	res, err := runEngine(ctx, c.engine, &cfg, src, a)
+	a.split = 0
+	if res == nil || !res.Truncated {
+		t.Fatalf("%s: the run was not stopped: err %v, result %+v", stop, err, res)
 	}
 }
