@@ -37,6 +37,7 @@ package banyan
 
 import (
 	"context"
+	"fmt"
 
 	"banyan/internal/core"
 	"banyan/internal/delay"
@@ -44,6 +45,7 @@ import (
 	"banyan/internal/experiments"
 	"banyan/internal/simnet"
 	"banyan/internal/stages"
+	"banyan/internal/sweep"
 	"banyan/internal/tandem"
 	"banyan/internal/topology"
 	"banyan/internal/traffic"
@@ -262,11 +264,22 @@ func GammaFromMoments(mean, variance float64) (Gamma, error) {
 	return dist.GammaFromMoments(mean, variance)
 }
 
-// SimulateReplications runs r independent replications of cfg across up
-// to parallelism goroutines (0 = GOMAXPROCS) and aggregates them with
-// across-replication confidence intervals.
+// SimulateReplications runs r independent replications of cfg on the
+// fast engine across up to parallelism workers (0 = GOMAXPROCS) and
+// aggregates them with across-replication confidence intervals. It is a
+// one-point sweep: cfg.Seed is the root seed, and the replications run
+// at the seeds sweep.SeedFor derives from it, so the result is a pure
+// function of cfg and r, whatever the parallelism.
 func SimulateReplications(cfg *SimConfig, r, parallelism int) (*Replicated, error) {
-	return simnet.RunReplications(cfg, r, parallelism)
+	if r < 1 {
+		return nil, fmt.Errorf("banyan: need at least one replication, got %d", r)
+	}
+	run := &sweep.Runner{Parallelism: parallelism, RootSeed: cfg.Seed}
+	prs, err := run.Run([]sweep.Point{{Cfg: *cfg, Reps: r}})
+	if err != nil {
+		return nil, err
+	}
+	return prs[0].Agg, nil
 }
 
 // Replicated aggregates independent simulation replications.

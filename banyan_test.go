@@ -2,9 +2,11 @@ package banyan_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"banyan"
+	"banyan/internal/sweep"
 )
 
 func almost(t *testing.T, got, want, tol float64, msg string) {
@@ -142,5 +144,44 @@ func TestFacadeModels(t *testing.T) {
 	}
 	if banyan.QuickScale().TargetMessages >= banyan.FullScale().TargetMessages {
 		t.Fatal("scales inverted")
+	}
+}
+
+// TestSimulateReplications: the facade rejects a replication count
+// below one and an invalid config, its aggregate does not depend on the
+// parallelism, and it is exactly the aggregate of a one-point sweep
+// rooted at cfg.Seed.
+func TestSimulateReplications(t *testing.T) {
+	cfg := &banyan.SimConfig{K: 2, Stages: 3, P: 0.4, Cycles: 1500, Warmup: 100, Seed: 55}
+	if _, err := banyan.SimulateReplications(cfg, 0, 1); err == nil {
+		t.Fatal("zero replications accepted")
+	}
+	bad := &banyan.SimConfig{K: 1, Stages: 3, P: 0.4, Cycles: 1000}
+	if _, err := banyan.SimulateReplications(bad, 2, 1); err == nil {
+		t.Fatal("invalid config accepted")
+	}
+
+	one, err := banyan.SimulateReplications(cfg, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := banyan.SimulateReplications(cfg, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Replications() != 4 || !reflect.DeepEqual(one, four) {
+		t.Fatal("parallelism changed the aggregate")
+	}
+	if one.Runs[0].MeanTotalWait() == one.Runs[1].MeanTotalWait() &&
+		one.Runs[1].MeanTotalWait() == one.Runs[2].MeanTotalWait() {
+		t.Fatal("replications identical — seed splitting failed")
+	}
+
+	prs, err := (&sweep.Runner{RootSeed: cfg.Seed}).Run([]sweep.Point{{Cfg: *cfg, Reps: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(one, prs[0].Agg) {
+		t.Fatal("facade aggregate differs from a one-point sweep's")
 	}
 }

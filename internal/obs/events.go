@@ -77,16 +77,14 @@ type Event struct {
 }
 
 // CostDigest is a compact per-point resource accounting attached to
-// point completion events: where the wall time, CPU time and
-// allocations went, and how much simulation was bought with them.
+// point completion events: the wall time the point's simulation
+// attempts took and how much simulation it bought — cycles,
+// replications and, under variance reduction, effective sample size.
 type CostDigest struct {
-	WallNS       int64   `json:"wall_ns"`
-	CPUNS        int64   `json:"cpu_ns"`
-	AllocBytes   int64   `json:"alloc_bytes"`
-	AllocObjects int64   `json:"alloc_objects"`
-	Cycles       int64   `json:"cycles"`
-	Reps         int     `json:"reps"`
-	ESS          float64 `json:"ess,omitempty"`
+	WallNS int64   `json:"wall_ns"`
+	Cycles int64   `json:"cycles"`
+	Reps   int     `json:"reps"`
+	ESS    float64 `json:"ess,omitempty"`
 }
 
 // Sink receives events. Emit may be called from any goroutine;

@@ -252,7 +252,8 @@ func (r *Registry) Snapshot() map[string]float64 {
 // registry (an engine, a runner, a future shard worker) is scrapeable as
 // a process, not just as a simulation. Each read-out samples
 // runtime/metrics on demand; the calls are cheap and never perturb
-// simulated numbers.
+// simulated numbers. The live heap and user CPU seconds move only when
+// a garbage collection runs.
 func RegisterRuntimeMetrics(reg *Registry) {
 	read := func(key string) func() float64 {
 		return func() float64 {
@@ -272,10 +273,10 @@ func RegisterRuntimeMetrics(reg *Registry) {
 		kind            MetricKind
 	}{
 		{"proc.goroutines", "/sched/goroutines:goroutines", "live goroutines", KindGauge},
-		{"proc.heap_bytes", "/memory/classes/heap/objects:bytes", "bytes of live heap objects", KindGauge},
+		{"proc.heap_bytes", "/gc/heap/live:bytes", "bytes of heap objects the last GC marked live", KindGauge},
 		{"proc.alloc_bytes", "/gc/heap/allocs:bytes", "cumulative bytes allocated on the heap", KindCounter},
 		{"proc.gc_cycles", "/gc/cycles/total:gc-cycles", "completed GC cycles", KindCounter},
-		{"proc.cpu_user_seconds", "/cpu/classes/user:cpu-seconds", "estimated user-goroutine CPU seconds", KindCounter},
+		{"proc.cpu_user_seconds", "/cpu/classes/user:cpu-seconds", "estimated user-goroutine CPU seconds; advances only when a GC runs", KindCounter},
 	} {
 		reg.Func(m.name, read(m.key))
 		reg.Describe(m.name, m.kind, m.help)

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -264,6 +266,30 @@ func TestRegistryTextAndSnapshot(t *testing.T) {
 			t.Fatalf("text output missing %q:\n%s", want, sb.String())
 		}
 	}
+}
+
+// TestRuntimeHeapIsLiveHeap: proc.heap_bytes is the heap the last
+// collection marked live, not the allocated slots that still hold dead
+// objects the collector has yet to free.
+func TestRuntimeHeapIsLiveHeap(t *testing.T) {
+	reg := NewRegistry()
+	RegisterRuntimeMetrics(reg)
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	for try := 0; try < 10; try++ {
+		runtime.GC()
+		metrics.Read(s)
+		want, cycles := float64(s[0].Value.Uint64()), s[1].Value.Uint64()
+		got := reg.Snapshot()["proc.heap_bytes"]
+		metrics.Read(s)
+		if s[1].Value.Uint64() != cycles {
+			continue // a collection ran between the reads
+		}
+		if got != want {
+			t.Fatalf("proc.heap_bytes %g, want the live heap %g", got, want)
+		}
+		return
+	}
+	t.Fatal("a collection ran between the reads on every try")
 }
 
 func TestSimProbeAggregation(t *testing.T) {

@@ -1,12 +1,6 @@
 package simnet
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-
-	"banyan/internal/stats"
-)
+import "banyan/internal/stats"
 
 // Replicated aggregates independent replications of one configuration,
 // giving honest confidence intervals for steady-state quantities (single
@@ -29,50 +23,6 @@ type Replicated struct {
 	Merged stats.Hist
 }
 
-// RunReplications executes r independent replications of cfg (seeds
-// derived from cfg.Seed) across at most parallelism goroutines
-// (0 = GOMAXPROCS) and aggregates the results. The per-replication
-// simulations are embarrassingly parallel; this is the intended way to
-// use multicore hardware with the simulator.
-func RunReplications(cfg *Config, r, parallelism int) (*Replicated, error) {
-	if r < 1 {
-		return nil, fmt.Errorf("simnet: need at least one replication, got %d", r)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > r {
-		parallelism = r
-	}
-
-	results := make([]*Result, r)
-	errs := make([]error, r)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, parallelism)
-	for i := 0; i < r; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			c := *cfg // copy; each replication gets its own seed
-			c.Seed = SplitSeed(cfg.Seed, uint64(i))
-			results[i], errs[i] = Run(&c)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	return Aggregate(results, cfg.Stages), nil
-}
-
 // Aggregate pools per-replication results into a Replicated summary.
 // Results must be in replication order: the pooled statistics are then
 // bit-identical regardless of how the replications were scheduled.
@@ -93,8 +43,10 @@ func Aggregate(results []*Result, stages int) *Replicated {
 }
 
 // SplitSeed derives statistically independent seeds (SplitMix64 step);
-// it is the seed-derivation rule shared by RunReplications and the sweep
-// engine.
+// it is the sweep engine's seed-derivation rule: a point's seed is the
+// root seed split by the point's canonical key, and replication i runs
+// at SplitSeed(point seed, i) unless a variance-reduction plan
+// redirects it.
 func SplitSeed(base, i uint64) uint64 {
 	z := base + (i+1)*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

@@ -6,14 +6,27 @@ import (
 	"testing"
 )
 
-func TestRunReplications(t *testing.T) {
-	cfg := &Config{K: 2, Stages: 4, P: 0.5, Cycles: 3000, Warmup: 300, Seed: 101}
-	rep, err := RunReplications(cfg, 8, 4)
-	if err != nil {
-		t.Fatal(err)
+// TestAggregate pools replications run at split seeds and checks every
+// read-out of the pooled summary: the Student-t intervals, the
+// per-stage means and the merged histogram.
+func TestAggregate(t *testing.T) {
+	base := Config{K: 2, Stages: 4, P: 0.5, Cycles: 3000, Warmup: 300}
+	runs := make([]*Result, 8)
+	for i := range runs {
+		cfg := base
+		cfg.Seed = SplitSeed(101, uint64(i))
+		res, err := Run(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = res
 	}
+	rep := Aggregate(runs, base.Stages)
 	if rep.Replications() != 8 {
 		t.Fatalf("replications %d", rep.Replications())
+	}
+	if runs[0].MeanTotalWait() == runs[1].MeanTotalWait() && runs[1].MeanTotalWait() == runs[2].MeanTotalWait() {
+		t.Fatal("replications identical — seed splitting failed")
 	}
 	// CI covers the prediction-quality answer: single-run estimate within
 	// a few half-widths of the aggregate.
@@ -41,45 +54,6 @@ func TestRunReplications(t *testing.T) {
 	// Variance aggregate is positive with finite CI.
 	if rep.VarTotalWait() <= 0 || math.IsInf(rep.VarTotalWaitCI(), 1) {
 		t.Fatal("variance aggregate broken")
-	}
-}
-
-func TestRunReplicationsSeedsDiffer(t *testing.T) {
-	cfg := &Config{K: 2, Stages: 3, P: 0.4, Cycles: 1500, Warmup: 100, Seed: 55}
-	rep, err := RunReplications(cfg, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Runs[0].MeanTotalWait() == rep.Runs[1].MeanTotalWait() &&
-		rep.Runs[1].MeanTotalWait() == rep.Runs[2].MeanTotalWait() {
-		t.Fatal("replications identical — seed splitting failed")
-	}
-}
-
-func TestRunReplicationsDeterministic(t *testing.T) {
-	cfg := &Config{K: 2, Stages: 3, P: 0.4, Cycles: 1500, Warmup: 100, Seed: 55}
-	a, err := RunReplications(cfg, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunReplications(cfg, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Parallelism must not change results.
-	if a.MeanTotalWait() != b.MeanTotalWait() || a.VarTotalWait() != b.VarTotalWait() {
-		t.Fatal("parallelism changed the aggregate")
-	}
-}
-
-func TestRunReplicationsValidation(t *testing.T) {
-	cfg := &Config{K: 2, Stages: 3, P: 0.4, Cycles: 1000, Seed: 1}
-	if _, err := RunReplications(cfg, 0, 1); err == nil {
-		t.Fatal("expected replication-count error")
-	}
-	bad := &Config{K: 1, Stages: 3, P: 0.4, Cycles: 1000}
-	if _, err := RunReplications(bad, 2, 1); err == nil {
-		t.Fatal("expected config error")
 	}
 }
 

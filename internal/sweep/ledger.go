@@ -13,7 +13,7 @@ import (
 )
 
 // The run ledger is the end-of-run accounting artifact: one auditable
-// document answering "where did this sweep's time, CPU and allocations
+// document answering "what was run, where did this sweep's wall time
 // go, what did caching and resumption save, what went wrong, and did
 // the books balance". It is built from two independently maintained
 // records — the per-point rows the LedgerCollector observed at each
@@ -43,7 +43,11 @@ type LedgerRow struct {
 	Key    string       `json:"key"`
 	Engine string       `json:"engine"`
 	Status LedgerStatus `json:"status"`
-	Reps   int          `json:"reps"`
+	// Seed is the point's derived base seed (SeedFor under the run's
+	// root seed); replication i ran at simnet.SplitSeed(Seed, i) unless
+	// a VR plan redirected it.
+	Seed uint64 `json:"seed"`
+	Reps int    `json:"reps"`
 	// Cost is the resource cost the point was attributed; nil for
 	// cached/resumed/aliased rows — their price was paid elsewhere.
 	Cost     *PointCost `json:"cost,omitempty"`
@@ -76,6 +80,7 @@ func (l *LedgerCollector) Observe(pr *PointResult, status LedgerStatus) {
 		Key:    keyHex(pr.Key),
 		Engine: pr.Point.Engine.String(),
 		Status: status,
+		Seed:   pr.Seed,
 		Reps:   len(pr.Runs),
 	}
 	if pr.Cost != nil {
@@ -127,7 +132,7 @@ func (l *LedgerCollector) Rows() []LedgerRow {
 }
 
 // ledgerSchema names the artifact format; bump on breaking changes.
-const ledgerSchema = "banyan.run_ledger/v1"
+const ledgerSchema = "banyan.run_ledger/v2"
 
 // ledgerTopK is how many most-expensive points the ledger highlights.
 const ledgerTopK = 10
@@ -162,14 +167,11 @@ type RunLedger struct {
 	// wall-clock (union of batch intervals), the denominator of
 	// Utilization = WallNS / (BusyNS × Parallelism).
 	Cost struct {
-		WallNS       int64   `json:"wall_ns"`
-		CPUNS        int64   `json:"cpu_ns"`
-		AllocBytes   int64   `json:"alloc_bytes"`
-		AllocObjects int64   `json:"alloc_objects"`
-		Cycles       int64   `json:"cycles"`
-		BusyNS       int64   `json:"busy_ns"`
-		Parallelism  int     `json:"parallelism"`
-		Utilization  float64 `json:"utilization"`
+		WallNS      int64   `json:"wall_ns"`
+		Cycles      int64   `json:"cycles"`
+		BusyNS      int64   `json:"busy_ns"`
+		Parallelism int     `json:"parallelism"`
+		Utilization float64 `json:"utilization"`
 	} `json:"cost"`
 
 	// Savings counts the points (and their replications) served without
@@ -231,9 +233,6 @@ func (r *Runner) BuildLedger() *RunLedger {
 	led.Faults.WatchdogFired = p.WatchdogFired
 
 	led.Cost.WallNS = p.CostWallNS
-	led.Cost.CPUNS = p.CostCPUNS
-	led.Cost.AllocBytes = p.CostAllocBytes
-	led.Cost.AllocObjects = p.CostAllocObjects
 	led.Cost.Cycles = p.CostCycles
 	led.Cost.BusyNS = int64(p.Elapsed)
 	led.Cost.Parallelism = r.parallelism()
@@ -326,14 +325,11 @@ func reconcile(led *RunLedger, p Progress) (bool, string) {
 			p.PointsDone, p.PointsFailed, p.PointsAliased, p.PointsTotal)
 	}
 	var n = map[LedgerStatus]int64{}
-	var wall, cpu, ab, ao, cyc int64
+	var wall, cyc int64
 	for _, row := range led.Rows {
 		n[row.Status]++
 		if row.Cost != nil {
 			wall += row.Cost.WallNS
-			cpu += row.Cost.CPUNS
-			ab += row.Cost.AllocBytes
-			ao += row.Cost.AllocObjects
 			cyc += row.Cost.Cycles
 		}
 	}
@@ -347,9 +343,6 @@ func reconcile(led *RunLedger, p Progress) (bool, string) {
 		{"resumed rows", n[LedgerResumed], p.PointsResumed},
 		{"aliased rows", n[LedgerAliased], p.PointsAliased},
 		{"row wall_ns sum", wall, p.CostWallNS},
-		{"row cpu_ns sum", cpu, p.CostCPUNS},
-		{"row alloc_bytes sum", ab, p.CostAllocBytes},
-		{"row alloc_objects sum", ao, p.CostAllocObjects},
 		{"row cycles sum", cyc, p.CostCycles},
 	}
 	for _, c := range checks {
@@ -390,9 +383,8 @@ func (led *RunLedger) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintln(w); err != nil {
 		return err
 	}
-	if err := textplot.Table(w, "cost", []string{"wall", "cpu", "alloc", "objects", "cycles", "busy", "util"},
-		[][]string{{d(led.Cost.WallNS), d(led.Cost.CPUNS), fmt.Sprintf("%dB", led.Cost.AllocBytes),
-			i(led.Cost.AllocObjects), i(led.Cost.Cycles), d(led.Cost.BusyNS),
+	if err := textplot.Table(w, "cost", []string{"wall", "cycles", "busy", "util"},
+		[][]string{{d(led.Cost.WallNS), i(led.Cost.Cycles), d(led.Cost.BusyNS),
 			fmt.Sprintf("%.0f%%", led.Cost.Utilization*100)}}); err != nil {
 		return err
 	}
@@ -446,17 +438,17 @@ func (led *RunLedger) WriteText(w io.Writer) error {
 		}
 		rows := make([][]string, 0, len(led.TopK))
 		for _, row := range led.TopK {
-			var wallNS, cpuNS, cycles int64
+			var wallNS, cycles int64
 			if row.Cost != nil {
-				wallNS, cpuNS, cycles = row.Cost.WallNS, row.Cost.CPUNS, row.Cost.Cycles
+				wallNS, cycles = row.Cost.WallNS, row.Cost.Cycles
 			}
 			rows = append(rows, []string{
 				row.Label, string(row.Status), i(int64(row.Reps)),
-				d(wallNS), d(cpuNS), i(cycles),
+				d(wallNS), i(cycles),
 			})
 		}
 		if err := textplot.Table(w, "most expensive points",
-			[]string{"label", "status", "reps", "wall", "cpu", "cycles"}, rows); err != nil {
+			[]string{"label", "status", "reps", "wall", "cycles"}, rows); err != nil {
 			return err
 		}
 	}

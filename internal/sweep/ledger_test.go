@@ -13,7 +13,8 @@ import (
 
 // TestBuildLedgerReconciles drives a mixed run — fresh points, an
 // in-batch alias, a cache-served second batch, and a failed point —
-// and checks that the ledger's rows and the counters tell one story.
+// and checks that the ledger's rows and the counters tell one story,
+// and that every row names the seed its point ran at.
 func TestBuildLedgerReconciles(t *testing.T) {
 	pts := faultPoints(1)
 	pts = append(pts, Point{Label: "alias", Cfg: pts[0].Cfg})
@@ -44,9 +45,16 @@ func TestBuildLedgerReconciles(t *testing.T) {
 	if led.Schema != ledgerSchema {
 		t.Fatalf("schema %q", led.Schema)
 	}
+	byLabel := map[string]Point{}
+	for _, p := range pts {
+		byLabel[p.Label] = p
+	}
 	byStatus := map[LedgerStatus]int{}
 	for _, row := range led.Rows {
 		byStatus[row.Status]++
+		if want := SeedFor(byLabel[row.Label], r.RootSeed); row.Seed != want {
+			t.Fatalf("%s row %q seed %d, want %d", row.Status, row.Label, row.Seed, want)
+		}
 		switch row.Status {
 		case LedgerDone:
 			if row.Cost == nil || row.Cost.WallNS <= 0 {

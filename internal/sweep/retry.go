@@ -104,7 +104,6 @@ func (r *Runner) attempt(ctx context.Context, pr *PointResult, rep int, cfg *sim
 	e := pr.Point.Engine
 	for a := 0; ; a++ {
 		wctx, finish := r.withWatchdog(ctx, pr, rep)
-		before := readCostSample()
 		start := time.Now()
 		res, err := r.safeRun(wctx, e, cfg)
 		err = finish(err)
@@ -112,7 +111,7 @@ func (r *Runner) attempt(ctx context.Context, pr *PointResult, rep int, cfg *sim
 		// Every try is paid for, so every try is attributed — retries
 		// included; a point's cost is what it actually spent, not what
 		// its final attempt spent.
-		r.addCost(pr, costDelta(before, readCostSample(), wall, runCycles(cfg, res)))
+		r.addCost(pr, PointCost{WallNS: int64(wall), Cycles: runCycles(cfg, res)})
 		if err == nil {
 			r.noteRepWall(wall)
 			return res, nil

@@ -820,7 +820,7 @@ type Counters struct {
 	busy       time.Duration    // accumulated non-idle wall-clock
 
 	// totals holds the cumulative counts and attributed costs; Snapshot
-	// adds the time-dependent fields. Every attempt's cost delta lands
+	// adds the time-dependent fields. Every attempt's cost lands
 	// both on its point and here, so the ledger's per-point rows
 	// reconcile against these exactly.
 	totals      Progress
@@ -845,16 +845,11 @@ type Progress struct {
 	Messages      int64 // measured messages over all completed replications
 	Dropped       int64 // messages lost to full buffers
 	WatchdogFired int64 // stalled replications the watchdog cancelled (typed retryable)
-	// Attributed resource-cost totals over every simulation attempt this
-	// runner executed (retries included): wall and user-CPU nanoseconds,
-	// heap allocation deltas, and simulated cycles. Wall cost is exact
-	// attribution; CPU and allocations are process-wide deltas, so
-	// concurrent workers overlap inside them (see PointCost).
-	CostWallNS       int64
-	CostCPUNS        int64
-	CostAllocBytes   int64
-	CostAllocObjects int64
-	CostCycles       int64
+	// Attributed cost totals over every simulation attempt this runner
+	// executed (retries included): wall nanoseconds and simulated
+	// cycles, each the exact sum of the per-point costs (see PointCost).
+	CostWallNS int64
+	CostCycles int64
 	// Elapsed is the busy wall-clock time: the union of intervals during
 	// which at least one batch was running on this Runner.
 	Elapsed time.Duration
@@ -969,9 +964,6 @@ func (c *Counters) addCost(d PointCost) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.totals.CostWallNS += d.WallNS
-	c.totals.CostCPUNS += d.CPUNS
-	c.totals.CostAllocBytes += d.AllocBytes
-	c.totals.CostAllocObjects += d.AllocObjects
 	c.totals.CostCycles += d.Cycles
 }
 
@@ -1031,9 +1023,6 @@ func (c *Counters) Register(reg *obs.Registry) {
 		f          func(Progress) float64
 	}{
 		{"sweep.cost.wall_seconds", "attributed simulation wall time", func(p Progress) float64 { return float64(p.CostWallNS) / 1e9 }},
-		{"sweep.cost.cpu_seconds", "attributed user CPU time", func(p Progress) float64 { return float64(p.CostCPUNS) / 1e9 }},
-		{"sweep.cost.alloc_bytes", "attributed heap allocation bytes", func(p Progress) float64 { return float64(p.CostAllocBytes) }},
-		{"sweep.cost.alloc_objects", "attributed heap allocation objects", func(p Progress) float64 { return float64(p.CostAllocObjects) }},
 		{"sweep.cost.cycles", "simulated cycles bought", func(p Progress) float64 { return float64(p.CostCycles) }},
 	}
 	for _, m := range costs {
