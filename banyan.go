@@ -73,8 +73,8 @@ type (
 	ApproxModel = stages.Model
 	// DelayPredictor predicts total waiting time through an n-stage network.
 	DelayPredictor = delay.Network
-	// Topology describes a k-ary n-stage omega (banyan) network.
-	Topology = topology.Network
+	// Topology holds the routing tables of a k-ary n-stage network.
+	Topology = topology.Wiring
 	// SimConfig configures a simulation run.
 	SimConfig = simnet.Config
 	// SimResult carries simulation statistics.
@@ -173,8 +173,8 @@ func PredictWith(md ApproxModel, pt OperatingPoint, n int) (*DelayPredictor, err
 	return delay.New(md, pt, n)
 }
 
-// NewTopology returns a k-ary n-stage omega network description.
-func NewTopology(k, n int) (*Topology, error) { return topology.New(k, n) }
+// NewTopology returns the wiring of a k-ary n-stage omega network.
+func NewTopology(k, n int) (*Topology, error) { return topology.WiringFor(topology.Omega, k, n) }
 
 // Simulate runs the fast message-level engine.
 func Simulate(cfg *SimConfig) (*SimResult, error) { return simnet.Run(cfg) }

@@ -16,7 +16,8 @@
 //	          [-drift-check] [-drift-threshold 0.15]
 //
 // The run is a one-point sweep through sweep.Runner, configured by the
-// same sweep.RunOptions as the other binaries. -seed is the sweep's root
+// same sweep.RunOptions flags as the other binaries (-timeout,
+// -max-retries, -vr, -ledger-out, …). -seed is the sweep's root
 // seed, from which the runner derives the run's seeds. -replications N
 // runs N replications on any engine and reports Student-t confidence
 // intervals across them.
@@ -82,16 +83,11 @@ var (
 	satDepth    = flag.Int("sat-depth", 0, "graph engine: backlog high-water mark at which a switch is reported saturated (0 = 32)")
 	hist        = flag.Bool("hist", false, "print the total-wait histogram with the gamma overlay")
 	reps        = flag.Int("replications", 0, "run N independent replications (any engine) and report confidence intervals")
+	debugHold   = flag.Bool("debug-hold", false, "with -debug-addr: keep the debug server up after the run until SIGINT/SIGTERM")
 
-	simStats  = flag.Bool("sim-stats", false, "collect simulator-internal statistics and print a summary at exit")
-	debugAddr = flag.String("debug-addr", "", "serve live /metrics, /debug/hist, /debug/ts, /debug/trace and /debug/pprof on this address while the simulation runs")
-	debugHold = flag.Bool("debug-hold", false, "with -debug-addr: keep the debug server up after the run until SIGINT/SIGTERM")
-
-	traceOut    = flag.String("trace-out", "", "sample per-message trace spans and dump them as JSON lines to this file at exit")
-	traceSample = flag.Int("trace-sample", 64, "with -trace-out: trace one in N measured messages")
-
-	driftCheck     = flag.Bool("drift-check", false, "test the measured per-stage waiting times against the analytic model")
-	driftThreshold = flag.Float64("drift-threshold", 0, "KS-distance trigger floor for -drift-check (0 = default)")
+	// opts holds the flags every sweep-running binary shares
+	// (-sim-stats, -debug-addr, -trace-out, -drift-check, …).
+	opts sweep.RunOptions
 )
 
 // engines maps the -engine values to the simulators they select.
@@ -104,6 +100,7 @@ var engines = map[string]sweep.Engine{
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("banyansim: ")
+	opts.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if err := run(); err != nil {
 		log.Fatal(err)
@@ -146,14 +143,6 @@ func run() error {
 	}
 
 	runner := &sweep.Runner{RootSeed: *seed}
-	opts := sweep.RunOptions{
-		DebugAddr:      *debugAddr,
-		SimStats:       *simStats,
-		TraceOut:       *traceOut,
-		TraceSample:    *traceSample,
-		DriftCheck:     *driftCheck,
-		DriftThreshold: *driftThreshold,
-	}
 	ctx, cleanup, err := opts.Apply(runner)
 	if err != nil {
 		return err
@@ -173,7 +162,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *debugHold && *debugAddr != "" {
+	if *debugHold && opts.DebugAddr != "" {
 		// The deferred cleanup closes the server; until a signal cancels
 		// ctx the populated endpoints stay scrapeable (the CI smoke test
 		// relies on it).
@@ -281,7 +270,7 @@ func printRun(pr *sweep.PointResult) error {
 // -drift-check is set: the per-stage table, then on graph runs a count
 // of the per-switch verdicts and a line for each drifted switch.
 func printDrift(pr *sweep.PointResult) error {
-	if !*driftCheck {
+	if !opts.DriftCheck {
 		return nil
 	}
 	fmt.Println()

@@ -6,11 +6,9 @@
 //
 // Usage:
 //
-//	designer -pes 256 -p 0.5 [-m 1] [-slo 30] [-radices 2,4,8] [-debug-addr :6060]
+//	designer -pes 256 -p 0.5 [-m 1] [-slo 30] [-radices 2,4,8]
 //
-// designer is purely analytic (no simulation), so -debug-addr exposes
-// only process read-outs and pprof — useful when profiling wide
-// radix/SLO grids.
+// designer is purely analytic (no simulation).
 package main
 
 import (
@@ -20,10 +18,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"banyan/internal/design"
-	"banyan/internal/obs"
 	"banyan/internal/textplot"
 )
 
@@ -35,24 +31,7 @@ func main() {
 	m := flag.Int("m", 1, "message size in packets")
 	slo := flag.Float64("slo", 30, "p99 transit objective, cycles")
 	radixList := flag.String("radices", "2,4,8", "candidate switch radices")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/ts and /debug/pprof on this address while the study runs")
 	flag.Parse()
-
-	if *debugAddr != "" {
-		// Purely analytic, so the scrape surface is the process itself:
-		// runtime read-outs in OpenMetrics form plus their history.
-		reg := obs.NewRegistry()
-		obs.RegisterRuntimeMetrics(reg)
-		tsdb := obs.NewTSDB(reg, 120)
-		tsdb.Start(time.Second)
-		defer tsdb.Stop()
-		srv, err := obs.StartDebugServer(*debugAddr, obs.DebugOptions{Registry: reg, TSDB: tsdb})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug: serving /metrics, /debug/ts and /debug/pprof on http://%s\n", srv.Addr())
-	}
 
 	var radices []int
 	for _, s := range strings.Split(*radixList, ",") {

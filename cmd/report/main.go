@@ -55,7 +55,8 @@ func main() {
 	}()
 
 	fmt.Fprintf(f, "# Reproduction report — Kruskal, Snir & Weiss (ICPP'86 / IEEE ToC '88)\n\n")
-	fmt.Fprintf(f, "Generated %s at scale %+v.\n\n", time.Now().Format(time.RFC3339), sc)
+	fmt.Fprintf(f, "Generated %s at scale TargetMessages=%d WarmupCycles=%d Seed=%d.\n\n",
+		time.Now().Format(time.RFC3339), sc.TargetMessages, sc.WarmupCycles, sc.Seed)
 	for _, s := range experiments.Sections() {
 		start := time.Now()
 		fmt.Fprintf(f, "## %s\n\n```\n", s.Name)

@@ -4,9 +4,9 @@ import (
 	"fmt"
 )
 
-// This file analyzes permutation routing on the omega network — the
+// This file analyzes permutation routing on a wiring — the
 // combinatorial side of the banyan family the paper's introduction cites
-// (Lawrie's Ω network, Goke & Lipovski's banyans): an N-input omega
+// (Lawrie's Ω network, Goke & Lipovski's banyans): an N-input banyan
 // network has a unique path per (source, destination) pair, so a full
 // permutation is routable without conflicts iff no two paths demand the
 // same output port at any stage. Only N^(N/2)-ish of the N! permutations
@@ -28,24 +28,24 @@ func (c Conflict) Error() string {
 		c.SrcA, c.SrcB, c.Stage, c.Row)
 }
 
-// CheckPermutation reports whether the permutation perm (perm[src] =
-// dest) is routable in a single conflict-free pass. It returns nil if so,
-// or the first Conflict found. perm must be a permutation of 0…N-1.
-func (t *Network) CheckPermutation(perm []int) error {
-	if err := t.validatePerm(perm); err != nil {
+// Routable reports whether the permutation perm (perm[src] = dest) is
+// routable in a single conflict-free pass. It returns nil if so, or the
+// first Conflict found. perm must be a permutation of 0…N-1.
+func (w *Wiring) Routable(perm []int) error {
+	if err := w.validatePerm(perm); err != nil {
 		return err
 	}
-	owner := make([]int, t.size)
-	rows := make([]int, t.size)
+	owner := make([]int, w.size)
+	rows := make([]int, w.size)
 	for src := range perm {
 		rows[src] = src
 	}
-	for stage := 1; stage <= t.n; stage++ {
+	for stage := 1; stage <= w.n; stage++ {
 		for i := range owner {
 			owner[i] = -1
 		}
 		for src, dest := range perm {
-			r := t.NextRow(rows[src], t.Digit(dest, stage))
+			r := w.Next(stage, rows[src], w.Digit(dest, stage))
 			if prev := owner[r]; prev >= 0 {
 				return Conflict{Stage: stage, Row: r, SrcA: prev, SrcB: src}
 			}
@@ -61,8 +61,8 @@ func (t *Network) CheckPermutation(perm []int) error {
 // source whose whole path is conflict-free given the earlier sources of
 // the same pass. It is the classic store-and-forward lower-bound proxy
 // for how badly a permutation fits the network (identity = 1 pass).
-func (t *Network) PassCount(perm []int) (int, error) {
-	if err := t.validatePerm(perm); err != nil {
+func (w *Wiring) PassCount(perm []int) (int, error) {
+	if err := w.validatePerm(perm); err != nil {
 		return 0, err
 	}
 	remaining := make([]int, 0, len(perm))
@@ -70,13 +70,13 @@ func (t *Network) PassCount(perm []int) (int, error) {
 		remaining = append(remaining, src)
 	}
 	passes := 0
-	occupied := make([][]bool, t.n)
+	occupied := make([][]bool, w.n)
 	for i := range occupied {
-		occupied[i] = make([]bool, t.size)
+		occupied[i] = make([]bool, w.size)
 	}
 	for len(remaining) > 0 {
 		passes++
-		if passes > t.size*t.n+1 {
+		if passes > w.size*w.n+1 {
 			return 0, fmt.Errorf("topology: pass counting failed to terminate")
 		}
 		for s := range occupied {
@@ -86,7 +86,7 @@ func (t *Network) PassCount(perm []int) (int, error) {
 		}
 		var blocked []int
 		for _, src := range remaining {
-			route := t.Route(src, perm[src])
+			route := w.Route(src, perm[src])
 			ok := true
 			for s, r := range route {
 				if occupied[s][r] {
@@ -108,13 +108,13 @@ func (t *Network) PassCount(perm []int) (int, error) {
 }
 
 // validatePerm checks perm is a permutation of 0…N-1.
-func (t *Network) validatePerm(perm []int) error {
-	if len(perm) != t.size {
-		return fmt.Errorf("topology: permutation length %d, want %d", len(perm), t.size)
+func (w *Wiring) validatePerm(perm []int) error {
+	if len(perm) != w.size {
+		return fmt.Errorf("topology: permutation length %d, want %d", len(perm), w.size)
 	}
-	seen := make([]bool, t.size)
+	seen := make([]bool, w.size)
 	for src, dest := range perm {
-		if dest < 0 || dest >= t.size {
+		if dest < 0 || dest >= w.size {
 			return fmt.Errorf("topology: perm[%d] = %d out of range", src, dest)
 		}
 		if seen[dest] {
@@ -126,8 +126,8 @@ func (t *Network) validatePerm(perm []int) error {
 }
 
 // IdentityPerm returns the identity permutation.
-func (t *Network) IdentityPerm() []int {
-	p := make([]int, t.size)
+func (w *Wiring) IdentityPerm() []int {
+	p := make([]int, w.size)
 	for i := range p {
 		p[i] = i
 	}
@@ -137,26 +137,27 @@ func (t *Network) IdentityPerm() []int {
 // BitReversalPerm returns the bit-reversal permutation (digit-reversal
 // for radix k) — the FFT access pattern and a classic routability test
 // case.
-func (t *Network) BitReversalPerm() []int {
-	p := make([]int, t.size)
+func (w *Wiring) BitReversalPerm() []int {
+	p := make([]int, w.size)
 	for src := range p {
 		rev := 0
 		v := src
-		for d := 0; d < t.n; d++ {
-			rev = rev*t.k + v%t.k
-			v /= t.k
+		for d := 0; d < w.n; d++ {
+			rev = rev*w.k + v%w.k
+			v /= w.k
 		}
 		p[src] = rev
 	}
 	return p
 }
 
-// PerfectShufflePerm returns the perfect-shuffle permutation σ(i) =
-// Shuffle(i).
-func (t *Network) PerfectShufflePerm() []int {
-	p := make([]int, t.size)
+// PerfectShufflePerm returns the perfect k-shuffle permutation
+// σ(i) = (k·i) mod N + (k·i) div N, the left rotation of i's base-k
+// digit string.
+func (w *Wiring) PerfectShufflePerm() []int {
+	p := make([]int, w.size)
 	for i := range p {
-		p[i] = t.Shuffle(i)
+		p[i] = (w.k*i)%w.size + (w.k*i)/w.size
 	}
 	return p
 }
@@ -164,15 +165,15 @@ func (t *Network) PerfectShufflePerm() []int {
 // TransposePerm returns the matrix-transpose permutation (swap the high
 // and low halves of the digit string; n must be even): the canonical
 // *hard* permutation for omega networks.
-func (t *Network) TransposePerm() ([]int, error) {
-	if t.n%2 != 0 {
-		return nil, fmt.Errorf("topology: transpose needs an even number of stages, have %d", t.n)
+func (w *Wiring) TransposePerm() ([]int, error) {
+	if w.n%2 != 0 {
+		return nil, fmt.Errorf("topology: transpose needs an even number of stages, have %d", w.n)
 	}
 	half := 1
-	for i := 0; i < t.n/2; i++ {
-		half *= t.k
+	for i := 0; i < w.n/2; i++ {
+		half *= w.k
 	}
-	p := make([]int, t.size)
+	p := make([]int, w.size)
 	for i := range p {
 		hi := i / half
 		lo := i % half

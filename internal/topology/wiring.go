@@ -1,3 +1,14 @@
+// Package topology models the multistage interconnection networks of
+// the paper: N = k^n inputs connected to N outputs through n stages of
+// k×k buffered crossbar switches (Fig. 1 of the paper is Lawrie's omega
+// network, a member of the banyan family of Goke and Lipovski).
+//
+// A Wiring holds one such network as explicit routing tables. Rows
+// (link indices) at each stage are numbered 0…N-1. Routing is
+// digit-controlled: the switch at stage j forwards a message to the
+// local output port named by the base-k digit of its destination that
+// the stage consumes, and after the last stage the row equals the
+// destination.
 package topology
 
 import (
@@ -48,8 +59,8 @@ func ParseKind(s string) (Kind, error) {
 // Wiring is an explicit routing table for one k-ary n-stage delta
 // network: for every stage, the output-queue row a message on row r
 // joins when its routing digit is d, plus the grouping of output rows
-// into physical k×k switches. It is what the graph simulation engine
-// walks instead of the closed-form omega arithmetic.
+// into physical k×k switches. The graph simulation engine walks these
+// tables, and the permutation-routing analysis routes on them.
 type Wiring struct {
 	kind Kind
 	k    int
@@ -71,17 +82,25 @@ type Wiring struct {
 // n-stage network and validates their structure: at every stage the k
 // rows reachable from each input row must be distinct and the reachable
 // sets must partition the rows — i.e. the stage is a legal bank of k×k
-// switches.
+// switches. k must be at least 2, n at least 1, and k^n at most 2^40.
 func WiringFor(kind Kind, k, n int) (*Wiring, error) {
 	kind, err := ParseKind(string(kind))
 	if err != nil {
 		return nil, err
 	}
-	net, err := New(k, n)
-	if err != nil {
-		return nil, err
+	if k < 2 {
+		return nil, fmt.Errorf("topology: switch radix k = %d must be at least 2", k)
 	}
-	size := net.Size()
+	if n < 1 {
+		return nil, fmt.Errorf("topology: stage count n = %d must be at least 1", n)
+	}
+	size := 1
+	for i := 0; i < n; i++ {
+		if size > (1<<40)/k {
+			return nil, fmt.Errorf("topology: network k=%d n=%d too large", k, n)
+		}
+		size *= k
+	}
 	w := &Wiring{kind: kind, k: k, n: n, size: size}
 	w.next = make([][]int32, n)
 	w.digitDiv = make([]uint32, n)
@@ -209,6 +228,9 @@ func (w *Wiring) DigitDiv(stage int) uint32 { return w.digitDiv[stage-1] }
 // Next returns the output row a message entering stage (1-based) on row
 // r joins when routed with digit d.
 func (w *Wiring) Next(stage, r, d int) int {
+	if d < 0 || d >= w.k {
+		panic(fmt.Sprintf("topology: digit %d out of 0..%d", d, w.k-1))
+	}
 	return int(w.next[stage-1][r*w.k+d])
 }
 
@@ -224,29 +246,12 @@ func (w *Wiring) SwitchOf(stage, r int) int { return int(w.swid[stage-1][r]) }
 // returned slice is shared, not a copy.
 func (w *Wiring) SwitchTable(stage int) []int32 { return w.swid[stage-1] }
 
-// Siblings returns, in digit order, the output rows of the switch that
-// row r of stage (1-based) belongs to, by scanning the input rows that
-// reach r. Used by the reroute failure policy to deflect onto a healthy
-// sister port of the same physical switch.
-func (w *Wiring) Siblings(stage, r int) []int {
-	tbl := w.next[stage-1]
-	for in := 0; in < w.size; in++ {
-		for d := 0; d < w.k; d++ {
-			if int(tbl[in*w.k+d]) == r {
-				out := make([]int, w.k)
-				for i := 0; i < w.k; i++ {
-					out[i] = int(tbl[in*w.k+i])
-				}
-				return out
-			}
-		}
-	}
-	return nil
-}
-
 // Route returns the output rows visited routing src → dest, one per
 // stage.
 func (w *Wiring) Route(src, dest int) []int {
+	if src < 0 || src >= w.size || dest < 0 || dest >= w.size {
+		panic(fmt.Sprintf("topology: route %d → %d out of 0..%d", src, dest, w.size-1))
+	}
 	rows := make([]int, w.n)
 	r := src
 	for stage := 1; stage <= w.n; stage++ {
