@@ -77,19 +77,13 @@ func main() {
 		return fmt.Sprintf("deep/k=%d/p=%g/q=%g", k, p, q)
 	}
 	deepPoint := func(k, n int, p, q float64) sweep.Point {
-		rows := 1
-		for i := 0; i < n && rows < 4096; i++ {
-			rows *= k
+		cfg := simnet.Config{K: k, Stages: n, P: p, Q: q, Warmup: *warmup}
+		rows, _, err := cfg.Rows()
+		if err != nil {
+			log.Fatal(err)
 		}
-		cyc := *cycles
-		if cap := int(12e6 / (float64(rows) * p)); cyc > cap {
-			cyc = cap
-		}
-		return sweep.Point{
-			Label: deepLabel(k, p, q),
-			Cfg: simnet.Config{K: k, Stages: n, P: p, Q: q,
-				Cycles: cyc, Warmup: *warmup},
-		}
+		cfg.Cycles = min(*cycles, int(12e6/(float64(rows)*p)))
+		return sweep.Point{Label: deepLabel(k, p, q), Cfg: cfg}
 	}
 	mvarLabel := func(rho float64) string { return fmt.Sprintf("mvar/rho=%g", rho) }
 	mvarPoint := func(rho float64) sweep.Point {

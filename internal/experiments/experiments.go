@@ -99,16 +99,14 @@ func (sc Scale) cyclesFor(rows int, p float64, bulk int) int {
 // configuration needs the literal engine (finite buffers or occupancy
 // tracking) are routed there automatically.
 func (sc Scale) point(label string, cfg simnet.Config) sweep.Point {
-	rows := 1
-	for i := 0; i < cfg.Stages; i++ {
-		rows *= cfg.K
-		if rows >= 4096 {
-			rows = 4096
-			break
-		}
-	}
 	if cfg.Cycles == 0 {
-		cfg.Cycles = sc.cyclesFor(rows, cfg.P, cfg.Bulk)
+		// Rows fails only on a configuration the runner rejects with the
+		// same error; one cycle lets that error surface instead of a
+		// complaint about zero cycles.
+		cfg.Cycles = 1
+		if rows, _, err := cfg.Rows(); err == nil {
+			cfg.Cycles = sc.cyclesFor(rows, cfg.P, cfg.Bulk)
+		}
 	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = sc.WarmupCycles

@@ -256,3 +256,15 @@ func TestScaleDerivation(t *testing.T) {
 		t.Fatalf("cycle floor violated: %d", c)
 	}
 }
+
+// TestScalePointSizedFromSimulatedRows: a wrapped network is sized from
+// the rows simnet runs. For k=3, n=8 that is 3^7 = 2,187 rows, not the
+// 4,096-row cap: sizing from the cap would measure about half the
+// target message count.
+func TestScalePointSizedFromSimulatedRows(t *testing.T) {
+	sc := Full()
+	pt := sc.point("k3n8", simnet.Config{K: 3, Stages: 8, P: 0.5})
+	if want := sc.cyclesFor(2187, 0.5, 1); pt.Cfg.Cycles != want {
+		t.Fatalf("k=3 n=8 point runs %d cycles, want %d (2,187 rows)", pt.Cfg.Cycles, want)
+	}
+}

@@ -100,19 +100,6 @@ type Config struct {
 	// Seed seeds the deterministic PCG random stream.
 	Seed uint64
 
-	// Antithetic mirrors every trace-generation draw: uniforms u become
-	// 1-u and uniform destinations d become destSpace-1-d, at the
-	// TraceStream level, so every engine (fast, reference, literal,
-	// graph) sees the same mirrored schedule. A run with Antithetic set
-	// has exactly the simulator's marginal distribution — mirroring is
-	// measure-preserving — but is negatively correlated with the run at
-	// the same Seed without it; averaging such a pair cancels the
-	// monotone part of the seed noise (antithetic variates, see
-	// internal/vr). Runner-managed and excluded from sweep config
-	// hashing, like Seed: the variance-reduction plan decides which
-	// replications mirror, not the point's identity.
-	Antithetic bool
-
 	// SyncDraws makes trace generation consume the same number of random
 	// draws per (cycle, input) slot whether or not a message is generated
 	// there. Without it, destination and service uniforms are drawn only
@@ -126,8 +113,7 @@ type Config struct {
 	// discarded, and each message's destination/service remain i.i.d.);
 	// the realization at a given seed differs from the default stream,
 	// which is why the variance-reduction layer salts its artifact keys.
-	// Runner-managed and excluded from sweep config hashing, like Seed
-	// and Antithetic.
+	// Runner-managed and excluded from sweep config hashing, like Seed.
 	SyncDraws bool
 
 	// MaxRows caps the number of rows per stage. A full k-ary n-stage
@@ -371,8 +357,14 @@ func (c *Config) maxRows() int {
 	return c.MaxRows
 }
 
-// rows returns the number of rows per stage and whether the shuffle wraps.
-func (c *Config) rows() (int, bool, error) {
+// Rows returns the number of rows per stage the simulator runs and
+// whether the shuffle wraps: k^n, or the largest power of k not
+// exceeding MaxRows when k^n does not fit. Anything that sizes a run by
+// messages per cycle must count rows here, not as k^n.
+func (c *Config) Rows() (rows int, wrapped bool, err error) {
+	if c.K < 2 || c.Stages < 1 {
+		return 0, false, fmt.Errorf("simnet: no %d-stage network of radix %d", c.Stages, c.K)
+	}
 	full := 1
 	for i := 0; i < c.Stages; i++ {
 		if full > c.maxRows()/c.K {
@@ -481,7 +473,7 @@ func (c *Config) Validate() error {
 			"set AllowUnstable (plus MaxInFlight/DrainCycles budgets) to probe saturation with truncated runs",
 			rho, c.bulk(), c.P, c.service().Mean())
 	}
-	if _, _, err := c.rows(); err != nil {
+	if _, _, err := c.Rows(); err != nil {
 		return err
 	}
 	return nil

@@ -123,7 +123,7 @@ func runEngine(ctx context.Context, e Engine, cfg *Config, src ArrivalSource, ar
 // mismatch would index past a per-stage table or simulate a network
 // nobody asked for.
 func checkSource(cfg *Config, m *TraceMeta) error {
-	rows, wrapped, err := cfg.rows()
+	rows, wrapped, err := cfg.Rows()
 	if err != nil {
 		return err
 	}

@@ -237,6 +237,34 @@ func TestWrappedNetwork(t *testing.T) {
 	almost(t, res.StageWait[13].Mean(), 0.30, 0.015, "wrapped deep-stage mean")
 }
 
+// TestRowsWrapsAtLargestPower: a network wider than MaxRows runs the
+// largest power of k that fits, which for k = 3 is neither k^n nor the
+// cap.
+func TestRowsWrapsAtLargestPower(t *testing.T) {
+	for _, c := range []struct {
+		k, n, maxRows int
+		rows          int
+		wrapped       bool
+	}{
+		{3, 7, 0, 2187, false},
+		{3, 8, 0, 2187, true},
+		{2, 12, 0, 4096, false},
+		{2, 13, 0, 4096, true},
+		{8, 5, 0, 4096, true},
+		{2, 14, 1024, 1024, true},
+	} {
+		cfg := Config{K: c.k, Stages: c.n, MaxRows: c.maxRows}
+		rows, wrapped, err := cfg.Rows()
+		if err != nil || rows != c.rows || wrapped != c.wrapped {
+			t.Errorf("k=%d n=%d MaxRows=%d: Rows() = %d, %v, %v; want %d, %v",
+				c.k, c.n, c.maxRows, rows, wrapped, err, c.rows, c.wrapped)
+		}
+	}
+	if _, _, err := (&Config{K: 0, Stages: 3}).Rows(); err == nil {
+		t.Error("Rows accepted radix 0")
+	}
+}
+
 func TestStageCovTracking(t *testing.T) {
 	cfg := &Config{K: 2, Stages: 5, P: 0.5, Cycles: 6000, Warmup: 500, Seed: 13, TrackStageWaits: true}
 	res, err := Run(cfg)

@@ -23,7 +23,6 @@ var (
 		"Cycles":          func(c *Config) { c.Cycles = 7 },
 		"Warmup":          func(c *Config) { c.Warmup = 3 },
 		"Seed":            func(c *Config) { c.Seed = 9 },
-		"Antithetic":      func(c *Config) { c.Antithetic = true },
 		"SyncDraws":       func(c *Config) { c.SyncDraws = true },
 		"MaxRows":         func(c *Config) { c.MaxRows = 4 },
 		"TrackStageWaits": func(c *Config) { c.TrackStageWaits = true },

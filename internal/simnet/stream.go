@@ -45,7 +45,7 @@ func (m *TraceMeta) NextRow(row int32, digit int) int32 {
 
 // newTraceMeta builds the meta block for a validated configuration.
 func newTraceMeta(cfg *Config) (TraceMeta, error) {
-	rows, wrapped, err := cfg.rows()
+	rows, wrapped, err := cfg.Rows()
 	if err != nil {
 		return TraceMeta{}, err
 	}
@@ -125,7 +125,6 @@ type TraceStream struct {
 	burst     *BurstParams
 	on        []bool // bursty per-input ON state
 	warmup    int
-	anti      bool // mirror every draw (antithetic variates)
 	sync      bool // fixed draw budget per slot (CRN synchronization)
 
 	blk TraceBlock // reused between Next calls
@@ -165,7 +164,6 @@ func newTraceStream(cfg *Config, blockCycles int) (*TraceStream, error) {
 		destSpace:   uint64(intPow(cfg.K, cfg.Stages)),
 		burst:       cfg.Burst,
 		warmup:      cfg.Warmup,
-		anti:        cfg.Antithetic,
 		sync:        cfg.SyncDraws,
 	}
 	if sup := svcPMF.SortedSupport(0); len(sup) == 1 {
@@ -182,7 +180,7 @@ func newTraceStream(cfg *Config, blockCycles int) (*TraceStream, error) {
 		frac := cfg.Burst.onFraction()
 		s.on = make([]bool, meta.Rows)
 		for i := range s.on {
-			s.on[i] = s.u() < frac
+			s.on[i] = s.rng.Float64() < frac
 		}
 	}
 	return s, nil
@@ -190,21 +188,6 @@ func newTraceStream(cfg *Config, blockCycles int) (*TraceStream, error) {
 
 // Meta returns the schedule's fixed context.
 func (s *TraceStream) Meta() *TraceMeta { return &s.meta }
-
-// u draws one generation uniform, mirrored to 1-u under Antithetic.
-// The mirror changes each comparison u < p into 1-u < p, an event of
-// identical probability up to one part in 2⁵³ (Float64 draws a 53-bit
-// lattice; its mirror is the same lattice shifted half a step), so the
-// mirrored schedule is distributed exactly like an independent one
-// while being maximally anticorrelated with the unmirrored schedule at
-// the same seed.
-func (s *TraceStream) u() float64 {
-	u := s.rng.Float64()
-	if s.anti {
-		return 1 - u
-	}
-	return u
-}
 
 // Next generates the next block: up to blockCycles cycles, cut short at
 // the first cycle boundary where the block holds blockMessages messages.
@@ -229,15 +212,12 @@ func (s *TraceStream) Next() (*TraceBlock, error) {
 	// Hoisted loop state: the generator calls into rng between field
 	// reads, so without locals the compiler must reload every field per
 	// iteration — and this loop runs rows times per simulated cycle.
-	// Antithetic mirroring (see Config.Antithetic) stays inline for the
-	// same reason: each draw site flips its own uniform behind one
-	// predictable branch instead of a closure call.
 	rng := s.rng
 	rows := s.meta.Rows
 	p, q, hot := s.p, s.q, s.hot
 	bulk, constSvc := s.bulk, s.constSvc
 	destSpace := s.destSpace
-	anti, sync := s.anti, s.sync
+	sync := s.sync
 	t := s.next
 
 	// Reserve the block's expected size, up to the most it can hold, and
@@ -253,74 +233,44 @@ func (s *TraceStream) Next() (*TraceBlock, error) {
 		for in := 0; in < rows; in++ {
 			if s.on != nil {
 				if s.on[in] {
-					u := rng.Float64()
-					if anti {
-						u = 1 - u
-					}
-					if u < s.burst.POffRate {
+					if rng.Float64() < s.burst.POffRate {
 						s.on[in] = false
 					}
-				} else {
-					u := rng.Float64()
-					if anti {
-						u = 1 - u
-					}
-					if u < s.burst.POnRate {
-						s.on[in] = true
-					}
+				} else if rng.Float64() < s.burst.POnRate {
+					s.on[in] = true
 				}
 				if !s.on[in] {
 					continue
 				}
 			}
-			u := rng.Float64()
-			if anti {
-				u = 1 - u
-			}
 			// SyncDraws: a non-generating slot still consumes its full
 			// draw budget below (the draws are discarded), so equal-seed
 			// streams at different p never shift against each other.
-			gen := u < p
+			gen := rng.Float64() < p
 			if !gen && !sync {
 				continue
 			}
 			var dest uint32
 			hit := false
 			if q > 0 {
-				u = rng.Float64()
-				if anti {
-					u = 1 - u
-				}
-				if u < q {
+				if rng.Float64() < q {
 					dest = uint32(in) // favorite: the output with the input's own index
 					hit = true
 				}
 			} else if hot > 0 {
-				u = rng.Float64()
-				if anti {
-					u = 1 - u
-				}
-				if u < hot {
+				if rng.Float64() < hot {
 					dest = 0 // the shared hot module
 					hit = true
 				}
 			}
 			if !hit {
-				v := rng.Uint64N(destSpace)
-				if anti {
-					v = destSpace - 1 - v
-				}
-				dest = uint32(v)
+				dest = uint32(rng.Uint64N(destSpace))
 			}
 			sv := int16(1)
 			if constSvc > 0 {
 				sv = int16(constSvc)
 			} else {
-				u1, u2 := rng.Float64(), rng.Float64()
-				if anti {
-					u1, u2 = 1-u1, 1-u2
-				}
-				sv = int16(s.sampler.Sample(u1, u2))
+				sv = int16(s.sampler.Sample(rng.Float64(), rng.Float64()))
 			}
 			if !gen {
 				continue

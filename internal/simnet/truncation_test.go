@@ -221,7 +221,7 @@ func stopTraced(t *testing.T, c observedCase, stop string, a *arena) {
 		src = &stopper{ArrivalSource: st, at: ctxCheckMask / 2, cancel: cancel}
 	} else {
 		cfg.Warmup = 1
-		rows, _, err := cfg.rows()
+		rows, _, err := cfg.Rows()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ type RunOptions struct {
 	// MaxRetries is the per-replication retry budget.
 	MaxRetries int
 	// VR is the comma-separated variance-reduction technique list:
-	// "crn", "cv", "anti" ("" or "off" = none). See vr.Parse.
+	// "crn", "cv" ("" or "off" = none). See vr.Parse.
 	VR string
 	// TargetCI, when positive, runs each point until the 95% CI
 	// half-width of its mean-wait estimate is at most this (sequential
@@ -108,7 +108,7 @@ func (o *RunOptions) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.Checkpoint, "checkpoint", "", "journal completed points to this file so an interrupted run can be resumed with -resume")
 	fs.BoolVar(&o.Resume, "resume", false, "reuse the completed points already in the -checkpoint journal")
 	fs.IntVar(&o.MaxRetries, "max-retries", 1, "retries per replication after a panic or simulation error")
-	fs.StringVar(&o.VR, "vr", "", "variance-reduction techniques, comma-separated: crn (common random numbers across points), cv (control variates), anti (antithetic replication pairs)")
+	fs.StringVar(&o.VR, "vr", "", "variance-reduction techniques, comma-separated: crn (common random numbers across points), cv (control variates)")
 	fs.Float64Var(&o.TargetCI, "target-ci", 0, "run each point until the 95% CI half-width of its mean wait is at most this many cycles (0 = fixed replication count)")
 	fs.IntVar(&o.VRMaxReps, "vr-max-reps", 0, "replication cap per point for -target-ci (0 = the point's configured count)")
 	fs.StringVar(&o.Chaos, "chaos", "", "arm deterministic fault injection: \"seed=N\" or explicit classes like \"rep.panic:prob=1;journal.torn:record=2\"")

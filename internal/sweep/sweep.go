@@ -85,7 +85,7 @@ type PointResult struct {
 	// Agg pools the replications; nil when the point failed.
 	Agg *simnet.Replicated
 	// VR is the variance-reduced estimate of the mean total wait —
-	// control-variate-adjusted, antithetic pairs folded into units,
+	// control-variate-adjusted when the plan fits controls, with a
 	// Student-t interval — computed whenever the runner has a VR plan.
 	// Nil on failed points and on runs without a plan.
 	VR *vr.Estimate
@@ -152,12 +152,12 @@ type Runner struct {
 	// RootSeed is the seed every per-point seed is derived from.
 	RootSeed uint64
 	// VR selects the variance-reduction plan: common random numbers,
-	// antithetic replication pairs, control variates, and CI-targeted
-	// sequential stopping (see internal/vr). Nil (or the zero plan) is
-	// bit-identical to a run without the layer. Plans whose salt is
-	// non-zero (CRN, antithetic, adaptive stopping — anything that
-	// changes seeds or replication counts) address the cache and
-	// journal under salted keys, so VR and non-VR artifacts never mix.
+	// control variates, and CI-targeted sequential stopping (see
+	// internal/vr). Nil (or the zero plan) is bit-identical to a run
+	// without the layer. Plans whose salt is non-zero (CRN, adaptive
+	// stopping — anything that changes seeds or replication counts)
+	// address the cache and journal under salted keys, so VR and
+	// non-VR artifacts never mix.
 	VR *vr.Plan
 	// Cache, when non-nil, stores completed points across Run calls.
 	Cache *Cache
@@ -487,10 +487,10 @@ func (r *Runner) RunCtx(ctx context.Context, points []Point) ([]*PointResult, er
 			// Each replication re-derives its seed from the point's
 			// canonical key, so the result cannot depend on worker
 			// scheduling, retries, or batch composition. The VR plan
-			// may redirect the derivation (CRN base, antithetic pair
-			// sharing) — still a pure function of (plan, point, rep).
+			// may redirect the derivation to the CRN base — still a
+			// pure function of (plan, point, rep).
 			cfg := st.pr.Point.Cfg
-			cfg.Seed, cfg.Antithetic = r.VR.RepSeed(st.pr.Seed, crnBase, j.rep)
+			cfg.Seed = r.VR.RepSeed(st.pr.Seed, crnBase, j.rep)
 			cfg.SyncDraws = r.VR.Synchronized()
 			if r.Probe != nil {
 				cfg.Probe = r.Probe

@@ -67,13 +67,12 @@ func TestVROffBitIdentical(t *testing.T) {
 	}
 }
 
-// TestVRSweepDeterministicAcrossScheduling: a full plan — CRN,
-// antithetic pairs, control variates, and CI-targeted stopping — yields
-// identical replication counts, runs, and estimates at every worker
-// count. Adaptive wave scheduling must not leak scheduling order into
-// results.
+// TestVRSweepDeterministicAcrossScheduling: a full plan — CRN, control
+// variates, and CI-targeted stopping — yields identical replication
+// counts, runs, and estimates at every worker count. Adaptive wave
+// scheduling must not leak scheduling order into results.
 func TestVRSweepDeterministicAcrossScheduling(t *testing.T) {
-	plan := &vr.Plan{CRN: true, Antithetic: true, ControlVariates: true, TargetCI: 0.4, MaxReps: 32}
+	plan := &vr.Plan{CRN: true, ControlVariates: true, TargetCI: 0.4, MaxReps: 32}
 	var want []*PointResult
 	for _, par := range []int{1, 4, 16} {
 		r := &Runner{Parallelism: par, RootSeed: 0x5eed, VR: plan}
@@ -127,9 +126,8 @@ func TestVRUnbiasedAgainstPlain(t *testing.T) {
 
 	for _, plan := range []*vr.Plan{
 		{CRN: true},
-		{Antithetic: true},
 		{ControlVariates: true},
-		{CRN: true, Antithetic: true, ControlVariates: true},
+		{CRN: true, ControlVariates: true},
 	} {
 		r := &Runner{Parallelism: 4, RootSeed: 7, VR: plan}
 		vres, err := r.Run(points)
@@ -204,7 +202,7 @@ func TestVRAdaptiveStopsEarlyAndCaps(t *testing.T) {
 // deterministically chosen replication counts without resimulating, and
 // reproduces the same estimates.
 func TestVRAdaptiveJournalResume(t *testing.T) {
-	plan := &vr.Plan{Antithetic: true, TargetCI: 1.0, MaxReps: 32}
+	plan := &vr.Plan{CRN: true, TargetCI: 1.0, MaxReps: 32}
 	points := vrBatteryPoints(8)
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 

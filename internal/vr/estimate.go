@@ -16,29 +16,29 @@ import (
 type Estimate struct {
 	// Mean is the (control-variate-adjusted, when enabled) estimate of
 	// the mean total wait; HalfWidth its two-sided CI half-width at
-	// Confidence. Units is the number of independent units behind them:
-	// replications, or mirrored pairs under antithetic.
+	// Confidence. Reps is the number of independent replications
+	// behind them.
 	Mean       float64
 	HalfWidth  float64
 	Confidence float64
-	Units      int
 	Reps       int
 
-	// RawMean / RawVar are the unadjusted across-unit statistics, kept
-	// so reports can show what the adjustment bought.
+	// RawMean / RawVar are the unadjusted across-replication
+	// statistics, kept so reports can show what the adjustment bought.
 	RawMean float64
 	RawVar  float64
 
-	// AdjVar is the across-unit variance of the adjusted values (equal
-	// to RawVar when no control applies). VarReduction = RawVar/AdjVar
-	// and ESS = Units·VarReduction, the plain-MC replication count this
-	// estimate is worth.
+	// AdjVar is the across-replication variance of the adjusted values
+	// (equal to RawVar when no control applies). VarReduction =
+	// RawVar/AdjVar and ESS = Reps·VarReduction, the plain-MC
+	// replication count this estimate is worth.
 	AdjVar       float64
 	VarReduction float64
 	ESS          float64
 
 	// Controls and Beta record the fitted control variates ("" slice
-	// when none applied — ineligible configuration or too few units).
+	// when none applied — ineligible configuration or too few
+	// replications).
 	Controls []string
 	Beta     []float64
 
@@ -103,34 +103,14 @@ func controls(cfg *simnet.Config) []control {
 	return cs
 }
 
-// units folds raw replication results into independent units: the
-// per-replication mean total wait (and control values), averaged over
-// mirrored pairs under antithetic. A trailing unpaired replication
-// under antithetic is kept as its own unit — still unbiased, merely
-// uncorrelated.
-func (p *Plan) units(runs []*simnet.Result, cs []control) (ys []float64, cvals [][]float64) {
-	step := 1
-	if p != nil && p.Antithetic {
-		step = 2
-	}
-	for i := 0; i < len(runs); i += step {
-		pair := runs[i : i+1]
-		if step == 2 && i+1 < len(runs) {
-			pair = runs[i : i+2]
-		}
-		y := 0.0
+// samples returns each replication's mean total wait and control values.
+func samples(runs []*simnet.Result, cs []control) (ys []float64, cvals [][]float64) {
+	for _, r := range runs {
 		cv := make([]float64, len(cs))
-		for _, r := range pair {
-			y += r.MeanTotalWait()
-			for j, c := range cs {
-				cv[j] += c.val(r)
-			}
+		for j, c := range cs {
+			cv[j] = c.val(r)
 		}
-		y /= float64(len(pair))
-		for j := range cv {
-			cv[j] /= float64(len(pair))
-		}
-		ys = append(ys, y)
+		ys = append(ys, r.MeanTotalWait())
 		cvals = append(cvals, cv)
 	}
 	return ys, cvals
@@ -140,8 +120,8 @@ func (p *Plan) units(runs []*simnet.Result, cs []control) (ys []float64, cvals [
 // total wait from a point's replication results. It never fails: when
 // control variates are off, inapplicable (ineligible configuration,
 // truncated or dropping runs, degenerate covariance), or under-
-// determined (fewer than controls+3 units), it degrades to the plain
-// across-unit mean with a t interval.
+// determined (fewer than controls+3 replications), it degrades to the
+// plain across-replication mean with a t interval.
 func (p *Plan) Estimate(cfg *simnet.Config, runs []*simnet.Result) *Estimate {
 	conf := p.ConfidenceLevel()
 	est := &Estimate{Confidence: conf, Reps: len(runs)}
@@ -164,9 +144,8 @@ func (p *Plan) Estimate(cfg *simnet.Config, runs []*simnet.Result) *Estimate {
 		}
 	}
 
-	ys, cvals := p.units(runs, cs)
+	ys, cvals := samples(runs, cs)
 	n := len(ys)
-	est.Units = n
 
 	var yw stats.Welford
 	for _, y := range ys {

@@ -16,7 +16,7 @@ func runReps(t testing.TB, p *Plan, cfg *simnet.Config, reps int) []*simnet.Resu
 	out := make([]*simnet.Result, reps)
 	for i := 0; i < reps; i++ {
 		c := *cfg
-		c.Seed, c.Antithetic = p.RepSeed(cfg.Seed, cfg.Seed, i)
+		c.Seed = p.RepSeed(cfg.Seed, cfg.Seed, i)
 		res, err := simnet.Run(&c)
 		if err != nil {
 			t.Fatal(err)
@@ -33,8 +33,8 @@ func TestEstimatePlainMatchesWelford(t *testing.T) {
 	var p *Plan
 	runs := runReps(t, p, cfg, 6)
 	est := p.Estimate(cfg, runs)
-	if est.Units != 6 || est.Reps != 6 {
-		t.Fatalf("units/reps = %d/%d, want 6/6", est.Units, est.Reps)
+	if est.Reps != 6 {
+		t.Fatalf("reps = %d, want 6", est.Reps)
 	}
 	agg := simnet.Aggregate(runs, cfg.Stages)
 	if est.Mean != agg.MeanTotalWait() {
@@ -69,7 +69,7 @@ func TestEstimateControlVariates(t *testing.T) {
 	if est.AdjVar > est.RawVar {
 		t.Errorf("adjustment increased variance: %g > %g", est.AdjVar, est.RawVar)
 	}
-	if est.VarReduction < 1 || est.ESS < float64(est.Units) {
+	if est.VarReduction < 1 || est.ESS < float64(est.Reps) {
 		t.Errorf("VarReduction %g / ESS %g inconsistent", est.VarReduction, est.ESS)
 	}
 	// The adjusted estimate must cover the exact value. The interval is
@@ -84,27 +84,6 @@ func TestEstimateControlVariates(t *testing.T) {
 	if math.Abs(pest.Mean-exact) > 4*pest.HalfWidth+1e-9 {
 		t.Errorf("plain mean %.6g vs exact %.6g exceeds 4·hw = %.3g",
 			pest.Mean, exact, 4*pest.HalfWidth)
-	}
-}
-
-// TestEstimateAntitheticPairsUnits: antithetic replications fold into
-// pair units, and the pair estimate stays consistent with plain MC.
-func TestEstimateAntitheticPairsUnits(t *testing.T) {
-	cfg := &simnet.Config{K: 2, Stages: 3, P: 0.6, Cycles: 2500, Warmup: 300, Seed: 31}
-	p := &Plan{Antithetic: true}
-	runs := runReps(t, p, cfg, 16)
-	est := p.Estimate(cfg, runs)
-	if est.Units != 8 || est.Reps != 16 {
-		t.Fatalf("units/reps = %d/%d, want 8/16", est.Units, est.Reps)
-	}
-
-	var plain *Plan
-	pruns := runReps(t, plain, cfg, 16)
-	pest := plain.Estimate(cfg, pruns)
-	joint := math.Sqrt(est.HalfWidth*est.HalfWidth + pest.HalfWidth*pest.HalfWidth)
-	if diff := math.Abs(est.Mean - pest.Mean); diff > 2*joint {
-		t.Errorf("antithetic mean %.6g vs plain %.6g differ by %.3g (> %.3g)",
-			est.Mean, pest.Mean, diff, 2*joint)
 	}
 }
 
@@ -137,7 +116,7 @@ func TestEstimateDegradesSafely(t *testing.T) {
 
 	// Empty result set.
 	empty := p.Estimate(cfg, nil)
-	if !math.IsInf(empty.HalfWidth, 1) || empty.Units != 0 {
+	if !math.IsInf(empty.HalfWidth, 1) || empty.Reps != 0 {
 		t.Errorf("empty estimate: %+v", empty)
 	}
 }
@@ -147,7 +126,7 @@ func TestEstimateDegradesSafely(t *testing.T) {
 // cache/journal-resume requirement.
 func TestEstimateDeterministic(t *testing.T) {
 	cfg := &simnet.Config{K: 2, Stages: 2, P: 0.6, Cycles: 1200, Warmup: 150, Seed: 17}
-	p := &Plan{ControlVariates: true, Antithetic: true}
+	p := &Plan{ControlVariates: true}
 	runs := runReps(t, p, cfg, 12)
 	a, b := p.Estimate(cfg, runs), p.Estimate(cfg, runs)
 	if a.Mean != b.Mean || a.HalfWidth != b.HalfWidth || a.AdjVar != b.AdjVar {

@@ -1,14 +1,14 @@
 // Package vr is the variance-reduction layer for replicated
-// simulations: common random numbers across sweep points, antithetic
-// replication pairs, regression-adjusted control variates built from
-// the Theorem-1 exact stage-1 moments, CI-targeted sequential stopping,
-// and an importance-splitting estimator for deep waiting-time tails.
+// simulations: common random numbers across sweep points,
+// regression-adjusted control variates built from the Theorem-1 exact
+// stage-1 moments, CI-targeted sequential stopping, and an
+// importance-splitting estimator for deep waiting-time tails.
 //
 // The package computes plans and estimates only; the sweep runner owns
 // scheduling. Everything here is deterministic: a Plan maps (point
-// seed, replication index) to a seed and a mirror flag, and an Estimate
-// is a pure function of the replication results, so VR-enabled sweeps
-// replay bit-identically at any parallelism.
+// seed, replication index) to a seed, and an Estimate is a pure
+// function of the replication results, so VR-enabled sweeps replay
+// bit-identically at any parallelism.
 package vr
 
 import (
@@ -49,12 +49,6 @@ type Plan struct {
 	// needs no seed salt.
 	ControlVariates bool
 
-	// Antithetic runs replications in mirrored pairs: reps 2j and 2j+1
-	// share one seed, and the odd rep flips every trace-generation
-	// uniform (simnet.Config.Antithetic). Pair averages are the
-	// independent units fed to estimates and stopping rules.
-	Antithetic bool
-
 	// TargetCI, when positive, enables sequential stopping: the runner
 	// grows each point's replication count along Checkpoints until the
 	// Confidence-level half-width of the (adjusted) mean-wait estimate
@@ -67,7 +61,7 @@ type Plan struct {
 
 	// MinReps is the first checkpoint (0 = DefaultMinReps). The CI is
 	// never consulted before MinReps replications, both because t
-	// intervals at two or three units are uselessly wide and because
+	// intervals at two or three replications are uselessly wide and because
 	// checking must stay on a sparse cadence (see Checkpoints).
 	MinReps int
 
@@ -80,7 +74,7 @@ type Plan struct {
 
 // Enabled reports whether the plan changes anything at all.
 func (p *Plan) Enabled() bool {
-	return p != nil && (p.CRN || p.ControlVariates || p.Antithetic || p.TargetCI > 0)
+	return p != nil && (p.CRN || p.ControlVariates || p.TargetCI > 0)
 }
 
 // Adaptive reports whether sequential stopping is on.
@@ -91,17 +85,12 @@ func (p *Plan) Adaptive() bool { return p != nil && p.TargetCI > 0 }
 // keep a fixed draw budget per slot.
 func (p *Plan) Synchronized() bool { return p != nil && p.CRN }
 
-// minReps returns the first checkpoint, honoring the antithetic
-// pair-evenness requirement.
+// minReps returns the first checkpoint.
 func (p *Plan) minReps() int {
-	m := DefaultMinReps
 	if p != nil && p.MinReps > 0 {
-		m = p.MinReps
+		return p.MinReps
 	}
-	if p != nil && p.Antithetic && m%2 == 1 {
-		m++
-	}
-	return m
+	return DefaultMinReps
 }
 
 func (p *Plan) growth() float64 {
@@ -122,14 +111,10 @@ func (p *Plan) ConfidenceLevel() float64 {
 // Cap returns the adaptive replication ceiling for a point configured
 // with pointReps replications.
 func (p *Plan) Cap(pointReps int) int {
-	cap := pointReps
 	if p != nil && p.MaxReps > 0 {
-		cap = p.MaxReps
+		return p.MaxReps
 	}
-	if p != nil && p.Antithetic && cap%2 == 1 {
-		cap++
-	}
-	return cap
+	return pointReps
 }
 
 // Checkpoints returns the geometric cadence of replication counts at
@@ -150,39 +135,31 @@ func (p *Plan) Checkpoints(pointReps int) []int {
 		if next <= n {
 			next = n + 1
 		}
-		if p != nil && p.Antithetic && next%2 == 1 {
-			next++
-		}
 		n = next
 	}
 	return append(cks, cap)
 }
 
-// RepSeed maps a replication index to its simulation seed and mirror
-// flag. pointSeed is the point's legacy seed base; crnBase is the
-// sweep-wide base used when CRN is on. With the zero plan this reduces
-// to the legacy derivation SplitSeed(pointSeed, rep) exactly.
-func (p *Plan) RepSeed(pointSeed, crnBase uint64, rep int) (seed uint64, anti bool) {
+// RepSeed maps a replication index to its simulation seed. pointSeed
+// is the point's legacy seed base; crnBase is the sweep-wide base used
+// when CRN is on. With the zero plan this reduces to the legacy
+// derivation SplitSeed(pointSeed, rep) exactly.
+func (p *Plan) RepSeed(pointSeed, crnBase uint64, rep int) uint64 {
 	base := pointSeed
 	if p != nil && p.CRN {
 		base = crnBase
 	}
-	idx := uint64(rep)
-	if p != nil && p.Antithetic {
-		idx = uint64(rep / 2)
-		anti = rep%2 == 1
-	}
-	return simnet.SplitSeed(base, idx), anti
+	return simnet.SplitSeed(base, uint64(rep))
 }
 
 // Salt returns a non-zero hash of every plan field that changes which
-// simulations run (seeds, mirror flags, or replication counts), for
-// XOR-ing onto cache, journal, and batch keys: results produced under
-// different salts must never alias. Control variates are deliberately
+// simulations run (seeds or replication counts), for XOR-ing onto
+// cache, journal, and batch keys: results produced under different
+// salts must never alias. Control variates are deliberately
 // excluded — they post-process identical runs — and the zero salt
 // means "no VR", so legacy artifacts remain addressable.
 func (p *Plan) Salt() uint64 {
-	if p == nil || (!p.CRN && !p.Antithetic && !(p.TargetCI > 0)) {
+	if p == nil || (!p.CRN && !(p.TargetCI > 0)) {
 		return 0
 	}
 	const (
@@ -204,7 +181,10 @@ func (p *Plan) Salt() uint64 {
 		return 0
 	}
 	mix(b2u(p.CRN))
-	mix(b2u(p.Antithetic))
+	// A retired technique's flag (antithetic pairs) was mixed here; a
+	// constant 0 keeps every remaining plan's salt, so journals and
+	// caches keyed before its removal still resume.
+	mix(0)
 	mix(math.Float64bits(p.TargetCI))
 	if p.TargetCI > 0 {
 		mix(uint64(p.MaxReps))
@@ -219,7 +199,7 @@ func (p *Plan) Salt() uint64 {
 }
 
 // Parse builds a plan from the CLI syntax: a comma-separated subset of
-// "crn", "cv", "anti" ("" or "off" = nil plan). TargetCI and the
+// "crn", "cv" ("" or "off" = nil plan). TargetCI and the
 // stopping parameters are set separately by their own flags.
 func Parse(s string) (*Plan, error) {
 	s = strings.TrimSpace(s)
@@ -233,11 +213,9 @@ func Parse(s string) (*Plan, error) {
 			p.CRN = true
 		case "cv":
 			p.ControlVariates = true
-		case "anti":
-			p.Antithetic = true
 		case "":
 		default:
-			return nil, fmt.Errorf("vr: unknown technique %q (want crn, cv, anti)", tok)
+			return nil, fmt.Errorf("vr: unknown technique %q (want crn, cv)", tok)
 		}
 	}
 	return p, nil
@@ -255,9 +233,6 @@ func (p *Plan) String() string {
 	}
 	if p.ControlVariates {
 		parts = append(parts, "cv")
-	}
-	if p.Antithetic {
-		parts = append(parts, "anti")
 	}
 	s := strings.Join(parts, ",")
 	if s == "" {

@@ -1,6 +1,7 @@
 package vr
 
 import (
+	"strings"
 	"testing"
 
 	"banyan/internal/simnet"
@@ -19,10 +20,7 @@ func TestZeroPlanIsLegacy(t *testing.T) {
 			t.Fatalf("plan %v has salt %d, want 0", p, p.Salt())
 		}
 		for rep := 0; rep < 5; rep++ {
-			seed, anti := p.RepSeed(42, 99, rep)
-			if anti {
-				t.Fatal("zero plan mirrored a replication")
-			}
+			seed := p.RepSeed(42, 99, rep)
 			if want := simnet.SplitSeed(42, uint64(rep)); seed != want {
 				t.Fatalf("rep %d: seed %d, want legacy %d", rep, seed, want)
 			}
@@ -38,36 +36,21 @@ func TestZeroPlanIsLegacy(t *testing.T) {
 	}
 }
 
-func TestRepSeedCRNAndAntithetic(t *testing.T) {
+func TestRepSeedCRN(t *testing.T) {
 	crn := &Plan{CRN: true}
-	s1, _ := crn.RepSeed(1, 7, 3)
-	s2, _ := crn.RepSeed(2, 7, 3)
+	s1 := crn.RepSeed(1, 7, 3)
+	s2 := crn.RepSeed(2, 7, 3)
 	if s1 != s2 {
 		t.Error("CRN: different points must share replication seeds")
 	}
 	if want := simnet.SplitSeed(7, 3); s1 != want {
 		t.Errorf("CRN seed %d, want SplitSeed(base, rep) = %d", s1, want)
 	}
-
-	anti := &Plan{Antithetic: true}
-	e, ea := anti.RepSeed(5, 0, 4)
-	o, oa := anti.RepSeed(5, 0, 5)
-	if e != o {
-		t.Error("antithetic pair must share one seed")
-	}
-	if ea || !oa {
-		t.Errorf("mirror flags: even %v odd %v, want false/true", ea, oa)
-	}
-	if want := simnet.SplitSeed(5, 2); e != want {
-		t.Errorf("pair seed %d, want SplitSeed(point, pair) = %d", e, want)
-	}
 }
 
 func TestSaltSeparatesPlans(t *testing.T) {
 	plans := []*Plan{
 		{CRN: true},
-		{Antithetic: true},
-		{CRN: true, Antithetic: true},
 		{TargetCI: 0.1},
 		{TargetCI: 0.05},
 		{TargetCI: 0.1, MaxReps: 64},
@@ -90,6 +73,25 @@ func TestSaltSeparatesPlans(t *testing.T) {
 	}
 }
 
+// TestSaltPinned pins the salts of the plans that redirect seeds or
+// replication counts: journals and caches are keyed by them, so a
+// change here orphans every artifact written under CRN or -target-ci.
+func TestSaltPinned(t *testing.T) {
+	for _, c := range []struct {
+		p    Plan
+		want uint64
+	}{
+		{Plan{CRN: true}, 0x5b2a969b42d238a4},
+		{Plan{TargetCI: 0.05}, 0x189ae2147f12cbd6},
+		{Plan{CRN: true, TargetCI: 0.05, MaxReps: 64}, 0xda9dedffc38c3527},
+		{Plan{ControlVariates: true}, 0},
+	} {
+		if got := c.p.Salt(); got != c.want {
+			t.Errorf("%+v: salt %#x, want %#x", c.p, got, c.want)
+		}
+	}
+}
+
 func TestCheckpoints(t *testing.T) {
 	p := &Plan{TargetCI: 0.1}
 	cks := p.Checkpoints(100)
@@ -106,14 +108,6 @@ func TestCheckpoints(t *testing.T) {
 		t.Fatalf("%d checkpoints for cap 100 — cadence not geometric: %v", len(cks), cks)
 	}
 
-	// Antithetic plans only ever check on complete pairs.
-	ap := &Plan{TargetCI: 0.1, Antithetic: true, MinReps: 7}
-	for _, n := range ap.Checkpoints(101) {
-		if n%2 != 0 {
-			t.Fatalf("odd checkpoint %d under antithetic: %v", n, ap.Checkpoints(101))
-		}
-	}
-
 	// A cap below the first checkpoint still yields exactly one look.
 	small := p.Checkpoints(3)
 	if len(small) != 1 || small[0] != 3 {
@@ -127,8 +121,8 @@ func TestParseString(t *testing.T) {
 		want Plan
 	}{
 		{"crn", Plan{CRN: true}},
-		{"cv,anti", Plan{ControlVariates: true, Antithetic: true}},
-		{"crn,cv,anti", Plan{CRN: true, ControlVariates: true, Antithetic: true}},
+		{"cv", Plan{ControlVariates: true}},
+		{"crn,cv", Plan{CRN: true, ControlVariates: true}},
 	}
 	for _, c := range cases {
 		p, err := Parse(c.in)
@@ -150,5 +144,14 @@ func TestParseString(t *testing.T) {
 	}
 	if _, err := Parse("crn,banana"); err == nil {
 		t.Error("Parse accepted an unknown technique")
+	}
+}
+
+// TestParseRetiredTechnique: antithetic pairs ("anti") were retired and
+// now parse like any other unknown technique.
+func TestParseRetiredTechnique(t *testing.T) {
+	_, err := Parse("crn,anti")
+	if err == nil || !strings.Contains(err.Error(), `vr: unknown technique "anti" (want crn, cv)`) {
+		t.Fatalf("Parse(crn,anti) = %v, want the unknown-technique error", err)
 	}
 }
