@@ -304,9 +304,9 @@ func BenchmarkWaitDistribution512(b *testing.B) {
 // which must stay what probe allocates, and of full; ns/op keeps the
 // layers' prices visible.
 //
-// Pooled arenas live in a sync.Pool, which garbage collection empties:
-// each layer collects and runs one untimed op first, so its counts do
-// not depend on when a collection ran.
+// A process's first run builds the arena the engines keep their scratch
+// in, and later runs reuse it: each layer collects and runs one untimed
+// op first, so its counts are those of warm runs.
 func BenchmarkObservability(b *testing.B) {
 	base := simnet.Config{K: 2, Stages: 6, P: 0.5, Cycles: 10000, Warmup: 1000, Seed: 31}
 	run := func(b *testing.B, instrument func(cfg *simnet.Config)) {

@@ -78,8 +78,10 @@ func ExamplePredict() {
 	// gamma shape = 1.206 scale = 1.423
 }
 
-// The inter-stage covariance model of Section V: correlations decay
-// geometrically, σ(i, i+j) ∝ a·b^(j-1).
+// The inter-stage covariance model of Section V: covariances decay
+// geometrically, σ(i, i+j) = a·b^(j-1)·v_i. Correlation returns the
+// ratio σ(i, i+j)/v_i, which equals the correlation only at spatial
+// steady state.
 func ExampleDelayPredictor_Correlation() {
 	nw, _ := banyan.Predict(banyan.OperatingPoint{K: 2, M: 1, P: 0.5}, 7)
 	for lag := 1; lag <= 3; lag++ {

@@ -111,8 +111,15 @@ func (nw *Network) TotalVarWait() float64 {
 	return acc
 }
 
-// Correlation returns the model's predicted correlation between the waits
-// at stages i and j (1-based, i ≠ j): a·b^{|i-j|-1}, the Table VI shape.
+// Correlation returns a·b^{|i-j|-1} for stages i and j (1-based, i ≠ j;
+// 1 when i = j), the Table VI shape. Despite its name this is the
+// Section V covariance ratio σ_{i,j}/v_min(i,j), not a correlation: the
+// two agree only where v_i = v_j, at spatial steady state. Earlier
+// stages have v_{i+1} > v_i, so the correlation σ_{i,j}/√(v_i·v_j) sits
+// below it: on the fast engine at k=2, n=8, p=0.8 the measured
+// Corr(1,2) is 0.141, while Cov(1,2)/v_1 is 0.173 and a is 0.163. A
+// check of simulated lag-1 covariance should compare Cov(i,i+1)/v_i
+// with a, never the correlation.
 func (nw *Network) Correlation(i, j int) float64 {
 	if i == j {
 		return 1

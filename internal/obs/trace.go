@@ -47,17 +47,22 @@ const defaultTraceRing = 4096
 //
 // The ring owns its spans' stage storage: Add copies the stages into
 // the slot it fills, reusing the capacity of the span it evicts, so a
-// full ring records without allocating; Spans and WriteJSONL hand out
-// copies, so no caller ever aliases ring storage. The ring grows as it
-// fills, so a large ring that a short run barely uses costs little.
+// full ring records without allocating. A slot too short for its span
+// gets room for the widest span recorded so far, so runs that alternate
+// shallow and deep networks reallocate a slot at most once per new
+// widest span, not whenever a deep span follows a shallow one. Spans
+// and WriteJSONL hand out copies, so no caller ever aliases ring
+// storage. The ring grows as it fills, so a large ring that a short run
+// barely uses costs little.
 type Tracer struct {
 	sampleN int64
 	ring    int
 
-	mu    sync.Mutex
-	buf   []Span
-	next  int
-	total int64
+	mu     sync.Mutex
+	buf    []Span
+	next   int
+	total  int64
+	widest int // the most stages of any span recorded
 }
 
 // NewTracer returns a tracer sampling one in sampleN measured messages
@@ -86,7 +91,12 @@ func (t *Tracer) Add(s Span) {
 		t.buf = append(t.buf, Span{})
 	}
 	slot := &t.buf[t.next]
-	stages := append(slot.Stages[:0], s.Stages...)
+	t.widest = max(t.widest, len(s.Stages))
+	stages := slot.Stages[:0]
+	if cap(stages) < len(s.Stages) {
+		stages = make([]StageSpan, 0, t.widest)
+	}
+	stages = append(stages, s.Stages...)
 	*slot = s
 	slot.Stages = stages
 	t.next = (t.next + 1) % t.ring

@@ -158,3 +158,31 @@ func TestTracerOwnsItsStorage(t *testing.T) {
 		}
 	}
 }
+
+// TestTracerSlotsTakeWidestCapacity: a slot too short for its span gets
+// room for the widest span recorded so far, so runs that alternate
+// 3- and 12-stage networks reallocate each slot at most once per new
+// widest span. Copied to the span's own length instead, a 3-stage slot
+// reallocated whenever a 12-stage span landed in it.
+func TestTracerSlotsTakeWidestCapacity(t *testing.T) {
+	tr := NewTracer(1, 4)
+	for i, n := range []int{3, 12, 3, 3} {
+		tr.Add(stagedSpan(int64(i), n))
+	}
+	var caps []int
+	for _, s := range tr.buf {
+		caps = append(caps, cap(s.Stages))
+	}
+	if want := []int{3, 12, 12, 12}; !reflect.DeepEqual(caps, want) {
+		t.Fatalf("slot capacities %v, want %v", caps, want)
+	}
+	// The warm-up pass grows slot 0 to 12 stages; no later pass allocates.
+	spans := []Span{stagedSpan(4, 12), stagedSpan(5, 3), stagedSpan(6, 12), stagedSpan(7, 3)}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, s := range spans {
+			tr.Add(s)
+		}
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per pass over the full ring, want 0", allocs)
+	}
+}

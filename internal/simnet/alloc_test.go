@@ -13,8 +13,7 @@ import (
 // configuration at two horizons, the long one delivering four times the
 // messages; a per-message allocation (a covariance vector per finished
 // message, say) would add tens of thousands of allocations to the long
-// run, while per-run scratch, slot growth, histogram buckets and pool
-// misses (the race detector drops pooled arenas at random) stay far
+// run, while per-run scratch, slot growth and histogram buckets stay far
 // below one allocation per sixteen extra messages. The reference engine's schedule
 // buckets churn once per simulated cycle by design (it is the plain
 // differential oracle), so for it the check is that tracking adds

@@ -5,23 +5,61 @@ import (
 	"sync/atomic"
 )
 
-// arenaLive counts arenas currently checked out of the pool. Every
-// engine entry point increments it at checkout and release decrements
-// it on every exit path (release runs deferred, so panics and
-// cancellations are covered too). The chaos battery asserts
-// it returns to zero after every scenario: a non-zero residue means an
-// exit path leaked pooled scratch.
+// arenas is the free list engine runs take their arena from: released
+// arenas, the most recently released last. Unlike a sync.Pool it is not
+// emptied by garbage collection, so a run after a collection reuses the
+// scratch earlier runs grew instead of regrowing it, and a run on any
+// goroutine reuses an arena released on any other.
+//
+// The list is bounded by peak, the most arenas ever checked out at
+// once: every worker that ever ran concurrently keeps its own arena,
+// and no more are kept. getArena builds a new arena only when the list
+// is empty, so checked-out and listed arenas together never exceed the
+// bound.
+//
+// A kept arena stays live, and the collector's heap goal grows with
+// twice what it holds, so an arena keeps only what its runs use: the
+// retention caps (maxRetain*) bound every array, and a run drops the
+// wait lanes when it does not track waits (fitWaits) and the helper
+// group's scratch when it is too light to split (dropHelper). At every cap at
+// once an arena pins about 93 MiB plus 1.9 MiB per stage
+// (TestArenaRetainedBytes), while an ordinary point's arena keeps well
+// under 1 MiB. So after a sweep of pathological points a long-lived
+// process holds at most peak times that until it exits.
+var arenas struct {
+	mu   sync.Mutex
+	free []*arena
+	peak int64
+}
+
+// arenaLive counts arenas currently checked out. Every engine entry
+// point increments it at checkout and release decrements it on every
+// exit path (release runs deferred, so panics and cancellations are
+// covered too). The chaos battery asserts it returns to zero after
+// every scenario: a non-zero residue means an exit path leaked an
+// arena.
 var arenaLive atomic.Int64
 
-// ArenaLive reports how many pooled kernel arenas are checked out right
-// now. Zero when no engine invocation is in flight.
+// ArenaLive reports how many kernel arenas are checked out right now.
+// Zero when no engine invocation is in flight.
 func ArenaLive() int64 { return arenaLive.Load() }
 
-// getArena checks an arena out of the pool.
+// getArena checks out the most recently released arena, or a new one
+// when none is free.
 func getArena() *arena {
-	a := arenaPool.Get().(*arena)
+	arenas.mu.Lock()
+	var a *arena
+	if n := len(arenas.free); n > 0 {
+		a = arenas.free[n-1]
+		arenas.free[n-1] = nil
+		arenas.free = arenas.free[:n-1]
+	}
+	arenas.peak = max(arenas.peak, arenaLive.Add(1))
+	arenas.mu.Unlock()
+	if a == nil {
+		a = new(arena)
+	}
 	a.checkedOut = true
-	arenaLive.Add(1)
 	return a
 }
 
@@ -31,9 +69,10 @@ func getArena() *arena {
 // trace-block buffers. The finite-buffer cycle loop (cycle.go) keeps
 // its slots, queue rings and buffers here too, and a probed run its
 // histogram buffers and open trace spans. One arena serves one run
-// at a time; runs obtain it from arenaPool, so replications executed
-// back to back — the sweep worker loop — reuse the same backing arrays
-// instead of regrowing them every run. The kernel's steady-state hot
+// at a time; runs check it out of the arenas free list, so replications
+// executed back to back — the sweep worker loop — reuse the same
+// backing arrays instead of regrowing them every run, across
+// collections too. The kernel's steady-state hot
 // loop performs no allocation: every per-message and per-cycle
 // structure below is indexed scratch. The rings and the free-time table
 // are indexed by stage, so the two groups of a split run share them
@@ -151,9 +190,7 @@ type mrec struct {
 	meas bool
 }
 
-var arenaPool = sync.Pool{New: func() any { return new(arena) }}
-
-// Retention caps applied when an arena returns to the pool: scratch
+// Retention caps applied when an arena returns to the free list: scratch
 // grown by a pathological point (saturated high-ρ runs can hold tens of
 // thousands of messages in flight) is dropped rather than pinned for
 // the rest of the process. Ordinary points sit far below every cap, so
@@ -193,6 +230,15 @@ func (g *groupScratch) prepare(n int, trackWaits bool) {
 	g.batch = g.batch[:0]
 	g.bounds = resized(g.bounds, n+1)
 	g.fitWaits(len(g.msl), n, trackWaits)
+}
+
+// dropHelper drops the scratch of the helper stage group, which only a
+// split kernel run uses (pipeline.go). A kernel run too light to split
+// calls it, so a kept arena holds that scratch only while its runs are
+// heavy; a heavy run that cannot split, such as a six-stage one, keeps
+// it for the split runs it alternates with.
+func (a *arena) dropHelper() {
+	a.helper, a.cross, a.probe.helperSpans = groupScratch{}, [2]crossings{}, spanSlab{}
 }
 
 // prepareCycle resets the arena for a cycle-loop run over n stages of
@@ -287,9 +333,13 @@ func (g *groupScratch) fitSlotScratch(slots, stride int, trackWaits bool) {
 }
 
 // fitWaits sizes the wait table (when tracked) for a slot store of the
-// given size over stride stages, keeping its contents.
+// given size over stride stages, keeping its contents. A run that does
+// not track waits drops the table: a kept arena holds the wait lanes
+// only while its runs use them.
 func (g *groupScratch) fitWaits(slots, stride int, trackWaits bool) {
-	if trackWaits && len(g.waits) < slots*stride {
+	if !trackWaits {
+		g.waits = nil
+	} else if len(g.waits) < slots*stride {
 		g.waits = growCopy(g.waits, slots*stride)
 	}
 }
@@ -381,15 +431,21 @@ func (a *arena) harvestBlockScratch(s *TraceStream) {
 	s.blk.T, s.blk.In, s.blk.Dest, s.blk.Svc, s.blk.Meas = nil, nil, nil, nil, nil
 }
 
-// release returns the arena to the pool, dropping any scratch grown
-// past the retention caps.
+// release trims the arena to the retention caps and, if it was checked
+// out, returns it to the free list unless the list already holds its
+// bound; a dropped arena is left to the collector.
 func (a *arena) release() {
-	if a.checkedOut {
-		a.checkedOut = false
-		arenaLive.Add(-1)
-	}
 	a.trim()
-	arenaPool.Put(a)
+	if !a.checkedOut {
+		return
+	}
+	a.checkedOut = false
+	arenas.mu.Lock()
+	arenaLive.Add(-1)
+	if int64(len(arenas.free)) < arenas.peak {
+		arenas.free = append(arenas.free, a)
+	}
+	arenas.mu.Unlock()
 }
 
 // trim drops the scratch a run grew past the retention caps.
@@ -434,6 +490,13 @@ func (a *arena) trim() {
 	}
 	a.probe.spans.trim()
 	a.probe.helperSpans.trim()
+	var switches int
+	for _, s := range a.probe.sat {
+		switches += cap(s)
+	}
+	if switches > maxRetainPorts {
+		a.probe.sat = nil
+	}
 }
 
 // reserve gives the batch scratch room for want entries, within the
@@ -483,7 +546,7 @@ func (g *groupScratch) trim() {
 // scheduled for that cycle, in push order. Every chunk comes from one
 // flat data array shared by all cells and returns to the ring's free
 // list when its cell is taken, so the storage a ring retains — across
-// cycles and, via the arena pool, across runs — is bounded by the
+// cycles and, via the arenas free list, across runs — is bounded by the
 // messages scheduled at once plus one part-filled chunk per live cell,
 // not by the ring's size times the largest batch. A push writes into
 // the cell's tail chunk (linking a free chunk when it is full); a take

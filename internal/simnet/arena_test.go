@@ -3,7 +3,11 @@ package simnet
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"slices"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -142,8 +146,8 @@ func TestKringGrowTake(t *testing.T) {
 }
 
 // TestArenaReleaseRetentionCaps: an arena that grew pathologically large
-// during a saturated run drops the oversized scratch when it returns to
-// the pool, while ordinarily sized scratch is kept.
+// during a saturated run drops the oversized scratch when it is
+// released, while ordinarily sized scratch is kept.
 func TestArenaReleaseRetentionCaps(t *testing.T) {
 	a := new(arena)
 	a.msl = make([]mrec, maxRetainSlots+1)
@@ -174,6 +178,7 @@ func TestArenaReleaseRetentionCaps(t *testing.T) {
 			sampled: make([]uint64, bitmapWords(maxRetainSlots)+1),
 			stages:  make([]obs.StageSpan, maxRetainSpanStages+1),
 		},
+		sat: [][]bool{make([]bool, maxRetainPorts/2), make([]bool, maxRetainPorts/2+1)},
 	}
 	a.release()
 	if a.msl != nil || a.waits != nil || a.batch != nil || a.free != nil || a.blkT != nil {
@@ -192,7 +197,7 @@ func TestArenaReleaseRetentionCaps(t *testing.T) {
 	if a.qstore[1] == nil {
 		t.Fatal("release dropped a queue store at the cap")
 	}
-	if a.probe.hbuf != nil || a.probe.spans.sampled != nil || a.probe.spans.stages != nil {
+	if a.probe.hbuf != nil || a.probe.spans.sampled != nil || a.probe.spans.stages != nil || a.probe.sat != nil {
 		t.Fatal("release retained probe scratch past the caps")
 	}
 
@@ -204,7 +209,8 @@ func TestArenaReleaseRetentionCaps(t *testing.T) {
 	b.qstore = [][]int32{make([]int32, 8192)}
 	b.held = make([]int32, 0, 1024)
 	b.probe = probeScratch{hbuf: make([]obs.HistBuf, 13),
-		spans: spanSlab{sampled: make([]uint64, 4), stages: make([]obs.StageSpan, 1024)}}
+		spans: spanSlab{sampled: make([]uint64, 4), stages: make([]obs.StageSpan, 1024)},
+		sat:   [][]bool{make([]bool, maxRetainPorts/2), make([]bool, maxRetainPorts/2)}}
 	b.release()
 	if len(b.msl) != 256 || cap(b.batch) != 1024 {
 		t.Fatal("release dropped ordinarily sized scratch")
@@ -212,7 +218,7 @@ func TestArenaReleaseRetentionCaps(t *testing.T) {
 	if len(b.cmsl) != 256 || len(b.queues) != 2048 || len(b.qstore[0]) != 8192 || cap(b.held) != 1024 {
 		t.Fatal("release dropped ordinarily sized cycle-loop scratch")
 	}
-	if len(b.probe.hbuf) != 13 || len(b.probe.spans.sampled) != 4 || len(b.probe.spans.stages) != 1024 {
+	if len(b.probe.hbuf) != 13 || len(b.probe.spans.sampled) != 4 || len(b.probe.spans.stages) != 1024 || b.probe.sat == nil {
 		t.Fatal("release dropped ordinarily sized probe scratch")
 	}
 }
@@ -267,10 +273,8 @@ type cycleCase struct {
 // arena, so a second run on a warm arena keeps the slot store, the wait
 // table and every stage's queue store, and allocates only its result
 // and per-run bookkeeping. The runs repeat one seed, so the second
-// run's peak is the first one's and nothing may grow. The arena is
-// explicit, not pooled, so the race detector's random pool drops cannot
-// hand a run a cold one. Before the loop moved onto the arena, a run
-// like this allocated thousands of times.
+// run's peak is the first one's and nothing may grow. Before the loop
+// moved onto the arena, a run like this allocated thousands of times.
 func TestCycleLoopReusesWarmArena(t *testing.T) {
 	lit := Config{K: 2, Stages: 8, P: 0.5, BufferCap: 4, Cycles: 2000, Warmup: 200, Seed: 21,
 		TrackStageWaits: true}
@@ -479,5 +483,336 @@ func TestArenaKeepsWideNetworkFreeList(t *testing.T) {
 	wideRun(t, a, 2, false)
 	if unsafe.SliceData(full.msl) != data {
 		t.Fatal("the next replication regrew the full slot store")
+	}
+}
+
+// mallocs returns the number of heap objects the process has allocated.
+func mallocs() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.Mallocs
+}
+
+// runAllocs runs one replication of cfg on engine e with an arena from
+// the free list and returns the objects it allocated.
+func runAllocs(e Engine, cfg Config) (uint64, error) {
+	before := mallocs()
+	_, err := RunEngine(context.Background(), e, &cfg, nil)
+	return mallocs() - before, err
+}
+
+// arenaEngines run the two loops that keep their scratch in an arena,
+// the batch kernel and the cycle loop. The graph engine runs on them
+// too, but the wiring it builds for every run can allocate a few more
+// objects in one run than in the next, so its count is no exact check.
+var arenaEngines = []Engine{Fast, Literal}
+
+// TestArenaSurvivesCollection: garbage collection does not empty the
+// arena free list, so a replication after two collections allocates
+// exactly what a warm one does. A sync.Pool, which two collections
+// empty, made it start on a fresh arena and regrow every slot store,
+// ring and trace block, about 80 more objects at this size. The count
+// is global, so a try in which a finalizer that a collection queued
+// allocated beside the run is retried.
+func TestArenaSurvivesCollection(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := Config{K: 2, Stages: 6, P: 0.6, Cycles: 3000, Warmup: 300, Seed: 31}
+	for _, e := range arenaEngines {
+		t.Run(e.String(), func(t *testing.T) {
+			runAllocs(e, cfg)
+			warm, err := runAllocs(e, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []uint64
+			for try := 0; try < 3; try++ {
+				runtime.GC()
+				runtime.GC()
+				n, err := runAllocs(e, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == warm {
+					return
+				}
+				got = append(got, n)
+			}
+			t.Fatalf("after two collections runs allocated %v objects, a warm run %d", got, warm)
+		})
+	}
+}
+
+// TestArenaReusedAcrossGoroutines: a replication on another processor
+// than the one whose goroutine released the arena reuses it. A
+// sync.Pool keeps a released object in the cache of the processor that
+// put it, so a worker running elsewhere missed it and regrew a fresh
+// arena: one benchmark count in three read 6,549 allocations per op
+// instead of 1,096. The releasing goroutine spins while the other runs,
+// so the two hold different processors.
+func TestArenaReusedAcrossGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := Config{K: 2, Stages: 6, P: 0.6, Cycles: 3000, Warmup: 300, Seed: 32}
+	for _, e := range arenaEngines {
+		t.Run(e.String(), func(t *testing.T) {
+			runAllocs(e, cfg)
+			warm, err := runAllocs(e, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var n atomic.Uint64
+			go func() {
+				got, err := runAllocs(e, cfg)
+				if err != nil {
+					got = 0
+				}
+				n.Store(got + 1)
+			}()
+			for n.Load() == 0 {
+			}
+			if got := n.Load() - 1; got != warm {
+				t.Fatalf("a run on another goroutine allocated %d objects, a warm run %d", got, warm)
+			}
+		})
+	}
+}
+
+// listed reports the free list's length and bound.
+func listed() (n int, bound int64) {
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	return len(arenas.free), arenas.peak
+}
+
+// TestArenaListBound: the free list never holds more arenas than were
+// ever checked out at once, also while workers check arenas out and in
+// concurrently; an arena released without being checked out is trimmed
+// but not listed; and an arena a cap trimmed is still reused.
+func TestArenaListBound(t *testing.T) {
+	const width = 5
+	held := make([]*arena, width)
+	for i := range held {
+		held[i] = getArena()
+	}
+	if n, bound := listed(); bound < width || int64(n)+width > bound {
+		t.Fatalf("%d arenas checked out, %d listed, bound %d", width, n, bound)
+	}
+	for _, a := range held {
+		a.release()
+	}
+	n, bound := listed()
+	if n < width || int64(n) > bound {
+		t.Fatalf("released %d arenas: %d listed, bound %d", width, n, bound)
+	}
+	for range 2 * bound {
+		a := new(arena)
+		a.msl = make([]mrec, maxRetainSlots+1)
+		a.release()
+		if a.msl != nil {
+			t.Fatal("release kept a slot store past its cap")
+		}
+	}
+	if m, _ := listed(); m != n {
+		t.Fatalf("arenas never checked out changed the list from %d to %d", n, m)
+	}
+	for round := 0; round < 3; round++ {
+		for i := range held {
+			held[i] = getArena()
+		}
+		for _, a := range held {
+			a.release()
+		}
+		if m, b := listed(); m != n || b != bound {
+			t.Fatalf("round %d: %d listed with bound %d, want %d and %d", round, m, b, n, bound)
+		}
+	}
+
+	a := getArena()
+	a.msl = make([]mrec, maxRetainSlots+1)
+	a.release()
+	if a.msl != nil {
+		t.Fatal("release kept a slot store past its cap")
+	}
+	b := getArena()
+	b.release()
+	if b != a {
+		t.Fatal("the arena a cap trimmed was not reused")
+	}
+
+	// Workers checking arenas out and in at once leave none checked out
+	// and no more listed than the bound.
+	var wg sync.WaitGroup
+	for w := 0; w < 2*width; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				getArena().release()
+			}
+		}()
+	}
+	wg.Wait()
+	if m, b := listed(); ArenaLive() != 0 || int64(m) > b {
+		t.Fatalf("after concurrent workers: %d live, %d listed, bound %d", ArenaLive(), m, b)
+	}
+}
+
+// arenaAtCaps returns an arena for a run of the given stage count with
+// every field at the most its retention cap keeps. The switch verdicts
+// are left empty: their cap bounds the switches of all stages together,
+// and they pin less than the per-port tables beside them.
+func arenaAtCaps(stages int) *arena {
+	a := new(arena)
+	for _, g := range []*groupScratch{&a.groupScratch, &a.helper} {
+		g.msl = make([]mrec, maxRetainSlots)
+		g.waits = make([]int32, maxRetainWaits)
+		g.freeSlots = make([]int32, 0, maxRetainSlots)
+		g.batch = make([]int32, 0, maxRetainBatch)
+		g.bounds = make([]int32, stages+1)
+		g.svc = make([]int64, 0, maxRetainBatch)
+		g.outs = make([]outcome, maxRetainBatch)
+	}
+	for i := range a.cross {
+		a.cross[i] = crossings{
+			recs:       make([]xrec, 0, maxRetainBatch),
+			waits:      make([]int32, 0, maxRetainWaits),
+			spans:      make([]xspan, 0, maxRetainBatch),
+			spanStages: make([]obs.StageSpan, 0, maxRetainSpanStages),
+		}
+	}
+	ring := func() kring {
+		chunks := maxRetainRingSpan / ringChunk
+		return kring{
+			cells: make([]kcell, maxRetainRingCycles),
+			mask:  maxRetainRingCycles - 1,
+			data:  make([]int32, 0, maxRetainRingSpan),
+			next:  make([]int32, 0, chunks),
+			free:  make([]int32, 0, chunks),
+			chunk: ringChunk,
+		}
+	}
+	a.rings = make([]kring, stages-1)
+	for i := range a.rings {
+		a.rings[i] = ring()
+	}
+	a.rel = ring()
+	a.free = make([]int64, maxRetainPorts)
+	a.vec = make([]float64, stages)
+	a.cmsl = make([]cycleMsg, maxRetainSlots)
+	a.freeSlots = make([]int32, 0, maxRetainSlots)
+	a.queues = make([]cycleQueue, maxRetainPorts)
+	a.busy = make([]uint64, bitmapWords(maxRetainPorts))
+	a.qstore = make([][]int32, stages)
+	for s := range a.qstore {
+		a.qstore[s] = make([]int32, maxRetainQueueStore)
+	}
+	a.parked = make([]int32, maxRetainPorts)
+	a.parkBits = make([]uint64, bitmapWords(maxRetainPorts))
+	for _, b := range []*[]int32{&a.held, &a.buffered, &a.delivery[0], &a.delivery[1]} {
+		*b = make([]int32, 0, maxRetainBatch)
+	}
+	a.blkT = make([]int32, 0, maxRetainBlk)
+	a.blkIn = make([]int32, 0, maxRetainBlk)
+	a.blkDest = make([]uint32, 0, maxRetainBlk)
+	a.blkSvc = make([]int16, 0, maxRetainBlk)
+	a.blkMeas = make([]bool, 0, maxRetainBlk)
+	a.probe.hbuf = make([]obs.HistBuf, maxRetainHistBufs)
+	for _, sl := range []*spanSlab{&a.probe.spans, &a.probe.helperSpans} {
+		*sl = spanSlab{
+			sampled: make([]uint64, bitmapWords(maxRetainSlots)),
+			handle:  make([]int32, maxRetainSlots),
+			heads:   make([]spanHead, maxRetainSpanStages),
+			stages:  make([]obs.StageSpan, maxRetainSpanStages),
+			free:    make([]int32, 0, maxRetainSpanStages),
+			stride:  1,
+		}
+	}
+	return a
+}
+
+// retainedBytes sums the backing arrays of v's slices, following nested
+// slices, arrays and structs.
+func retainedBytes(v reflect.Value) int {
+	n := 0
+	switch v.Kind() {
+	case reflect.Slice:
+		n = v.Cap() * int(v.Type().Elem().Size())
+		if holdsSlices(v.Type().Elem()) {
+			for i := 0; i < v.Len(); i++ {
+				n += retainedBytes(v.Index(i))
+			}
+		}
+	case reflect.Array:
+		if holdsSlices(v.Type().Elem()) {
+			for i := 0; i < v.Len(); i++ {
+				n += retainedBytes(v.Index(i))
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			n += retainedBytes(v.Field(i))
+		}
+	}
+	return n
+}
+
+// holdsSlices reports whether a value of type t can hold a slice.
+func holdsSlices(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Slice:
+		return true
+	case reflect.Array:
+		return holdsSlices(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsSlices(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// emptySlices lists the slice fields of v, by path, that hold nothing.
+func emptySlices(v reflect.Value, path string) []string {
+	var out []string
+	switch v.Kind() {
+	case reflect.Slice:
+		if v.Cap() == 0 {
+			out = append(out, path)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			out = append(out, emptySlices(v.Index(i), path+"["+strconv.Itoa(i)+"]")...)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			out = append(out, emptySlices(v.Field(i), path+"."+v.Type().Field(i).Name)...)
+		}
+	}
+	return out
+}
+
+// TestArenaRetainedBytes pins the worst case the arena free list
+// documents: an arena with every field at its retention cap survives
+// release whole and holds about 93 MiB plus 1.9 MiB per stage. Every
+// slice field but the switch verdicts must be filled, so a new field
+// cannot slip past the figure.
+func TestArenaRetainedBytes(t *testing.T) {
+	const mib = 1 << 20
+	a := arenaAtCaps(8)
+	if empty := emptySlices(reflect.ValueOf(a).Elem(), "arena"); !slices.Equal(empty, []string{"arena.probe.sat"}) {
+		t.Fatalf("arenaAtCaps leaves slice fields empty: %v", empty)
+	}
+	before := retainedBytes(reflect.ValueOf(a).Elem())
+	a.release()
+	if after := retainedBytes(reflect.ValueOf(a).Elem()); after != before {
+		t.Fatalf("release trimmed an arena at its caps: %d bytes, was %d", after, before)
+	}
+	perStage := retainedBytes(reflect.ValueOf(arenaAtCaps(9)).Elem()) - before
+	fixed := before - 8*perStage
+	t.Logf("an arena at its caps pins %.1f MiB plus %.2f MiB per stage", float64(fixed)/mib, float64(perStage)/mib)
+	if fixed < 90*mib || fixed > 96*mib || 10*perStage < 18*mib || 10*perStage > 20*mib {
+		t.Fatalf("an arena at its caps pins %.1f MiB plus %.2f MiB per stage; the arenas doc says about 93 and 1.9",
+			float64(fixed)/mib, float64(perStage)/mib)
 	}
 }

@@ -57,10 +57,10 @@ func graphBenchConfig() Config {
 	return Config{K: 2, Stages: 8, P: 0.5, Cycles: 20000, Warmup: 500, Seed: 9}
 }
 
-// benchWarm times run with allocation reporting. Pooled scratch lives in
-// sync.Pool arenas, which garbage collection empties. Collect first and
-// warm the pool with one untimed run, so no collection lands inside the
-// timed runs and the gated counts do not depend on when one ran.
+// benchWarm times run with allocation reporting. A process's first run
+// builds the arena its scratch lives in, and later runs reuse it, across
+// collections too. Collect first and warm the arena with one untimed
+// run, so the gated counts are those of warm runs.
 func benchWarm(b *testing.B, run func()) {
 	runtime.GC()
 	run()

@@ -34,7 +34,7 @@ func relabeledWiring(t *testing.T, wir *topology.Wiring, seed int64) *topology.W
 	return out
 }
 
-// runWired drives the runGraphWired seam on a pooled arena.
+// runWired drives the runGraphWired seam on an arena from the free list.
 func runWired(cfg *Config, src ArrivalSource, wir *topology.Wiring) (*Result, error) {
 	ar := getArena()
 	defer ar.release()

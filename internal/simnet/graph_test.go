@@ -107,8 +107,8 @@ func TestGraphCollapsesToStageModel(t *testing.T) {
 
 // checkGraphNoLeaks asserts the graph engine's cycle loop left nothing
 // behind: goroutine count back to baseline (within the polling budget)
-// and no arena blocks live — every pooled arena the graph engine checks
-// out (committed mode runs on the kernel's) must be returned.
+// and no arena blocks live — every arena the graph engine checks out
+// (committed mode runs on the kernel's) must be returned.
 func checkGraphNoLeaks(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)

@@ -27,7 +27,7 @@ func RunKernelSource(cfg *Config, src ArrivalSource) (*Result, error) {
 // the two engines are byte-identical at every seed, while the kernel
 // allocates nothing on the hot path:
 //
-//   - in-flight message state lives in a pooled arena of flat slot
+//   - in-flight message state lives in an arena of flat slot
 //     records (indices instead of pointerful structs), sized by the
 //     in-flight population rather than the schedule block, so the
 //     working set stays cache-resident and is reused across
@@ -117,6 +117,8 @@ func runKernel(ctx context.Context, cfg *Config, src ArrivalSource, ar *arena, g
 	if h := splitStage(cfg, meta, g, ar); h > 0 {
 		p = startPipeline(&ga, h, ar, rng)
 		defer p.stop()
+	} else if offeredLoad(cfg, meta) < splitCrossover {
+		ar.dropHelper()
 	}
 	// A cycle's batches hold at most a message per port at each stage
 	// after the first, and a batch per input at the first.

@@ -74,10 +74,16 @@ func splitStage(cfg *Config, meta *TraceMeta, g *graphNet, ar *arena) int {
 	if n < minSplitStages || runtime.GOMAXPROCS(0) < 2 {
 		return 0
 	}
-	if float64(meta.Rows)*cfg.P*float64(cfg.bulk())*float64(n) < splitCrossover {
+	if offeredLoad(cfg, meta) < splitCrossover {
 		return 0
 	}
 	return splitAt(n)
+}
+
+// offeredLoad is a run's offered load in message-stages per cycle,
+// rows·p·bulk·n.
+func offeredLoad(cfg *Config, meta *TraceMeta) float64 {
+	return float64(meta.Rows) * cfg.P * float64(cfg.bulk()) * float64(meta.Stages)
 }
 
 // splitAt is the stage at which an n-stage run splits. A carries the

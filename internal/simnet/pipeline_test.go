@@ -202,7 +202,7 @@ func settled(n int) bool {
 // of the schedule, the in-flight and drain guards, a cancellation, a
 // failed pull and a panic on the helper goroutine, before it returns a
 // cycle's RNG or while it serves the cycle after returning it — the run
-// returns its pooled arena and leaves no goroutine behind, and the
+// returns its arena and leaves no goroutine behind, and the
 // helper's panic surfaces as a *HelperPanicError.
 func TestSplitKernelExitPaths(t *testing.T) {
 	cases := splitCases(t)

@@ -53,9 +53,9 @@ type runProbe struct {
 
 // probeScratch is the reusable scratch of a run's probe: the histogram
 // buffers (one per stage, then one for the total), the open trace spans
-// and the graph engine's per-switch saturation verdicts. The pooled
-// engines keep it in their arena, so back-to-back probed runs allocate
-// none of them.
+// and the graph engine's per-switch saturation verdicts. The engines
+// keep it in their arena, so back-to-back probed runs allocate none of
+// them.
 type probeScratch struct {
 	hbuf        []obs.HistBuf
 	spans       spanSlab

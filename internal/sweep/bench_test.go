@@ -28,12 +28,10 @@ func runBench(b *testing.B, pts []Point, parallelism int) {
 			b.Fatal(err)
 		}
 	}
-	// The kernel's scratch lives in sync.Pool arenas, which garbage
-	// collection empties, so a collection inside the timed loop bills
-	// an arena regrowth to the op that follows it. Collect first and warm
-	// the pool with one untimed op: the timed ops allocate too little to
-	// start another collection, so B/op and allocs/op (gated in CI)
-	// measure the code rather than when the collector ran.
+	// The kernel's scratch lives in arenas that a process builds on its
+	// first runs and reuses from then on, across collections too. Warm
+	// them with one untimed op, after a collection, so B/op and allocs/op
+	// (gated in CI) measure warm runs, not the arenas' first growth.
 	runtime.GC()
 	run()
 	b.ReportAllocs()

@@ -16,8 +16,8 @@ import (
 
 // checkNoLeaks asserts the scenario released every resource it took:
 // worker goroutines back to the pre-run count (polled briefly — exits
-// race the runner's return) and every pooled simulation arena checked
-// back in. Shared by the cancellation test and every chaos scenario.
+// race the runner's return) and every simulation arena checked back
+// in. Shared by the cancellation test and every chaos scenario.
 func checkNoLeaks(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
